@@ -11,20 +11,11 @@ order per axis on a caller-supplied box.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-
-
-def worker_cap() -> int:
-    """Worker cap from NCSYM_THREADS (>=1); sampling loops may fan out."""
-    try:
-        return max(1, int(os.environ.get("NCSYM_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 class Jet2:
@@ -174,7 +165,8 @@ class Potential:
 ZERO_POTENTIAL = Potential("zero")
 
 
-def _residual_chunk(theta: Field, rho: Field, V: Potential, points: np.ndarray) -> dict:
+def fluid_residual(theta: Field, rho: Field, V: Potential, points: np.ndarray) -> dict:
+    """Max abs residuals of the continuity and Bernoulli equations."""
     points = np.atleast_2d(np.asarray(points, float))
     d = points.shape[1] - 1
     jt = eval_field(theta, points)
@@ -190,27 +182,6 @@ def _residual_chunk(theta: Field, rho: Field, V: Potential, points: np.ndarray) 
     return {
         "continuity": float(np.max(np.abs(cont))),
         "bernoulli": float(np.max(np.abs(bern))),
-    }
-
-
-def fluid_residual(theta: Field, rho: Field, V: Potential, points: np.ndarray) -> dict:
-    """Max abs residuals of the continuity and Bernoulli equations.
-
-    Sampling is embarrassingly parallel over points; chunks fan out to a
-    thread pool when NCSYM_THREADS allows more than one worker.
-    """
-    points = np.atleast_2d(np.asarray(points, float))
-    cap = worker_cap()
-    if cap <= 1 or points.shape[0] < 2 * cap:
-        return _residual_chunk(theta, rho, V, points)
-    from concurrent.futures import ThreadPoolExecutor
-
-    chunks = np.array_split(points, cap)
-    with ThreadPoolExecutor(max_workers=cap) as pool:
-        parts = list(pool.map(lambda c: _residual_chunk(theta, rho, V, c), chunks))
-    return {
-        "continuity": max(p["continuity"] for p in parts),
-        "bernoulli": max(p["bernoulli"] for p in parts),
     }
 
 

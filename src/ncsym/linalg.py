@@ -1,49 +1,96 @@
-"""Exact linear algebra over the rationals.
+"""Exact sparse linear algebra over the rationals.
 
-Matrices are lists of lists of Fraction.  Everything here is small and
-dense; the point is certainty, not speed: ranks, nullspaces and span
-memberships computed below are proofs for the solvers built on top.
+One kernel, ``Echelon``, does every elimination in ncsym.  A vector is
+a sparse dict from ordered keys to Fraction.  Rows are kept in reduced
+echelon form: each row has a unit pivot at its smallest key, and that
+key is zero in every other row, so reducing a vector against the rows
+is a single pass over its pivot keys.  Each row also records which of
+the added vectors it combines, so a reduction returns coefficients in
+the vectors as they were added.
+
+The reduced echelon form of a row space is unique: the rank, the pivot
+keys and the canonical nullspace below do not depend on the order in
+which rows were added.  Everything computed here is a proof for the
+solvers built on top, not an approximation.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 
-def _copy(matrix) -> list[list[Fraction]]:
-    return [[Fraction(v) for v in row] for row in matrix]
+def _axpy(target: dict, a: Fraction, source: Mapping) -> None:
+    """target += a * source, dropping entries that cancel."""
+    for k, c in source.items():
+        v = target.get(k)
+        v = a * c if v is None else v + a * c
+        if v:
+            target[k] = v
+        else:
+            target.pop(k, None)
 
 
-def rref(matrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = _copy(matrix)
-    if not m:
-        return m, []
-    rows, cols = len(m), len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [v / inv for v in m[r]]
-        for i in range(rows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    return m, pivots
+class Echelon:
+    """Row space of the vectors added so far, in reduced echelon form."""
 
+    def __init__(self, vectors: Iterable[Mapping] = ()):
+        self.rows: dict = {}  # pivot key -> (row, combination of added vectors)
+        self.added = 0
+        for v in vectors:
+            self.add(v)
 
-def rank(matrix) -> int:
-    return len(rref(matrix)[1])
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, vector: Mapping) -> tuple[dict, dict]:
+        """(coeffs, remainder) with vector == sum_i coeffs[i] * added[i] +
+        remainder, where i counts add() calls from 0.  The remainder is
+        zero on every pivot key; it is empty exactly when the vector lies
+        in the span."""
+        remainder = {k: Fraction(c) for k, c in vector.items() if c}
+        coeffs: dict = {}
+        # a row is zero on every other pivot, so the pivot entries of the
+        # remainder stay those of the vector throughout
+        for p in [k for k in remainder if k in self.rows]:
+            c = remainder[p]
+            row, combo = self.rows[p]
+            _axpy(remainder, -c, row)
+            _axpy(coeffs, c, combo)
+        return coeffs, remainder
+
+    def add(self, vector: Mapping) -> bool:
+        """Add a vector; False when it already lies in the span."""
+        index = self.added
+        self.added += 1
+        coeffs, remainder = self.reduce(vector)
+        if not remainder:
+            return False
+        p = min(remainder)
+        inv = 1 / remainder[p]
+        row = {k: c * inv for k, c in remainder.items()}
+        combo = {k: -c * inv for k, c in coeffs.items()}
+        combo[index] = inv
+        for other, other_combo in self.rows.values():
+            f = other.get(p)
+            if f:
+                _axpy(other, -f, row)
+                _axpy(other_combo, -f, combo)
+        self.rows[p] = (row, combo)
+        return True
+
+    def nullspace(self, ncols: int) -> list[tuple[Fraction, ...]]:
+        """Right nullspace of the added rows over keys 0..ncols-1, one
+        primitive vector per non-pivot column in increasing order."""
+        free = {c: {c: Fraction(1)} for c in range(ncols) if c not in self.rows}
+        for p, (row, _) in self.rows.items():
+            for c, v in row.items():
+                if c != p:
+                    free[c][p] = -v
+        zero = Fraction(0)
+        return [primitive([v.get(j, zero) for j in range(ncols)]) for v in free.values()]
 
 
 def primitive(vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
@@ -60,62 +107,3 @@ def primitive(vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
     lead = next(v for v in ints if v)
     sign = -1 if lead < 0 else 1
     return tuple(Fraction(sign * v, g) for v in ints)
-
-
-def nullspace(matrix, ncols: int) -> list[tuple[Fraction, ...]]:
-    """Basis of the right nullspace, canonical (primitive, fixed order)."""
-    if not matrix:
-        ident = []
-        for j in range(ncols):
-            v = [Fraction(0)] * ncols
-            v[j] = Fraction(1)
-            ident.append(tuple(v))
-        return ident
-    red, pivots = rref(matrix)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
-        basis.append(primitive(v))
-    return basis
-
-
-def solve_exact(matrix, rhs) -> list[Fraction] | None:
-    """One solution of M x = rhs, or None when inconsistent."""
-    if not matrix:
-        return None
-    cols = len(matrix[0])
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
-    red, pivots = rref(aug)
-    if cols in pivots:
-        return None
-    x = [Fraction(0)] * cols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][cols]
-    return x
-
-
-def in_span(basis_columns, target) -> list[Fraction] | None:
-    """Coefficients expressing target in the given column span, else None."""
-    if not basis_columns:
-        return [] if not any(target) else None
-    nrows = len(basis_columns[0])
-    matrix = [[col[i] for col in basis_columns] for i in range(nrows)]
-    return solve_exact(matrix, list(target))
-
-
-def span_dim(vectors) -> int:
-    vecs = [list(v) for v in vectors]
-    return rank(vecs) if vecs else 0
-
-
-def span_contains(basis, vectors) -> bool:
-    cols = [list(b) for b in basis]
-    return all(in_span(cols, list(v)) is not None for v in vectors)
-
-
-def span_equal(a, b) -> bool:
-    return span_contains(a, b) and span_contains(b, a)

@@ -14,17 +14,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .lie import lie_bracket
 from .solver import (
     acceleration,
     cga_dilation,
     cga_expansion,
-    expand_in_basis,
     rotation,
     sch_dilation,
     sch_expansion,
     time_translation,
     translation,
+    _bracket_expansions,
     _pairs,
 )
 
@@ -226,7 +225,11 @@ def verify_representation(kind: str, d: int) -> dict:
 
     For every basis pair, the commutator of the two matrices must equal
     sign * (matrix of the vector-field bracket) for one global sign.
+    The field basis is factored once and every bracket is reduced
+    against it.
     """
+    if d < 2:
+        raise ValueError("need d >= 2")
     if kind == "sch":
         basis = sch_parameter_basis(d)
         rep = lambda p: rep_schrodinger(d, **p)
@@ -239,36 +242,34 @@ def verify_representation(kind: str, d: int) -> dict:
     fields = [X for _, _, X in basis]
     mats = [rep(p) for _, p, _ in basis]
 
-    flat = [[v for row in m for v in row] for m in mats]
-    faithful = linalg.rank([list(col) for col in zip(*flat)]) == len(basis)
+    entries = linalg.Echelon(
+        {(r, c): v for r, row in enumerate(m) for c, v in enumerate(row) if v} for m in mats
+    )
+    faithful = entries.rank == len(basis)
 
     sign = None
     mismatches = []
-    for i in range(len(basis)):
-        for j in range(i + 1, len(basis)):
-            br = lie_bracket(fields[i], fields[j])
-            coeffs = expand_in_basis(fields, br)
-            if coeffs is None:
-                mismatches.append([basis[i][0], basis[j][0], "bracket leaves span"])
-                continue
-            target = _zeros(len(mats[0]))
-            for k, c in enumerate(coeffs):
-                if c:
-                    target = _mat_add(target, _mat_scale(mats[k], c))
-            comm = _commutator(mats[i], mats[j])
-            if _is_zero(target) and _is_zero(comm):
-                continue
-            if _is_zero(_mat_sub(comm, target)):
-                pair_sign = 1
-            elif _is_zero(_mat_add(comm, target)):
-                pair_sign = -1
-            else:
-                mismatches.append([basis[i][0], basis[j][0], "no sign matches"])
-                continue
-            if sign is None:
-                sign = pair_sign
-            elif sign != pair_sign:
-                mismatches.append([basis[i][0], basis[j][0], "sign flips"])
+    for i, j, coeffs, remainder in _bracket_expansions(fields):
+        if remainder:
+            mismatches.append([basis[i][0], basis[j][0], "bracket leaves span"])
+            continue
+        target = _zeros(len(mats[0]))
+        for k, c in coeffs.items():
+            target = _mat_add(target, _mat_scale(mats[k], c))
+        comm = _commutator(mats[i], mats[j])
+        if _is_zero(target) and _is_zero(comm):
+            continue
+        if _is_zero(_mat_sub(comm, target)):
+            pair_sign = 1
+        elif _is_zero(_mat_add(comm, target)):
+            pair_sign = -1
+        else:
+            mismatches.append([basis[i][0], basis[j][0], "no sign matches"])
+            continue
+        if sign is None:
+            sign = pair_sign
+        elif sign != pair_sign:
+            mismatches.append([basis[i][0], basis[j][0], "sign flips"])
     return {
         "rep": kind,
         "size": len(mats[0]),

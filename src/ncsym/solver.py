@@ -155,32 +155,33 @@ def res_lightlike_projective(X: VectorField) -> list[Poly]:
 # ---------------------------------------------------------------------------
 
 
-def _spatial_monomials(d: int, max_degree: int) -> list[tuple]:
+def _spatial_monomials(d: int) -> list[tuple]:
+    """Spatial exponents of degree <= 2 (the fixed spatial bound of the ansatz)."""
     monos = [tuple([0] * d)]
-    if max_degree >= 1:
-        for A in range(d):
+    for A in range(d):
+        e = [0] * d
+        e[A] = 1
+        monos.append(tuple(e))
+    for A in range(d):
+        for B in range(A, d):
             e = [0] * d
-            e[A] = 1
+            e[A] += 1
+            e[B] += 1
             monos.append(tuple(e))
-    if max_degree >= 2:
-        for A in range(d):
-            for B in range(A, d):
-                e = [0] * d
-                e[A] += 1
-                e[B] += 1
-                monos.append(tuple(e))
     return monos
 
 
-def ansatz_fields(d: int, nt_time: int, nt_space: int, spatial_degree: int = 2) -> list[VectorField]:
-    """Unit coefficient fields spanning the search space."""
+def ansatz_fields(d: int, nt_time: int, nt_space: int) -> list[VectorField]:
+    """Unit coefficient fields spanning the search space: X^0 of time
+    degree <= nt_time and no x-dependence, X^A of time degree <= nt_space
+    and spatial degree <= 2."""
     fields = []
     for j in range(nt_time + 1):
         exp = tuple([j] + [0] * d)
         comps = [Poly.zero(d)] * (d + 1)
         comps[0] = Poly.monomial(d, exp)
         fields.append(VectorField(d, comps))
-    monos = _spatial_monomials(d, spatial_degree)
+    monos = _spatial_monomials(d)
     for A in range(1, d + 1):
         for j in range(nt_space + 1):
             for mono in monos:
@@ -205,79 +206,64 @@ def solve_system(
     residual_op: Callable[[VectorField], list[Poly]],
     nt_time: int,
     nt_space: int,
-    spatial_degree: int = 2,
 ) -> list[VectorField]:
     """Nullspace of a linear residual operator over the ansatz."""
-    ansatz = ansatz_fields(d, nt_time, nt_space, spatial_degree)
-    columns = [residual_op(X) for X in ansatz]
-    row_keys = sorted(
-        {(i, exp) for col in columns for i, p in enumerate(col) for exp in p.terms}
-    )
-    zero = Fraction(0)
-    matrix = [
-        [col[i].terms.get(exp, zero) for col in columns] for (i, exp) in row_keys
-    ]
-    return [_combine(ansatz, vec) for vec in linalg.nullspace(matrix, len(ansatz))]
+    return restrict_span(ansatz_fields(d, nt_time, nt_space), residual_op)
 
 
 def restrict_span(
     fields: Sequence[VectorField], residual_op: Callable[[VectorField], list[Poly]]
 ) -> list[VectorField]:
-    """Sub-span of given fields killed by an extra linear residual."""
-    columns = [residual_op(X) for X in fields]
-    row_keys = sorted(
-        {(i, exp) for col in columns for i, p in enumerate(col) for exp in p.terms}
-    )
-    zero = Fraction(0)
-    matrix = [
-        [col[i].terms.get(exp, zero) for col in columns] for (i, exp) in row_keys
-    ]
-    return [_combine(fields, vec) for vec in linalg.nullspace(matrix, len(fields))]
+    """Sub-span of given fields killed by a linear residual: the canonical
+    nullspace of the residual matrix, one sparse row per (residual index,
+    monomial) and one column per field."""
+    rows: dict = {}
+    for j, X in enumerate(fields):
+        for i, p in enumerate(residual_op(X)):
+            for exp, c in p.terms.items():
+                rows.setdefault((i, exp), {})[j] = c
+    kernel = linalg.Echelon(rows.values()).nullspace(len(fields))
+    return [_combine(fields, vec) for vec in kernel]
 
 
 # -- span algebra on vector fields -----------------------------------------
 
 
-def _field_keys(fields: Iterable[VectorField]) -> list[tuple]:
-    keys = set()
-    for X in fields:
-        for a, comp in enumerate(X.components):
-            for exp in comp.terms:
-                keys.add((a, exp))
-    return sorted(keys)
+def _field_vector(X: VectorField) -> dict:
+    """X as a sparse vector keyed by (component, exponent)."""
+    return {(a, exp): c for a, comp in enumerate(X.components) for exp, c in comp.terms.items()}
 
 
-def _vectorize(X: VectorField, keys: Sequence[tuple]) -> list[Fraction]:
-    zero = Fraction(0)
-    return [X.components[a].terms.get(exp, zero) for (a, exp) in keys]
+def _vector_field(d: int, vector: dict) -> VectorField:
+    comps = [dict() for _ in range(d + 1)]
+    for (a, exp), c in vector.items():
+        comps[a][exp] = c
+    return VectorField(d, [Poly(d, c) for c in comps])
 
 
-def span_dim(fields: Sequence[VectorField]) -> int:
-    if not fields:
-        return 0
-    keys = _field_keys(fields)
-    return linalg.span_dim([_vectorize(X, keys) for X in fields])
+def _span(fields: Iterable[VectorField]) -> linalg.Echelon:
+    return linalg.Echelon(_field_vector(X) for X in fields)
+
+
+def _contains(span: linalg.Echelon, fields: Iterable[VectorField]) -> bool:
+    return all(not span.reduce(_field_vector(X))[1] for X in fields)
 
 
 def span_equal(a: Sequence[VectorField], b: Sequence[VectorField]) -> bool:
-    keys = _field_keys(list(a) + list(b))
-    va = [_vectorize(X, keys) for X in a]
-    vb = [_vectorize(X, keys) for X in b]
-    return linalg.span_equal(va, vb)
+    span_a = _span(a)
+    return span_a.rank == _span(b).rank and _contains(span_a, b)
 
 
 def span_contains(basis: Sequence[VectorField], fields: Sequence[VectorField]) -> bool:
-    keys = _field_keys(list(basis) + list(fields))
-    vb = [_vectorize(X, keys) for X in basis]
-    vf = [_vectorize(X, keys) for X in fields]
-    return linalg.span_contains(vb, vf)
+    return _contains(_span(basis), fields)
 
 
 def expand_in_basis(basis: Sequence[VectorField], X: VectorField):
     """Rational coefficients of X in the basis, or None if outside the span."""
-    keys = _field_keys(list(basis) + [X])
-    cols = [_vectorize(b, keys) for b in basis]
-    return linalg.in_span(cols, _vectorize(X, keys))
+    coeffs, remainder = _span(basis).reduce(_field_vector(X))
+    if remainder:
+        return None
+    return [coeffs.get(i, Fraction(0)) for i in range(len(basis))]
 
 
 # ---------------------------------------------------------------------------
@@ -369,45 +355,27 @@ class StructureConstants:
 @dataclass
 class ClosureReport:
     closed: bool
-    witness: tuple | None = None  # (i, j, residual field)
+    # (i, j, residual field): the bracket of generators i, j reduced
+    # against the span, nonzero exactly when the bracket leaves it
+    witness: tuple | None = None
 
 
-def _span_residual(cols, target):
-    """target minus its orthogonal projection onto the column span
-    (rational Gram solve); zero exactly iff target is in the span."""
-    if not cols:
-        return list(target)
-    n = len(cols)
-    gram = [[sum(a * b for a, b in zip(cols[i], cols[j])) for j in range(n)] for i in range(n)]
-    rhs = [sum(a * b for a, b in zip(cols[i], target)) for i in range(n)]
-    sol = linalg.solve_exact(gram, rhs)
-    if sol is None:  # rank-deficient Gram cannot happen for a basis
-        raise AssertionError("span residual: singular Gram matrix")
-    proj = [sum(cols[i][r] * sol[i] for i in range(n)) for r in range(len(target))]
-    return [t - p for t, p in zip(target, proj)]
+def _bracket_expansions(fields: Sequence[VectorField]):
+    """(i, j, coeffs, remainder) for each pair i < j: the bracket of fields
+    i and j reduced against one factorization of their span."""
+    span = _span(fields)
+    for i in range(len(fields)):
+        for j in range(i + 1, len(fields)):
+            coeffs, remainder = span.reduce(_field_vector(lie_bracket(fields[i], fields[j])))
+            yield i, j, coeffs, remainder
 
 
 def closure_check(fields: Sequence[VectorField]) -> ClosureReport:
     """Exact verification that all pairwise brackets stay in the span."""
     fields = list(fields)
-    if not fields:
-        return ClosureReport(closed=True)
-    brackets = {}
-    for i in range(len(fields)):
-        for j in range(i + 1, len(fields)):
-            brackets[(i, j)] = lie_bracket(fields[i], fields[j])
-    keys = _field_keys(fields + list(brackets.values()))
-    cols = [_vectorize(X, keys) for X in fields]
-    d = fields[0].dim
-    for (i, j), br in brackets.items():
-        target = _vectorize(br, keys)
-        if linalg.in_span(cols, target) is None:
-            resid = _span_residual(cols, target)
-            comps = [dict() for _ in range(d + 1)]
-            for (a, exp), v in zip(keys, resid):
-                if v:
-                    comps[a][exp] = v
-            residual = VectorField(d, [Poly(d, c) for c in comps])
+    for i, j, _, remainder in _bracket_expansions(fields):
+        if remainder:
+            residual = _vector_field(fields[0].dim, remainder)
             return ClosureReport(closed=False, witness=(i, j, residual))
     return ClosureReport(closed=True)
 
@@ -416,25 +384,12 @@ def structure_constants(basis) -> StructureConstants:
     """Exact rational bracket tensor of a closed basis."""
     fields = basis.generators if isinstance(basis, AlgebraBasis) else list(basis)
     n = len(fields)
-    brackets = {}
-    for i in range(n):
-        for j in range(i + 1, n):
-            brackets[(i, j)] = lie_bracket(fields[i], fields[j])
-    keys = _field_keys(fields + list(brackets.values()))
-    cols = [_vectorize(X, keys) for X in fields]
     zero = Fraction(0)
     c = [[[zero] * n for _ in range(n)] for _ in range(n)]
-    d = fields[0].dim
-    for (i, j), br in brackets.items():
-        coeffs = linalg.in_span(cols, _vectorize(br, keys))
-        if coeffs is None:
-            resid = _span_residual(cols, _vectorize(br, keys))
-            comps = [dict() for _ in range(d + 1)]
-            for (a, exp), v in zip(keys, resid):
-                if v:
-                    comps[a][exp] = v
-            raise NotClosedError(i, j, VectorField(d, [Poly(d, t) for t in comps]))
-        for k, v in enumerate(coeffs):
+    for i, j, coeffs, remainder in _bracket_expansions(fields):
+        if remainder:
+            raise NotClosedError(i, j, _vector_field(fields[0].dim, remainder))
+        for k, v in coeffs.items():
             c[i][j][k] = v
             c[j][i][k] = -v
     return StructureConstants(n=n, c=c)
@@ -538,6 +493,28 @@ def _pairs(d: int) -> list[tuple[int, int]]:
     return [(A, B) for A in range(1, d + 1) for B in range(A + 1, d + 1)]
 
 
+def _rotations(d: int, k: int = 0) -> list[tuple[str, VectorField]]:
+    return [(f"omega[{A},{B}]", rotation(d, A, B, k)) for A, B in _pairs(d)]
+
+
+def _accelerations(d: int) -> list[tuple[str, VectorField]]:
+    return [(f"alpha[{A}]", acceleration(d, A)) for A in range(1, d + 1)]
+
+
+def _translations(d: int, k: int = 0, name: str = "eta") -> list[tuple[str, VectorField]]:
+    return [(f"{name}[{A}]", translation(d, A, k)) for A in range(1, d + 1)]
+
+
+def _graded(nt: int, named_at: Callable[[int], list]) -> list[tuple[str, VectorField]]:
+    """Generators graded by powers of t: named_at(k) lists the (name, field)
+    pairs of grade k, whose labels gain the suffix *t^k for k >= 1."""
+    out = []
+    for k in range(nt + 1):
+        suffix = f"*t^{k}" if k else ""
+        out += [(name + suffix, X) for name, X in named_at(k)]
+    return out
+
+
 def _factors_for(fields: Sequence[VectorField], d: int) -> list[tuple[Poly, Poly]]:
     base = flat_galilei(d)
     out = []
@@ -574,72 +551,56 @@ def _presented(
 # ---------------------------------------------------------------------------
 
 
-def solve_cgal(d: int, nt: int) -> AlgebraBasis:
-    """Conformal fields of the flat Galilei pair, time-degree bound nt."""
+def _solve_conformal(d: int, nt: int, z) -> AlgebraBasis:
+    """Conformal fields of the flat Galilei pair with time-degree bound nt;
+    z = None leaves the dynamical exponent free, otherwise it is fixed."""
     if d < 2:
         raise ValueError("need d >= 2")
     if nt < 0:
         raise ValueError("need nt >= 0")
-    raw = solve_system(d, res_conformal, nt_time=nt, nt_space=nt)
-    named: list[tuple[str, VectorField]] = []
-    for k in range(nt + 1):
-        suffix = f"*t^{k}" if k else ""
-        for A, B in _pairs(d):
-            named.append((f"omega[{A},{B}]{suffix}", rotation(d, A, B, k)))
-    for k in range(nt + 1):
-        suffix = f"*t^{k}" if k else ""
-        for A in range(1, d + 1):
-            named.append((f"eta[{A}]{suffix}", translation(d, A, k)))
-    for k in range(nt + 1):
-        suffix = f"*t^{k}" if k else ""
-        for A in range(1, d + 1):
-            named.append((f"kappa[{A}]{suffix}", quadratic_expansion(d, A, k)))
-    for k in range(nt + 1):
-        suffix = f"*t^{k}" if k else ""
-        named.append((f"chi{suffix}", space_dilation(d, k)))
-    for k in range(nt + 1):
-        suffix = f"*t^{k}" if k else ""
-        named.append((f"xi{suffix}", time_translation(d, k)))
-    return _presented("cgal", d, raw, named)
-
-
-def solve_cgal_z(d: int, z, nt: int) -> AlgebraBasis:
-    """Conformal fields with fixed dynamical exponent z (rational or 'inf')."""
-    if d < 2:
-        raise ValueError("need d >= 2")
-    if z != INF and (not isinstance(z, Fraction) or z <= 0):
+    if z not in (None, INF):
         z = Fraction(z)
         if z <= 0:
             raise ValueError("z must be positive or 'inf'")
 
-    def op(X):
-        return res_conformal(X) + res_exponent(X, z)
+    def op(X: VectorField) -> list[Poly]:
+        out = res_conformal(X)
+        return out if z is None else out + res_exponent(X, z)
+
+    def xi(k: int) -> VectorField:
+        X = time_translation(d, k)
+        if z not in (None, INF) and k >= 1:
+            X = X + space_dilation(d, k - 1).scale(Fraction(k) / z)
+        return X
 
     raw = solve_system(d, op, nt_time=nt, nt_space=nt)
-    named: list[tuple[str, VectorField]] = []
-    for k in range(nt + 1):
-        suffix = f"*t^{k}" if k else ""
-        for A, B in _pairs(d):
-            named.append((f"omega[{A},{B}]{suffix}", rotation(d, A, B, k)))
-    for k in range(nt + 1):
-        suffix = f"*t^{k}" if k else ""
-        for A in range(1, d + 1):
-            named.append((f"eta[{A}]{suffix}", translation(d, A, k)))
-    for k in range(nt + 1):
-        suffix = f"*t^{k}" if k else ""
-        X = time_translation(d, k)
-        if z != INF and k >= 1:
-            X = X + space_dilation(d, k - 1).scale(Fraction(k) / z)
-        named.append((f"xi{suffix}", X))
-    return _presented("cgal_z", d, raw, named, z=z)
+    named = _graded(nt, lambda k: _rotations(d, k))
+    named += _graded(nt, lambda k: _translations(d, k))
+    if z is None:
+        named += _graded(
+            nt, lambda k: [(f"kappa[{A}]", quadratic_expansion(d, A, k)) for A in range(1, d + 1)]
+        )
+        named += _graded(nt, lambda k: [("chi", space_dilation(d, k))])
+    named += _graded(nt, lambda k: [("xi", xi(k))])
+    return _presented("cgal" if z is None else "cgal_z", d, raw, named, z=z)
+
+
+def solve_cgal(d: int, nt: int) -> AlgebraBasis:
+    """Conformal fields of the flat Galilei pair, time-degree bound nt."""
+    return _solve_conformal(d, nt, None)
+
+
+def solve_cgal_z(d: int, z, nt: int) -> AlgebraBasis:
+    """Conformal fields with fixed dynamical exponent z (rational or 'inf')."""
+    return _solve_conformal(d, nt, z)
 
 
 def solve_gal(d: int) -> AlgebraBasis:
     """Galilei automorphisms of the flat structure."""
+    if d < 2:
+        raise ValueError("need d >= 2")
     raw = solve_system(d, res_isometry, nt_time=2, nt_space=2)
-    named = [(f"omega[{A},{B}]", rotation(d, A, B)) for A, B in _pairs(d)]
-    named += [(f"beta[{A}]", translation(d, A, 1)) for A in range(1, d + 1)]
-    named += [(f"gamma[{A}]", translation(d, A, 0)) for A in range(1, d + 1)]
+    named = _rotations(d) + _translations(d, 1, "beta") + _translations(d, 0, "gamma")
     named.append(("epsilon", time_translation(d)))
     return _presented("gal", d, raw, named)
 
@@ -651,9 +612,7 @@ def solve_sch_expanded(d: int, nt: int = 3) -> AlgebraBasis:
     if d < 2:
         raise ValueError("need d >= 2")
     raw = solve_system(d, res_timelike_projective, nt_time=max(nt, 2), nt_space=max(nt, 2))
-    named = [(f"omega[{A},{B}]", rotation(d, A, B)) for A, B in _pairs(d)]
-    named += [(f"beta[{A}]", translation(d, A, 1)) for A in range(1, d + 1)]
-    named += [(f"gamma[{A}]", translation(d, A, 0)) for A in range(1, d + 1)]
+    named = _rotations(d) + _translations(d, 1, "beta") + _translations(d, 0, "gamma")
     named.append(("kappa", sch_expansion(d)))
     named.append(("mu", time_dilation(d)))
     named.append(("lambda", space_dilation(d)))
@@ -667,9 +626,7 @@ def restrict_sch_z(basis: AlgebraBasis, z) -> AlgebraBasis:
         raise ValueError("restriction expects the expanded timelike algebra")
     d = basis.d
     restricted = restrict_span(basis.generators, lambda X: res_exponent(X, z))
-    named = [(f"omega[{A},{B}]", rotation(d, A, B)) for A, B in _pairs(d)]
-    named += [(f"beta[{A}]", translation(d, A, 1)) for A in range(1, d + 1)]
-    named += [(f"gamma[{A}]", translation(d, A, 0)) for A in range(1, d + 1)]
+    named = _rotations(d) + _translations(d, 1, "beta") + _translations(d, 0, "gamma")
     if z == Fraction(2):
         named.append(("kappa", sch_expansion(d)))
         named.append(("lambda", sch_dilation(d)))
@@ -795,22 +752,13 @@ def solve_cnc_flat(d: int, nt: int):
     gauge witness where one exists in the polynomial class."""
     if d < 2:
         raise ValueError("need d >= 2")
+    if nt < 0:
+        raise ValueError("need nt >= 0")
     raw = solve_system(d, res_lightlike_projective, nt_time=nt, nt_space=nt)
-    named: list[tuple[str, VectorField]] = []
-    for k in range(nt + 1):
-        suffix = f"*t^{k}" if k else ""
-        for A, B in _pairs(d):
-            named.append((f"omega[{A},{B}]{suffix}", rotation(d, A, B, k)))
-    for k in range(nt + 1):
-        suffix = f"*t^{k}" if k else ""
-        named.append((f"dil{suffix}", space_dilation(d, k)))
-    for k in range(nt + 1):
-        suffix = f"*t^{k}" if k else ""
-        for A in range(1, d + 1):
-            named.append((f"eta[{A}]{suffix}", translation(d, A, k)))
-    for k in range(nt + 1):
-        suffix = f"*t^{k}" if k else ""
-        named.append((f"xi{suffix}", time_translation(d, k)))
+    named = _graded(nt, lambda k: _rotations(d, k))
+    named += _graded(nt, lambda k: [("dil", space_dilation(d, k))])
+    named += _graded(nt, lambda k: _translations(d, k))
+    named += _graded(nt, lambda k: [("xi", time_translation(d, k))])
     basis = _presented("cnc", d, raw, named)
     witnesses = [lightlike_gauge_witness(X) for X in basis.generators]
     return basis, witnesses
@@ -914,10 +862,8 @@ def solve_cmil_flat(d: int, ether: Observer | None = None):
     u = [ether.U[A].constant_value() for A in range(1, d + 1)]
 
     c1_fields = restrict_span(raw, _res_c1_slice)
-    named1 = [(f"omega[{A},{B}]", rotation(d, A, B)) for A, B in _pairs(d)]
-    named1 += [(f"alpha[{A}]", acceleration(d, A)) for A in range(1, d + 1)]
-    named1 += [(f"beta[{A}]", translation(d, A, 1)) for A in range(1, d + 1)]
-    named1 += [(f"gamma[{A}]", translation(d, A, 0)) for A in range(1, d + 1)]
+    named1 = _rotations(d) + _accelerations(d)
+    named1 += _translations(d, 1, "beta") + _translations(d, 0, "gamma")
     named1.append(("kappa", cga_expansion(d, u)))
     named1.append(("lambda", space_dilation(d)))
     named1.append(("mu", time_dilation(d)))
@@ -974,10 +920,8 @@ def restrict_cmil_z(basis: AlgebraBasis, z) -> AlgebraBasis:
         raise ValueError("restriction expects the acceleration branch")
     d = basis.d
     restricted = restrict_span(basis.generators, lambda X: res_exponent(X, z))
-    named = [(f"omega[{A},{B}]", rotation(d, A, B)) for A, B in _pairs(d)]
-    named += [(f"alpha[{A}]", acceleration(d, A)) for A in range(1, d + 1)]
-    named += [(f"beta[{A}]", translation(d, A, 1)) for A in range(1, d + 1)]
-    named += [(f"gamma[{A}]", translation(d, A, 0)) for A in range(1, d + 1)]
+    named = _rotations(d) + _accelerations(d)
+    named += _translations(d, 1, "beta") + _translations(d, 0, "gamma")
     if z == Fraction(1):
         named.append(("kappa", cga_expansion(d)))
         named.append(("lambda", cga_dilation(d)))
@@ -1036,11 +980,7 @@ def alt_candidate(d: int, N: int, z) -> list[tuple[str, VectorField]]:
     with dilation weight 1/z, constant rotations, translations of time
     degree <= N.  Closed under brackets iff z = 2/N."""
     zinv = Fraction(1) / Fraction(z)
-    named = [(f"omega[{A},{B}]", rotation(d, A, B)) for A, B in _pairs(d)]
-    for k in range(N + 1):
-        suffix = f"*t^{k}" if k else ""
-        for A in range(1, d + 1):
-            named.append((f"eta[{A}]{suffix}", translation(d, A, k)))
+    named = _rotations(d) + _graded(N, lambda k: _translations(d, k))
     named.append(("kappa", time_translation(d, 2).scale(_HALF) + space_dilation(d, 1).scale(zinv)))
     named.append(("mu", time_dilation(d) + space_dilation(d).scale(zinv)))
     named.append(("epsilon", time_translation(d)))

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from ncsym.cli import main
 
 
@@ -97,3 +99,18 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["dim"] == 10
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--family", "gal", "--d", "0"],
+        ["solve", "--family", "cnc", "--deg-t", "-1"],
+        ["solve", "--family", "cgal-z", "--z", "1", "--deg-t", "-1"],
+        ["rep-check", "--rep", "sch", "--d", "0"],
+        ["rep-check", "--rep", "cga", "--d", "1"],
+    ],
+)
+def test_bad_domain_input_is_a_domain_error(args, capsys):
+    assert run_cli(args) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -328,13 +328,3 @@ def test_charges_reject_nonfinite_samples():
     box = [(-1.0, 1.0)] * 2
     with pytest.raises(ValueError):
         fluid_charges(theta, rho, d, box, t=0.0)
-
-
-def test_worker_cap_parallel_sampling(monkeypatch):
-    d = 3
-    theta, rho = self_similar_free(a=1.0, rho0=2.0, d=d)
-    pts = random_points(d, 64, seed=11)
-    serial = fluid_residual(theta, rho, ZERO_POTENTIAL, pts)
-    monkeypatch.setenv("NCSYM_THREADS", "4")
-    parallel = fluid_residual(theta, rho, ZERO_POTENTIAL, pts)
-    assert serial == parallel

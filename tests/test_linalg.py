@@ -1,0 +1,116 @@
+"""Properties of the exact elimination kernel, with sympy as the oracle."""
+
+from fractions import Fraction
+
+import pytest
+
+pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import given, settings, strategies as st
+
+from ncsym.linalg import Echelon, primitive
+from ncsym.lie import VectorField
+from ncsym.poly import Poly
+from ncsym.solver import span_equal
+
+# zeros are drawn often so that rank deficiency is common
+ENTRIES = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+)
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+
+@st.composite
+def matrices(draw, max_rows=5, max_cols=5):
+    ncols = draw(st.integers(1, max_cols))
+    nrows = draw(st.integers(0, max_rows))
+    return [[draw(ENTRIES) for _ in range(ncols)] for _ in range(nrows)], ncols
+
+
+def sparse(row) -> dict:
+    return {j: v for j, v in enumerate(row) if v}
+
+
+def oracle(rows, ncols):
+    return sympy.Matrix(rows) if rows else sympy.zeros(0, ncols)
+
+
+def to_fraction(x) -> Fraction:
+    x = sympy.Rational(x)
+    return Fraction(int(x.p), int(x.q))
+
+
+@PROPERTY
+@given(matrices())
+def test_rank_matches_sympy(case):
+    rows, ncols = case
+    assert Echelon(sparse(r) for r in rows).rank == oracle(rows, ncols).rank()
+
+
+@PROPERTY
+@given(matrices())
+def test_nullspace_matches_sympy_and_is_a_kernel(case):
+    rows, ncols = case
+    ech = Echelon(sparse(r) for r in rows)
+    kernel = ech.nullspace(ncols)
+    expected = [primitive([to_fraction(x) for x in v]) for v in oracle(rows, ncols).nullspace()]
+    assert kernel == expected
+    for v in kernel:
+        assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows)
+    assert ech.rank + len(kernel) == ncols
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_reduce_round_trips(case, data):
+    rows, ncols = case
+    ech = Echelon(sparse(r) for r in rows)
+    v = data.draw(st.lists(ENTRIES, min_size=ncols, max_size=ncols))
+    coeffs, remainder = ech.reduce(sparse(v))
+    rebuilt = [remainder.get(j, Fraction(0)) for j in range(ncols)]
+    for i, c in coeffs.items():
+        rebuilt = [x + c * y for x, y in zip(rebuilt, rows[i])]
+    assert rebuilt == v
+    in_span = oracle(rows + [v], ncols).rank() == oracle(rows, ncols).rank()
+    assert (not remainder) == in_span
+
+
+@PROPERTY
+@given(matrices(max_rows=4), st.data())
+def test_reduce_expands_a_combination_in_an_independent_basis(case, data):
+    rows, ncols = case
+    ech = Echelon()
+    basis = [r for r in rows if ech.add(sparse(r))]
+    weights = data.draw(st.lists(ENTRIES, min_size=len(basis), max_size=len(basis)))
+    v = [sum((w * r[j] for w, r in zip(weights, basis)), Fraction(0)) for j in range(ncols)]
+    coeffs, remainder = Echelon(sparse(r) for r in basis).reduce(sparse(v))
+    assert not remainder
+    assert [coeffs.get(i, Fraction(0)) for i in range(len(basis))] == weights
+
+
+def fields(rows) -> list[VectorField]:
+    """One vector field per row, the row's entries on t^j d_t."""
+    d = 2
+    zero = Poly.zero(d)
+    return [
+        VectorField(d, [Poly(d, {(j, 0, 0): v for j, v in enumerate(r)}), zero, zero])
+        for r in rows
+    ]
+
+
+@PROPERTY
+@given(matrices(), st.data())
+def test_span_equal_is_symmetric(case, data):
+    a, ncols = case
+    mix = data.draw(st.lists(st.lists(ENTRIES, min_size=len(a), max_size=len(a)), max_size=5))
+    b = [[sum((w * r[j] for w, r in zip(ws, a)), Fraction(0)) for j in range(ncols)] for ws in mix]
+    if data.draw(st.booleans()):
+        b = data.draw(matrices(max_cols=ncols))[0]
+        b = [r + [Fraction(0)] * (ncols - len(r)) for r in b]
+    fa, fb = fields(a), fields(b)
+    assert span_equal(fa, fb) == span_equal(fb, fa)
+    ra, rb = oracle(a, ncols).rank(), oracle(b, ncols).rank()
+    assert span_equal(fa, fb) == (ra == rb == oracle(a + b, ncols).rank())
