@@ -303,9 +303,6 @@ def apply_transform(T: FluidTransform, theta: Field, rho: Field, d: int):
         def theta2(t, *xs):
             om = (1.0 - t * kappa) ** (-1.0)
             star = [xi * om for xi in xs]
-            r2 = star[0] * star[0]
-            for xi in star[1:]:
-                r2 = r2 + xi * xi
             # quadratic counterterm -kappa |x|^2 / (2 (1 - kappa t))
             x2 = xs[0] * xs[0]
             for xi in xs[1:]:

@@ -10,7 +10,8 @@ renormalization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -25,12 +26,15 @@ EPS_UNIT = 1e-12
 # ---------------------------------------------------------------------------
 
 
-def rk4(rhs, y0, h, steps, observer=None):
+def rk4(rhs, y0, h, steps):
     """Fixed-step RK4 with Kahan-compensated accumulation of the state.
 
-    ``observer(i, t, y)`` is called after every step when given.
     Returns the (steps+1, len(y0)) trajectory array.
     """
+    if not (math.isfinite(h) and h > 0):
+        raise ValueError(f"step size must be finite and positive, got {h}")
+    if steps < 0:
+        raise ValueError(f"number of steps must be >= 0, got {steps}")
     y = np.array(y0, dtype=float)
     carry = np.zeros_like(y)
     out = np.empty((steps + 1, y.size))
@@ -48,8 +52,6 @@ def rk4(rhs, y0, h, steps, observer=None):
         y = new
         t = i * h
         out[i] = y
-        if observer is not None:
-            observer(i, t, y)
     return out
 
 
@@ -72,8 +74,6 @@ def integrate_geodesic(conn: Connection, x0, xdot0, h, steps):
     time-velocity class ('timelike' for xdot^0 != 0, else 'lightlike',
     preserved exactly when the connection has no time components).
     """
-    if h <= 0:
-        raise ValueError("step size must be positive")
     d = conn.dim
     n = d + 1
     entries = _connection_entries(conn)
@@ -208,6 +208,54 @@ def _sphere_frame(u: np.ndarray) -> tuple:
     return e1, e2
 
 
+class _SphereChart:
+    """Chart (t, x^1..x^3, middle block, th^1, th^2) around a base state
+    on R x R^3 x M x S^2.  The middle block is E for the photon and v for
+    the massive particle.  The displaced direction is u + th^1 e1 + th^2 e2;
+    ``unpack`` normalizes it, ``state`` takes a direction as given."""
+
+    def __init__(self, base):
+        self.base = base
+        self.e1, self.e2 = _sphere_frame(base.u)
+        self.mid = getattr(base, fields(base)[2].name)
+        self.n = 6 + np.size(self.mid)
+
+    def _middle(self, c):
+        return c[4] if np.ndim(self.mid) == 0 else c[4 : self.n - 2]
+
+    def direction(self, c):
+        return self.base.u + c[-2] * self.e1 + c[-1] * self.e2
+
+    def state(self, c, w):
+        b = self.base
+        return type(b)(b.t + c[0], b.x + c[1:4], self.mid + self._middle(c), w)
+
+    def unpack(self, c):
+        w = self.direction(c)
+        return self.state(c, w / np.linalg.norm(w))
+
+    def frame(self, c, mu):
+        """Ambient tangent (dt, dx, d middle, du) of coordinate line mu at c."""
+        e = np.zeros(self.n)
+        e[mu] = 1.0
+        du = np.zeros(3)
+        if mu >= self.n - 2:
+            w = self.direction(c)
+            nw = np.linalg.norm(w)
+            e_th = self.e1 if mu == self.n - 2 else self.e2
+            du = e_th / nw - w * float(w @ e_th) / nw**3
+        return e[0], e[1:4], self._middle(e), du
+
+
+def _central_difference(f, n: int, mu: int, h: float) -> float:
+    """d f / d c^mu at the chart origin by central differences."""
+    cp = np.zeros(n)
+    cp[mu] = h
+    cm = np.zeros(n)
+    cm[mu] = -h
+    return (f(cp) - f(cm)) / (2 * h)
+
+
 def massive_noether_residual(
     params: SchParams, m: float, s: float, points, fd_step: float = 1e-6
 ) -> float:
@@ -215,49 +263,17 @@ def massive_noether_residual(
     with dJ by central finite differences."""
     worst = 0.0
     for state in points:
-        e1, e2 = _sphere_frame(state.u)
+        chart = _SphereChart(state)
         lift = massive_lift(params, state)
+        origin = np.zeros(chart.n)
 
-        def charge_at(dt, dx, dv, th1, th2):
-            w = state.u + th1 * e1 + th2 * e2
-            st = MassiveState(state.t + dt, state.x + dx, state.v + dv, w)
-            return massive_noether_charge(params, st, m, s)
+        def charge_at(c):
+            # the displaced direction is left to MassiveState to normalize
+            return massive_noether_charge(params, chart.state(c, chart.direction(c)), m, s)
 
-        directions = []
-        directions.append(((1.0, np.zeros(3), np.zeros(3), np.zeros(3)), (1.0, 0.0, 0.0, 0.0, 0.0)))
-        for A in range(3):
-            dx = np.zeros(3)
-            dx[A] = 1.0
-            directions.append(((0.0, dx, np.zeros(3), np.zeros(3)), ("x", A)))
-            dv = np.zeros(3)
-            dv[A] = 1.0
-            directions.append(((0.0, np.zeros(3), dv, np.zeros(3)), ("v", A)))
-        directions.append(((0.0, np.zeros(3), np.zeros(3), e1), ("th", 0)))
-        directions.append(((0.0, np.zeros(3), np.zeros(3), e2), ("th", 1)))
-
-        h = fd_step
-        for W, tag in directions:
-            if tag == (1.0, 0.0, 0.0, 0.0, 0.0):
-                plus = charge_at(h, np.zeros(3), np.zeros(3), 0.0, 0.0)
-                minus = charge_at(-h, np.zeros(3), np.zeros(3), 0.0, 0.0)
-            elif tag[0] == "x":
-                dx = np.zeros(3)
-                dx[tag[1]] = h
-                plus = charge_at(0.0, dx, np.zeros(3), 0.0, 0.0)
-                minus = charge_at(0.0, -dx, np.zeros(3), 0.0, 0.0)
-            elif tag[0] == "v":
-                dv = np.zeros(3)
-                dv[tag[1]] = h
-                plus = charge_at(0.0, np.zeros(3), dv, 0.0, 0.0)
-                minus = charge_at(0.0, np.zeros(3), -dv, 0.0, 0.0)
-            else:
-                args = [0.0, 0.0]
-                args[tag[1]] = h
-                plus = charge_at(0.0, np.zeros(3), np.zeros(3), args[0], args[1])
-                args[tag[1]] = -h
-                minus = charge_at(0.0, np.zeros(3), np.zeros(3), args[0], args[1])
-            dj = (plus - minus) / (2.0 * h)
-            resid = abs(sigma_massive(state, lift, W, m, s) + dj)
+        for mu in range(chart.n):
+            dj = _central_difference(charge_at, chart.n, mu, fd_step)
+            resid = abs(sigma_massive(state, lift, chart.frame(origin, mu), m, s) + dj)
             worst = max(worst, resid)
     return worst
 
@@ -464,103 +480,42 @@ def sigma_photon(state: PhotonState, W1, W2, k: float, s: float) -> float:
 # -- chart-based residual of the symmetry condition ------------------------
 
 
+def _presymplectic_residual(sigma, lift, states, h: float) -> float:
+    """max |d_mu alpha_nu - d_nu alpha_mu| over chart pairs at the given
+    states, alpha(W) = sigma(st, lift(st), W); zero for symmetries since
+    the model form is closed."""
+    worst = 0.0
+    for base in states:
+        chart = _SphereChart(base)
+
+        def alpha(c, mu):
+            st = chart.unpack(c)
+            return sigma(st, lift(st), chart.frame(c, mu))
+
+        for mu in range(chart.n):
+            for nu in range(mu + 1, chart.n):
+                d_mu_alpha_nu = _central_difference(lambda c: alpha(c, nu), chart.n, mu, h)
+                d_nu_alpha_mu = _central_difference(lambda c: alpha(c, mu), chart.n, nu, h)
+                worst = max(worst, abs(d_mu_alpha_nu - d_nu_alpha_mu))
+    return worst
+
+
 def presymplectic_residual_photon(lift, states, k: float, s: float, h: float = 1e-5) -> float:
     """max |d(i_Z sigma)| entries over chart pairs at the given states;
     zero for symmetries since the model form is closed."""
-    worst = 0.0
-    for base in states:
-        e1, e2 = _sphere_frame(base.u)
-
-        def unpack(c):
-            # chart coords: t, x(3), E, th(2)
-            w = base.u + c[5] * e1 + c[6] * e2
-            w = w / np.linalg.norm(w)
-            return PhotonState(base.t + c[0], base.x + c[1:4], base.E + c[4], w)
-
-        def frame(c, mu):
-            if mu == 0:
-                return (1.0, np.zeros(3), 0.0, np.zeros(3))
-            if 1 <= mu <= 3:
-                dx = np.zeros(3)
-                dx[mu - 1] = 1.0
-                return (0.0, dx, 0.0, np.zeros(3))
-            if mu == 4:
-                return (0.0, np.zeros(3), 1.0, np.zeros(3))
-            w = base.u + c[5] * e1 + c[6] * e2
-            nw = np.linalg.norm(w)
-            e = e1 if mu == 5 else e2
-            du = e / nw - w * float(w @ e) / nw**3
-            return (0.0, np.zeros(3), 0.0, du)
-
-        def alpha(c, mu):
-            st = unpack(c)
-            return sigma_photon(st, lift(st), frame(c, mu), k, s)
-
-        ncoords = 7
-        for mu in range(ncoords):
-            for nu in range(mu + 1, ncoords):
-                cp = np.zeros(ncoords)
-                cp[mu] = h
-                cm = np.zeros(ncoords)
-                cm[mu] = -h
-                d_mu_alpha_nu = (alpha(cp, nu) - alpha(cm, nu)) / (2 * h)
-                cp = np.zeros(ncoords)
-                cp[nu] = h
-                cm = np.zeros(ncoords)
-                cm[nu] = -h
-                d_nu_alpha_mu = (alpha(cp, mu) - alpha(cm, mu)) / (2 * h)
-                worst = max(worst, abs(d_mu_alpha_nu - d_nu_alpha_mu))
-    return worst
+    return _presymplectic_residual(
+        lambda st, Z, W: sigma_photon(st, Z, W, k, s), lift, states, h
+    )
 
 
 def presymplectic_residual_massive(params: SchParams, states, m: float, s: float, h: float = 1e-5) -> float:
     """Same check for the massive model and its lifted generators."""
-    worst = 0.0
-    for base in states:
-        e1, e2 = _sphere_frame(base.u)
-
-        def unpack(c):
-            # chart coords: t, x(3), v(3), th(2)
-            w = base.u + c[7] * e1 + c[8] * e2
-            w = w / np.linalg.norm(w)
-            return MassiveState(base.t + c[0], base.x + c[1:4], base.v + c[4:7], w)
-
-        def frame(c, mu):
-            if mu == 0:
-                return (1.0, np.zeros(3), np.zeros(3), np.zeros(3))
-            if 1 <= mu <= 3:
-                dx = np.zeros(3)
-                dx[mu - 1] = 1.0
-                return (0.0, dx, np.zeros(3), np.zeros(3))
-            if 4 <= mu <= 6:
-                dv = np.zeros(3)
-                dv[mu - 4] = 1.0
-                return (0.0, np.zeros(3), dv, np.zeros(3))
-            w = base.u + c[7] * e1 + c[8] * e2
-            nw = np.linalg.norm(w)
-            e = e1 if mu == 7 else e2
-            du = e / nw - w * float(w @ e) / nw**3
-            return (0.0, np.zeros(3), np.zeros(3), du)
-
-        def alpha(c, mu):
-            st = unpack(c)
-            return sigma_massive(st, massive_lift(params, st), frame(c, mu), m, s)
-
-        ncoords = 9
-        for mu in range(ncoords):
-            for nu in range(mu + 1, ncoords):
-                cp = np.zeros(ncoords)
-                cp[mu] = h
-                cm = np.zeros(ncoords)
-                cm[mu] = -h
-                d_mu_alpha_nu = (alpha(cp, nu) - alpha(cm, nu)) / (2 * h)
-                cp = np.zeros(ncoords)
-                cp[nu] = h
-                cm = np.zeros(ncoords)
-                cm[nu] = -h
-                d_nu_alpha_mu = (alpha(cp, mu) - alpha(cm, mu)) / (2 * h)
-                worst = max(worst, abs(d_mu_alpha_nu - d_nu_alpha_mu))
-    return worst
+    return _presymplectic_residual(
+        lambda st, Z, W: sigma_massive(st, Z, W, m, s),
+        lambda st: massive_lift(params, st),
+        states,
+        h,
+    )
 
 
 # ---------------------------------------------------------------------------

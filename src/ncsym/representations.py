@@ -116,76 +116,45 @@ def _omega_unit(d: int, A: int, B: int) -> list:
     return om
 
 
-def _zero_params(d: int, with_alpha: bool) -> dict:
-    p = {
-        "omega": [[Fraction(0)] * d for _ in range(d)],
-        "beta": [Fraction(0)] * d,
-        "gamma": [Fraction(0)] * d,
-        "kappa": Fraction(0),
-        "lam": Fraction(0),
-        "eps": Fraction(0),
-    }
-    if with_alpha:
-        p["alpha"] = [Fraction(0)] * d
-    return p
+def _parameter_basis(d: int, accelerations: bool, expansion, dilation) -> list:
+    """One (label, parameters, field) row per generator with only its
+    parameter set to 1: rotations, optional accelerations, beta, gamma,
+    then kappa, lambda and epsilon."""
+    vectors = [("beta", lambda A: translation(d, A, 1)), ("gamma", lambda A: translation(d, A, 0))]
+    if accelerations:
+        vectors.insert(0, ("alpha", lambda A: acceleration(d, A)))
+    rows = [
+        (f"omega[{A},{B}]", "omega", _omega_unit(d, A, B), rotation(d, A, B))
+        for A, B in _pairs(d)
+    ]
+    rows += [
+        (f"{key}[{A}]", key, [Fraction(int(B == A)) for B in range(1, d + 1)], field(A))
+        for key, field in vectors
+        for A in range(1, d + 1)
+    ]
+    rows += [
+        ("kappa", "kappa", Fraction(1), expansion),
+        ("lambda", "lam", Fraction(1), dilation),
+        ("epsilon", "eps", Fraction(1), time_translation(d)),
+    ]
+
+    def params(key, value):
+        p = {k: [Fraction(0)] * d for k, _ in vectors}
+        p.update(omega=[[Fraction(0)] * d for _ in range(d)], kappa=Fraction(0), lam=Fraction(0), eps=Fraction(0))
+        p[key] = value
+        return p
+
+    return [(label, params(key, value), field) for label, key, value, field in rows]
 
 
 def sch_parameter_basis(d: int):
     """Generators of the z = 2 projective family in parameter order."""
-    out = []
-    for A, B in _pairs(d):
-        p = _zero_params(d, False)
-        p["omega"] = _omega_unit(d, A, B)
-        out.append((f"omega[{A},{B}]", p, rotation(d, A, B)))
-    for A in range(1, d + 1):
-        p = _zero_params(d, False)
-        p["beta"][A - 1] = Fraction(1)
-        out.append((f"beta[{A}]", p, translation(d, A, 1)))
-    for A in range(1, d + 1):
-        p = _zero_params(d, False)
-        p["gamma"][A - 1] = Fraction(1)
-        out.append((f"gamma[{A}]", p, translation(d, A, 0)))
-    p = _zero_params(d, False)
-    p["kappa"] = Fraction(1)
-    out.append(("kappa", p, sch_expansion(d)))
-    p = _zero_params(d, False)
-    p["lam"] = Fraction(1)
-    out.append(("lambda", p, sch_dilation(d)))
-    p = _zero_params(d, False)
-    p["eps"] = Fraction(1)
-    out.append(("epsilon", p, time_translation(d)))
-    return out
+    return _parameter_basis(d, False, sch_expansion(d), sch_dilation(d))
 
 
 def cga_parameter_basis(d: int):
     """Generators of the z = 1 family (with accelerations) in order."""
-    out = []
-    for A, B in _pairs(d):
-        p = _zero_params(d, True)
-        p["omega"] = _omega_unit(d, A, B)
-        out.append((f"omega[{A},{B}]", p, rotation(d, A, B)))
-    for A in range(1, d + 1):
-        p = _zero_params(d, True)
-        p["alpha"][A - 1] = Fraction(1)
-        out.append((f"alpha[{A}]", p, acceleration(d, A)))
-    for A in range(1, d + 1):
-        p = _zero_params(d, True)
-        p["beta"][A - 1] = Fraction(1)
-        out.append((f"beta[{A}]", p, translation(d, A, 1)))
-    for A in range(1, d + 1):
-        p = _zero_params(d, True)
-        p["gamma"][A - 1] = Fraction(1)
-        out.append((f"gamma[{A}]", p, translation(d, A, 0)))
-    p = _zero_params(d, True)
-    p["kappa"] = Fraction(1)
-    out.append(("kappa", p, cga_expansion(d)))
-    p = _zero_params(d, True)
-    p["lam"] = Fraction(1)
-    out.append(("lambda", p, cga_dilation(d)))
-    p = _zero_params(d, True)
-    p["eps"] = Fraction(1)
-    out.append(("epsilon", p, time_translation(d)))
-    return out
+    return _parameter_basis(d, True, cga_expansion(d), cga_dilation(d))
 
 
 # ---------------------------------------------------------------------------

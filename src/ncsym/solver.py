@@ -657,7 +657,8 @@ def cnc_system_residuals(
     F: TwoForm,
 ) -> list[Poly]:
     """Residuals of the full lightlike-projective system for a given
-    gauge pair (observer, Coriolis form)."""
+    gauge pair (observer, Coriolis form).  With F = 0 and a constant
+    observer as the ether this is the full NC-Milne system."""
     d = X.dim
     fp = f.differentiate(0)
     fgp = fp + g.differentiate(0)
@@ -775,32 +776,6 @@ def restrict_cnc_z(basis: AlgebraBasis, z, nt: int) -> list[VectorField]:
 # -- NC-Milne ---------------------------------------------------------------
 
 
-def cmil_system_residuals(X: VectorField, f: Poly, g: Poly, ether: Observer) -> list[Poly]:
-    """Residuals of the full NC-Milne system for a constant ether."""
-    d = X.dim
-    fp = f.differentiate(0)
-    fgp = fp + g.differentiate(0)
-    out = []
-    for A in range(1, d + 1):
-        for B in range(A, d + 1):
-            val = X[A].differentiate(B) + X[B].differentiate(A)
-            if A == B:
-                val = val + f
-            out.append(val)
-    for A in range(1, d + 1):
-        out.append(X[0].differentiate(A))
-    out.append(X[0].differentiate(0) - g)
-    for A in range(1, d + 1):
-        out.append(X[A].differentiate(0).differentiate(0) - fgp * ether.U[A])
-        for B in range(1, d + 1):
-            val = X[A].differentiate(0).differentiate(B)
-            if A == B:
-                val = val + fp * _HALF
-            out.append(val)
-    out.extend(res_spatial_linear(X))
-    return out
-
-
 def res_milne_relaxed(X: VectorField) -> list[Poly]:
     """Ether-independent subsystem: the lightlike system plus constant
     rotations, linear f, and no spatial part in d_0 d_0 X^A."""
@@ -908,7 +883,7 @@ def cmil_generator_ether(X: VectorField) -> Observer | None:
             return None
         vel.append(s.constant_value() / c)
     obs = constant_observer(d, vel)
-    if any(not r.is_zero() for r in cmil_system_residuals(X, f, g, obs)):
+    if any(not r.is_zero() for r in cnc_system_residuals(X, f, g, obs, TwoForm.zero(d))):
         return None
     return obs
 

@@ -109,6 +109,10 @@ def test_console_entry_point():
         ["solve", "--family", "cgal-z", "--z", "1", "--deg-t", "-1"],
         ["rep-check", "--rep", "sch", "--d", "0"],
         ["rep-check", "--rep", "cga", "--d", "1"],
+        ["geodesic", "--h", "nan"],
+        ["geodesic", "--h", "inf"],
+        ["geodesic", "--steps", "-3"],
+        ["solve", "--family", "alt", "--N", "0"],
     ],
 )
 def test_bad_domain_input_is_a_domain_error(args, capsys):

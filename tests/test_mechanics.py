@@ -195,7 +195,7 @@ def test_noether_relation_all_generators():
         assert mech.massive_noether_residual(prm, m, s, pts) < 1e-6
 
 
-def test_presymplectic_massive_lift_symmetric():
+def _massive_lift_case():
     rng = np.random.default_rng(3)
     states = []
     for _ in range(3):
@@ -204,7 +204,25 @@ def test_presymplectic_massive_lift_symmetric():
         states.append(mech.MassiveState(rng.normal(), rng.normal(size=3), rng.normal(size=3), u))
     om = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
     prm = mech.SchParams(om, np.array([0.3, 0.0, 0.1]), np.array([0.0, 0.2, 0.0]), 0.5, -0.25, 1.5)
+    return prm, states
+
+
+def test_presymplectic_massive_lift_symmetric():
+    prm, states = _massive_lift_case()
     assert mech.presymplectic_residual_massive(prm, states, 1.3, 0.7) < 1e-6
+
+
+def test_presymplectic_massive_doubled_dv_is_not_symmetric(monkeypatch):
+    # negative control: a lift with its velocity component doubled
+    prm, states = _massive_lift_case()
+    true_lift = mech.massive_lift
+
+    def doubled_dv(params, state):
+        dt, dx, dv, du = true_lift(params, state)
+        return dt, dx, 2.0 * dv, du
+
+    monkeypatch.setattr(mech, "massive_lift", doubled_dv)
+    assert mech.presymplectic_residual_massive(prm, states, 1.3, 0.7) > 0.1
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from ncsym.solver import (
     closure_check,
     cmil_generator_ether,
     cmil_raw_space,
-    cmil_system_residuals,
     cnc_system_residuals,
     bracket_closure_grow,
     expand_in_basis,
@@ -313,11 +312,11 @@ def test_cmil_generator_ether_witnesses():
             w2 = cmil_generator_ether(combined)
             assert w2 is not None
             f, g = conformal_factors(combined, base.gamma, base.theta)
-            assert all(r.is_zero() for r in cmil_system_residuals(combined, f, g, w2))
+            assert all(r.is_zero() for r in cnc_system_residuals(combined, f, g, w2, TwoForm.zero(3)))
         else:
             assert w is not None
             f, g = conformal_factors(X, base.gamma, base.theta)
-            assert all(r.is_zero() for r in cmil_system_residuals(X, f, g, w))
+            assert all(r.is_zero() for r in cnc_system_residuals(X, f, g, w, TwoForm.zero(3)))
 
 
 def test_cmil_kappa_generator_carries_the_given_ether():
