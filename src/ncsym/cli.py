@@ -111,7 +111,14 @@ def cmd_geodesic(args) -> int:
     res = mechanics.integrate_geodesic(conn, x0, v0, args.h, args.steps)
     traj = res["trajectory"]
     if args.out:
-        spin = np.array([0.0, 0.0, 1.0])
+        rows = len(traj)
+        spin = np.broadcast_to([0.0, 0.0, 1.0], (rows, 3))
+        ch = mechanics.massive_charges(
+            mechanics.MassiveState(traj[:, 0], traj[:, 1:4], traj[:, 5:8], spin), 1.0, 0.0
+        )
+        table = np.column_stack(
+            [np.arange(rows) * args.h, traj, ch["H"], ch["D"], ch["K"], ch["P"], ch["G"], ch["J"]]
+        )
         with open(args.out, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
             writer.writerow(
@@ -123,18 +130,8 @@ def cmd_geodesic(args) -> int:
                 + [f"G{A}" for A in range(1, d + 1)]
                 + [f"J{A}" for A in range(1, d + 1)]
             )
-            for i, row in enumerate(traj):
-                state = mechanics.MassiveState(row[0], row[1:4], row[5:8], spin)
-                ch = mechanics.massive_charges(state, 1.0, 0.0)
-                cells = (
-                    [i * args.h]
-                    + list(row)
-                    + [ch["H"], ch["D"], ch["K"]]
-                    + list(ch["P"])
-                    + list(ch["G"])
-                    + list(ch["J"])
-                )
-                writer.writerow([f"{v:.17g}" for v in cells])
+            for row in table:
+                writer.writerow([f"{v:.17g}" for v in row.tolist()])
     _write_json(
         {
             "model": args.model,

@@ -26,45 +26,86 @@ EPS_UNIT = 1e-12
 # ---------------------------------------------------------------------------
 
 
+# Largest accepted RK4 step count, checked before the trajectory array is
+# allocated: (MAX_STEPS + 1) rows are 64 MB for the 8-component geodesic
+# state.  The documented runs use 10^4 to 2 * 10^4 steps.
+MAX_STEPS = 10**6
+
+
+def _as_floats(k):
+    return k.tolist() if isinstance(k, np.ndarray) else k
+
+
 def rk4(rhs, y0, h, steps):
     """Fixed-step RK4 with Kahan-compensated accumulation of the state.
 
+    ``rhs(t, y)`` receives a 1-D float64 array and returns any length-n
+    float sequence.  The state is carried between stages as Python
+    floats; each operation rounds exactly as the elementwise array form.
     Returns the (steps+1, len(y0)) trajectory array.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step size must be finite and positive, got {h}")
     if steps < 0:
         raise ValueError(f"number of steps must be >= 0, got {steps}")
-    y = np.array(y0, dtype=float)
-    carry = np.zeros_like(y)
-    out = np.empty((steps + 1, y.size))
-    out[0] = y
+    if steps > MAX_STEPS:
+        raise ValueError(f"number of steps must be <= {MAX_STEPS}, got {steps}")
+    y0 = np.array(y0, dtype=float)
+    out = np.empty((steps + 1, y0.size))
+    out[0] = y0
+    y = y0.tolist()
+    carry = [0.0] * len(y)
+    hh = 0.5 * h
+    h6 = h / 6.0
     t = 0.0
     for i in range(1, steps + 1):
-        k1 = rhs(t, y)
-        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
-        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
-        k4 = rhs(t + h, y + h * k3)
-        incr = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        add = incr + carry
-        new = y + add
-        carry = add - (new - y)
+        k1 = _as_floats(rhs(t, np.array(y)))
+        k2 = _as_floats(rhs(t + hh, np.array([a + hh * b for a, b in zip(y, k1, strict=True)])))
+        k3 = _as_floats(rhs(t + hh, np.array([a + hh * b for a, b in zip(y, k2, strict=True)])))
+        k4 = _as_floats(rhs(t + h, np.array([a + h * b for a, b in zip(y, k3, strict=True)])))
+        new = []
+        next_carry = []
+        for a, c, q1, q2, q3, q4 in zip(y, carry, k1, k2, k3, k4, strict=True):
+            add = h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4) + c
+            b = a + add
+            new.append(b)
+            next_carry.append(add - (b - a))
         y = new
+        carry = next_carry
         t = i * h
         out[i] = y
     return out
 
 
-def _connection_entries(conn: Connection):
-    d = conn.dim
-    entries = []
-    for c in range(d + 1):
-        for a in range(d + 1):
-            for b in range(d + 1):
-                p = conn[c, a, b]
-                if not p.is_zero():
-                    entries.append((c, a, b, p))
-    return entries
+def _poly_terms(p: Poly) -> list:
+    """Float term list of a polynomial: (coefficient, [(variable, exponent)
+    for nonzero exponents in increasing variable order]) in ``p.terms``
+    order, so that ``_evaluate_terms`` rounds exactly as ``Poly.evaluate``
+    at a float point."""
+    return [(float(c), [(i, e) for i, e in enumerate(exp) if e]) for exp, c in p.terms.items()]
+
+
+def _evaluate_terms(terms: list, x: list) -> float:
+    total = 0.0
+    for coef, powers in terms:
+        term = coef
+        for i, e in powers:
+            term *= x[i] ** e
+        total += term
+    return total
+
+
+def _connection_table(conn: Connection) -> list:
+    """One row (c, a, b, terms) per nonzero Gamma^c_ab in (c, a, b) order;
+    the symmetric pair (c, a, b) / (c, b, a) stays two rows."""
+    n = conn.dim + 1
+    return [
+        (c, a, b, _poly_terms(conn[c, a, b]))
+        for c in range(n)
+        for a in range(n)
+        for b in range(n)
+        if not conn[c, a, b].is_zero()
+    ]
 
 
 def integrate_geodesic(conn: Connection, x0, xdot0, h, steps):
@@ -76,15 +117,16 @@ def integrate_geodesic(conn: Connection, x0, xdot0, h, steps):
     """
     d = conn.dim
     n = d + 1
-    entries = _connection_entries(conn)
+    table = _connection_table(conn)
 
     def rhs(_t, y):
+        y = y.tolist()
         x = y[:n]
         v = y[n:]
-        acc = np.zeros(n)
-        for c, a, b, p in entries:
-            acc[c] -= p.evaluate(list(x)) * v[a] * v[b]
-        return np.concatenate([v, acc])
+        acc = [0.0] * n
+        for c, a, b, terms in table:
+            acc[c] -= _evaluate_terms(terms, x) * v[a] * v[b]
+        return v + acc
 
     y0 = np.concatenate([np.array(x0, float), np.array(xdot0, float)])
     traj = rk4(rhs, y0, h, steps)
@@ -97,8 +139,19 @@ def integrate_geodesic(conn: Connection, x0, xdot0, h, steps):
 # ---------------------------------------------------------------------------
 
 
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a . b over the last axis.  Stacked (N, 3) rows go through matmul,
+    which rounds each row exactly as the 1-D product."""
+    if a.ndim == 1:
+        return float(a @ b)
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
+
+
 @dataclass(frozen=True)
 class MassiveState:
+    """One state, or N stacked states: t of shape (N,), x, v, u of
+    shape (N, 3).  The spin direction is normalized row by row."""
+
     t: float
     x: np.ndarray
     v: np.ndarray
@@ -108,12 +161,10 @@ class MassiveState:
         object.__setattr__(self, "x", np.asarray(self.x, float))
         object.__setattr__(self, "v", np.asarray(self.v, float))
         u = np.asarray(self.u, float)
-        norm = float(np.linalg.norm(u))
-        if norm == 0:
+        norm = np.sqrt(_dot(u, u))[..., None]
+        if not norm.all():
             raise ValueError("spin direction must be nonzero")
-        if abs(norm - 1.0) > EPS_UNIT:
-            u = u / norm
-        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "u", np.where(np.abs(norm - 1.0) > EPS_UNIT, u / norm, u))
 
 
 def free_flow(state: MassiveState, dt: float) -> MassiveState:
@@ -121,18 +172,19 @@ def free_flow(state: MassiveState, dt: float) -> MassiveState:
 
 
 def massive_charges(state: MassiveState, m: float, s: float) -> dict:
-    """Conserved set of the free spinning particle."""
+    """Conserved set of the free spinning particle; for stacked states
+    every charge is stacked along axis 0."""
     if m <= 0:
         raise ValueError("mass must be positive")
     p = m * state.v
-    q = state.x - state.v * state.t
+    q = state.x - state.v * np.asarray(state.t)[..., None]
     return {
         "P": p,
         "G": m * q,
         "J": np.cross(state.x, p) + s * state.u,
-        "H": float(p @ p) / (2.0 * m),
-        "K": m * float(q @ q) / 2.0,
-        "D": float(p @ q),
+        "H": _dot(p, p) / (2.0 * m),
+        "K": m * _dot(q, q) / 2.0,
+        "D": _dot(p, q),
     }
 
 

@@ -24,6 +24,7 @@ from .solver import (
     time_translation,
     translation,
     _bracket_expansions,
+    _check_dimension,
     _pairs,
 )
 
@@ -197,8 +198,7 @@ def verify_representation(kind: str, d: int) -> dict:
     The field basis is factored once and every bracket is reduced
     against it.
     """
-    if d < 2:
-        raise ValueError("need d >= 2")
+    _check_dimension(d)
     if kind == "sch":
         basis = sch_parameter_basis(d)
         rep = lambda p: rep_schrodinger(d, **p)

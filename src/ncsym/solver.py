@@ -37,6 +37,27 @@ INF = "inf"
 
 _HALF = Fraction(1, 2)
 
+# Upper caps on the problem size.  On a 2-core machine with Python 3.11,
+# solve time grows about 3x per unit of d at d = 2..4 (gal 0.02, 0.07,
+# 0.18 s; the cga representation check 0.09, 0.37, 1.03 s) and slowly in
+# the time degree and N at d = 3 (cgal 0.02 -> 0.22 s over nt = 0..5,
+# alt 0.05 -> 0.25 s over N = 1..6).  Extrapolated, one solve at the
+# caps takes about a minute; the documented runs use d <= 5, nt <= 3 and
+# N <= 4.
+MAX_D = 8
+MAX_TIME_DEGREE = 6
+MAX_N = 6
+
+
+def _check_dimension(d: int) -> None:
+    if not 2 <= d <= MAX_D:
+        raise ValueError(f"need 2 <= d <= {MAX_D}, got {d}")
+
+
+def _check_time_degree(nt: int) -> None:
+    if not 0 <= nt <= MAX_TIME_DEGREE:
+        raise ValueError(f"need 0 <= nt <= {MAX_TIME_DEGREE}, got {nt}")
+
 
 def parse_z(text: str):
     """Dynamical exponent from 'p/q' or 'inf'; never a float."""
@@ -554,10 +575,8 @@ def _presented(
 def _solve_conformal(d: int, nt: int, z) -> AlgebraBasis:
     """Conformal fields of the flat Galilei pair with time-degree bound nt;
     z = None leaves the dynamical exponent free, otherwise it is fixed."""
-    if d < 2:
-        raise ValueError("need d >= 2")
-    if nt < 0:
-        raise ValueError("need nt >= 0")
+    _check_dimension(d)
+    _check_time_degree(nt)
     if z not in (None, INF):
         z = Fraction(z)
         if z <= 0:
@@ -597,8 +616,7 @@ def solve_cgal_z(d: int, z, nt: int) -> AlgebraBasis:
 
 def solve_gal(d: int) -> AlgebraBasis:
     """Galilei automorphisms of the flat structure."""
-    if d < 2:
-        raise ValueError("need d >= 2")
+    _check_dimension(d)
     raw = solve_system(d, res_isometry, nt_time=2, nt_space=2)
     named = _rotations(d) + _translations(d, 1, "beta") + _translations(d, 0, "gamma")
     named.append(("epsilon", time_translation(d)))
@@ -609,8 +627,7 @@ def solve_sch_expanded(d: int, nt: int = 3) -> AlgebraBasis:
     """Conformal fields permuting timelike geodesics (independent time and
     space dilations).  The degree bound only needs to be >= 2; the system
     itself cuts everything above quadratic."""
-    if d < 2:
-        raise ValueError("need d >= 2")
+    _check_dimension(d)
     raw = solve_system(d, res_timelike_projective, nt_time=max(nt, 2), nt_space=max(nt, 2))
     named = _rotations(d) + _translations(d, 1, "beta") + _translations(d, 0, "gamma")
     named.append(("kappa", sch_expansion(d)))
@@ -751,10 +768,8 @@ def lightlike_gauge_witness(X: VectorField) -> GaugeWitness | None:
 def solve_cnc_flat(d: int, nt: int):
     """Conformal fields permuting lightlike geodesics, plus a per-generator
     gauge witness where one exists in the polynomial class."""
-    if d < 2:
-        raise ValueError("need d >= 2")
-    if nt < 0:
-        raise ValueError("need nt >= 0")
+    _check_dimension(d)
+    _check_time_degree(nt)
     raw = solve_system(d, res_lightlike_projective, nt_time=nt, nt_space=nt)
     named = _graded(nt, lambda k: _rotations(d, k))
     named += _graded(nt, lambda k: [("dil", space_dilation(d, k))])
@@ -827,8 +842,7 @@ def solve_cmil_flat(d: int, ether: Observer | None = None):
     only jointly with the expansion generator (their second time
     derivative selects the ether), which is checked exactly elsewhere.
     """
-    if d < 2:
-        raise ValueError("need d >= 2")
+    _check_dimension(d)
     if ether is None:
         ether = rest_observer(d)
     if not ether.is_constant():
@@ -964,10 +978,9 @@ def alt_candidate(d: int, N: int, z) -> list[tuple[str, VectorField]]:
 
 def alt_subalgebra(d: int, N: int) -> AlgebraBasis:
     """Finite-dimensional polynomial family at dynamical exponent 2/N."""
-    if N < 1:
-        raise ValueError("need N >= 1")
-    if d < 2:
-        raise ValueError("need d >= 2")
+    if not 1 <= N <= MAX_N:
+        raise ValueError(f"need 1 <= N <= {MAX_N}, got {N}")
+    _check_dimension(d)
     z = Fraction(2, N)
 
     def op(X):

@@ -1,10 +1,15 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
+from ncsym import mechanics
 from ncsym.cli import main
+from ncsym.geometry import newtonian_connection
+from ncsym.poly import Poly
+from ncsym.solver import MAX_D, MAX_N, MAX_TIME_DEGREE
 
 
 def run_cli(args):
@@ -79,6 +84,32 @@ def test_geodesic_csv(tmp_path):
     assert len(rows) == 52  # header + initial + 50 steps
 
 
+def test_geodesic_csv_matches_per_row_charges(tmp_path):
+    # the CSV computes the charges by column; each row must format exactly
+    # as one MassiveState + massive_charges call on that trajectory row
+    out = tmp_path / "traj.csv"
+    h, steps = 1e-3, 200
+    assert run_cli(["geodesic", "--model", "harmonic", "--steps", str(steps), "--h", str(h),
+                    "--out", str(out)]) == 0
+    V = Poly.zero(3)
+    for A in range(1, 4):
+        V = V + Poly.x(3, A) * Poly.x(3, A) * Fraction(1, 2)
+    conn = newtonian_connection(3, V).connection
+    traj = mechanics.integrate_geodesic(conn, [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.5, 0.0], h, steps)[
+        "trajectory"
+    ]
+    expected = []
+    for i, row in enumerate(traj):
+        state = mechanics.MassiveState(row[0], row[1:4], row[5:8], [0.0, 0.0, 1.0])
+        ch = mechanics.massive_charges(state, 1.0, 0.0)
+        cells = (
+            [i * h] + list(row) + [ch["H"], ch["D"], ch["K"]]
+            + list(ch["P"]) + list(ch["G"]) + list(ch["J"])
+        )
+        expected.append(",".join(f"{v:.17g}" for v in cells))
+    assert out.read_text().splitlines()[1:] == expected
+
+
 def test_noether_commands():
     assert run_cli(["noether", "--model", "massive"]) == 0
     assert run_cli(["noether", "--model", "photon"]) == 0
@@ -113,6 +144,18 @@ def test_console_entry_point():
         ["geodesic", "--h", "inf"],
         ["geodesic", "--steps", "-3"],
         ["solve", "--family", "alt", "--N", "0"],
+        ["solve", "--family", "gal", "--d", str(MAX_D + 1)],
+        ["solve", "--family", "sch", "--d", str(MAX_D + 1)],
+        ["solve", "--family", "cmil", "--d", str(MAX_D + 1)],
+        ["solve", "--family", "cgal", "--d", str(MAX_D + 1)],
+        ["solve", "--family", "cnc", "--d", str(MAX_D + 1)],
+        ["solve", "--family", "alt", "--d", str(MAX_D + 1)],
+        ["rep-check", "--rep", "cga", "--d", str(MAX_D + 1)],
+        ["solve", "--family", "cgal", "--deg-t", str(MAX_TIME_DEGREE + 1)],
+        ["solve", "--family", "cgal-z", "--z", "1", "--deg-t", str(MAX_TIME_DEGREE + 1)],
+        ["solve", "--family", "cnc", "--deg-t", str(MAX_TIME_DEGREE + 1)],
+        ["solve", "--family", "alt", "--N", str(MAX_N + 1)],
+        ["geodesic", "--steps", str(mechanics.MAX_STEPS + 1)],
     ],
 )
 def test_bad_domain_input_is_a_domain_error(args, capsys):

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from ncsym import mechanics as mech
 from ncsym.geometry import connection_from_observer, flat_galilei, newtonian_connection, rest_observer
@@ -44,22 +45,26 @@ def test_harmonic_period():
     assert np.max(np.abs(traj[:, 2] - exact2)) < 1e-6
 
 
-def test_rotating_frame_agrees_with_second_order_form():
-    # geodesics of the connection built from A = -V dt + omega_BC(t) x^B dx^C
-    # against direct integration of xdd = -grad V + omegadot x x + 2 omega x xd
+def _rotating_frame_connection():
+    # connection built from A = -V dt + omega_BC(t) x^B dx^C, omega_12(t) = w0 + w1 t
     d = 3
     k = Fraction(1)
     V = Poly.zero(d)
     for A in range(1, d + 1):
         V = V + Poly.x(d, A) * Poly.x(d, A) * Fraction(1, 2) * k
-    w0, w1 = Fraction(1, 2), Fraction(1, 4)  # omega_12(t) = w0 + w1 t
+    w0, w1 = Fraction(1, 2), Fraction(1, 4)
     om_poly = Poly.const(d, w0) + Poly.t(d) * w1
     A_form = OneForm(d, [-V, Poly.x(d, 2) * (-1) * om_poly, Poly.x(d, 1) * om_poly, Poly.zero(d)])
     F = exterior_derivative_one_form(A_form)
-    nc = connection_from_observer(flat_galilei(d), rest_observer(d), F)
+    return connection_from_observer(flat_galilei(d), rest_observer(d), F).connection, k, w0, w1
 
+
+def test_rotating_frame_agrees_with_second_order_form():
+    # geodesics of the rotating-frame connection against direct integration
+    # of xdd = -grad V + omegadot x x + 2 omega x xd
+    conn, k, w0, w1 = _rotating_frame_connection()
     h, steps = 1e-3, 2000
-    res = mech.integrate_geodesic(nc.connection, [0.0, 1.0, 0.0, 0.3], [1.0, 0.1, -0.2, 0.0], h, steps)
+    res = mech.integrate_geodesic(conn, [0.0, 1.0, 0.0, 0.3], [1.0, 0.1, -0.2, 0.0], h, steps)
     geo = res["trajectory"]
 
     def omega_vec(t):
@@ -79,6 +84,96 @@ def test_rotating_frame_agrees_with_second_order_form():
     # per-step agreement: the bound scales with the step index
     for i in (1, 10, 100, steps):
         assert np.max(gap[i]) < 1e-9 * i + 1e-15
+
+
+@st.composite
+def polys_and_points(draw):
+    dim = draw(st.integers(1, 3))
+    exps = draw(st.lists(st.tuples(*[st.integers(0, 3)] * (dim + 1)), min_size=1, max_size=6))
+    coefs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+    p = Poly(dim, {exp: draw(coefs) for exp in exps})
+    x = draw(st.lists(st.floats(-10, 10), min_size=dim + 1, max_size=dim + 1))
+    return p, x
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys_and_points())
+@example((Poly(2, {(0, 3, 1): Fraction(1, 3), (2, 0, 1): Fraction(-7, 2), (0, 0, 0): -1}), [0.1, -1.7, 3.3]))
+def test_term_table_evaluates_bitwise_like_poly(case):
+    p, x = case
+    got = mech._evaluate_terms(mech._poly_terms(p), x)
+    assert got.hex() == float(p.evaluate(x)).hex()
+
+
+def _reference_geodesic(conn, x0, xdot0, h, steps):
+    """Array-valued RK4 with Kahan carry and a Poly.evaluate right-hand side."""
+    n = conn.dim + 1
+    entries = [
+        (c, a, b, conn[c, a, b])
+        for c in range(n) for a in range(n) for b in range(n)
+        if not conn[c, a, b].is_zero()
+    ]
+
+    def rhs(_t, y):
+        x, v = y[:n], y[n:]
+        acc = np.zeros(n)
+        for c, a, b, p in entries:
+            acc[c] -= p.evaluate(list(x)) * v[a] * v[b]
+        return np.concatenate([v, acc])
+
+    y = np.concatenate([np.array(x0, float), np.array(xdot0, float)])
+    carry = np.zeros_like(y)
+    out = np.empty((steps + 1, y.size))
+    out[0] = y
+    t = 0.0
+    for i in range(1, steps + 1):
+        k1 = rhs(t, y)
+        k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+        k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+        k4 = rhs(t + h, y + h * k3)
+        incr = (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        add = incr + carry
+        new = y + add
+        carry = add - (new - y)
+        y = new
+        t = i * h
+        out[i] = y
+    return out
+
+
+def test_geodesic_trajectory_is_bitwise_the_array_reference():
+    # time-dependent omega: several Gamma entries per c, Gamma depends on t
+    conn, _, _, _ = _rotating_frame_connection()
+    table = mech._connection_table(conn)
+    assert len(table) > len({c for c, _, _, _ in table})
+    assert any(i == 0 for *_, terms in table for _, powers in terms for i, _ in powers)
+    args = ([0.0, 1.0, 0.0, 0.3], [1.0, 0.1, -0.2, 0.0], 1e-2, 300)
+    got = mech.integrate_geodesic(conn, *args)["trajectory"]
+    assert np.array_equal(got, _reference_geodesic(conn, *args))
+
+
+def test_rk4_accepts_list_and_array_right_hand_sides():
+    def as_array(_t, y):
+        return np.concatenate([y[3:], -y[:3] / (1.0 + y[:3] @ y[:3])])
+
+    y0 = [1.0, 0.2, -0.3, 0.0, 0.7, 0.1]
+    a = mech.rk4(as_array, y0, 1e-2, 100)
+    b = mech.rk4(lambda t, y: as_array(t, y).tolist(), y0, 1e-2, 100)
+    assert np.array_equal(a, b)
+    with pytest.raises(ValueError):
+        mech.rk4(lambda t, y: [0.0], y0, 1e-2, 1)
+
+
+def test_rk4_rejects_steps_above_cap_before_allocating(monkeypatch):
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("trajectory array allocated")
+
+    def no_call(t, y):
+        raise AssertionError("right-hand side called")
+
+    monkeypatch.setattr(np, "empty", no_allocation)
+    with pytest.raises(ValueError, match="steps"):
+        mech.rk4(no_call, [0.0, 1.0], 1e-3, mech.MAX_STEPS + 1)
 
 
 def test_geodesic_lightlike_class_preserved():
