@@ -3,7 +3,9 @@
 Exit codes: 0 success / verification pass, 1 usage or domain error,
 2 verification failure (inverted by --negative-control where offered).
 Output is byte-stable for fixed inputs and seed: canonical generator
-ordering and sorted JSON keys throughout.
+ordering and sorted JSON keys throughout.  Each subcommand imports only
+the modules it uses, so ``--help``, ``solve``, ``bracket-table``,
+``rep-check`` and ``em-check`` start without numpy.
 """
 
 from __future__ import annotations
@@ -13,12 +15,6 @@ import csv
 import json
 import sys
 from fractions import Fraction
-
-import numpy as np
-
-from . import em, fluids, mechanics, representations, solver
-from .geometry import flat_structure
-from .poly import Poly
 
 
 def _write_json(payload: dict, out: str | None) -> None:
@@ -30,8 +26,16 @@ def _write_json(payload: dict, out: str | None) -> None:
         print(text)
 
 
+def _seed(args) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be a non-negative integer, got {args.seed}")
+    return args.seed
+
+
 def _solve_basis(args) -> tuple:
     """(AlgebraBasis, StructureConstants or None) for a family request."""
+    from . import solver
+
     d = args.d
     z = solver.parse_z(args.z) if args.z else None
     family = args.family
@@ -70,6 +74,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bracket_table(args) -> int:
+    from . import solver
+
     basis, sc = _solve_basis(args)
     if sc is None:
         sc = solver.structure_constants(basis)
@@ -87,6 +93,8 @@ def cmd_bracket_table(args) -> int:
 
 
 def cmd_rep_check(args) -> int:
+    from . import representations
+
     report = representations.verify_representation(args.rep, args.d)
     _write_json(report, args.out)
     ok = report["faithful"] and not report["mismatches"] and report["sign"] in (1, -1)
@@ -94,12 +102,16 @@ def cmd_rep_check(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
+    import numpy as np
+
+    from . import mechanics
+    from .geometry import flat_structure, newtonian_connection
+    from .poly import Poly
+
     d = 3
     if args.model == "free":
         conn = flat_structure(d).connection
     elif args.model == "harmonic":
-        from .geometry import newtonian_connection
-
         V = Poly.zero(d)
         for A in range(1, d + 1):
             V = V + Poly.x(d, A) * Poly.x(d, A) * Fraction(1, 2)
@@ -146,7 +158,12 @@ def cmd_geodesic(args) -> int:
 
 
 def cmd_noether(args) -> int:
-    rng = np.random.default_rng(args.seed)
+    import numpy as np
+
+    from . import mechanics
+    from .poly import Poly
+
+    rng = np.random.default_rng(_seed(args))
     if args.model == "massive":
         m, s = 1.3, 0.5
         pts = [
@@ -184,9 +201,11 @@ def cmd_noether(args) -> int:
 
 
 def cmd_fluid_check(args) -> int:
+    from . import fluids
+
     d = 3
     theta, rho = fluids.self_similar_free(a=1.0, rho0=2.0, d=d)
-    pts = fluids.random_points(d, 100, seed=args.seed)
+    pts = fluids.random_points(d, 100, seed=_seed(args))
     base = fluids.fluid_residual(theta, rho, fluids.ZERO_POTENTIAL, pts)
     T = fluids.FluidTransform("EXPANSION", kappa=0.4)
     th2, rh2 = fluids.apply_transform(T, theta, rho, d)
@@ -215,6 +234,9 @@ def cmd_fluid_check(args) -> int:
 
 
 def cmd_em_check(args) -> int:
+    from . import em, solver
+    from .geometry import flat_structure
+
     nc = flat_structure(3)
     lib = em.sourcefree_library()
     c1, _ = solver.solve_cmil_flat(3)
@@ -241,6 +263,15 @@ def cmd_em_check(args) -> int:
 
 
 def cmd_selftest(args) -> int:
+    # The exact modules before numpy: compiling them from source on top of a
+    # resident numpy raises the process's peak RSS.
+    from . import em, representations, solver
+    from .geometry import flat_structure
+
+    import numpy as np
+
+    from . import fluids, mechanics
+
     checks = []
 
     def record(name, ok):

@@ -65,7 +65,10 @@ def parse_z(text: str):
         return INF
     if not re.fullmatch(r"-?\d+(/\d+)?", text):
         raise ValueError(f"dynamical exponent must be 'p/q' or 'inf', got {text!r}")
-    z = Fraction(text)
+    try:
+        z = Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"dynamical exponent has a zero denominator: {text!r}") from None
     if z <= 0:
         raise ValueError("dynamical exponent must be positive or 'inf'")
     return z

@@ -156,8 +156,63 @@ def test_console_entry_point():
         ["solve", "--family", "cnc", "--deg-t", str(MAX_TIME_DEGREE + 1)],
         ["solve", "--family", "alt", "--N", str(MAX_N + 1)],
         ["geodesic", "--steps", str(mechanics.MAX_STEPS + 1)],
+        ["solve", "--family", "sch", "--z", "1/0"],
+        ["noether", "--model", "massive", "--seed", "-1"],
+        ["fluid-check", "--seed", "-5"],
     ],
 )
 def test_bad_domain_input_is_a_domain_error(args, capsys):
     assert run_cli(args) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("args", [["noether", "--model", "massive", "--seed", "-1"],
+                                  ["fluid-check", "--seed", "-5"]])
+def test_negative_seed_error_names_the_flag(args, capsys):
+    assert run_cli(args) == 1
+    assert "--seed" in capsys.readouterr().err
+
+
+# Modules loaded by one fresh CLI process: importing more than a subcommand
+# uses costs every invocation its start-up time.
+NUMERIC = ("numpy", "ncsym.fluids", "ncsym.mechanics")
+EXACT = ("ncsym.solver", "ncsym.linalg")
+
+
+def _loaded_modules(args):
+    script = (
+        "import sys\n"
+        "from ncsym.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print()\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+        "raise SystemExit(code)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, *args], capture_output=True, text=True)
+    return proc.returncode, set(proc.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize(
+    "args, absent",
+    [
+        (["solve", "--family", "gal", "--d", "2"], NUMERIC),
+        (["bracket-table", "--family", "sch", "--d", "2"], NUMERIC),
+        (["rep-check", "--rep", "sch", "--d", "2"], NUMERIC),
+        (["em-check"], NUMERIC),
+        (["fluid-check"], EXACT),
+        (["noether", "--model", "photon"], EXACT),
+        (["geodesic", "--steps", "10"], EXACT),
+    ],
+)
+def test_subcommand_loads_only_the_modules_it_uses(args, absent):
+    code, loaded = _loaded_modules(args)
+    assert code == 0
+    assert not loaded & set(absent)
+
+
+@pytest.mark.parametrize("args, expected", [(["--help"], 0), (["solve", "--family", "nope"], 1)])
+def test_help_and_usage_errors_load_no_other_ncsym_module(args, expected):
+    code, loaded = _loaded_modules(args)
+    assert code == expected
+    assert not loaded & set(NUMERIC)
+    assert {m for m in loaded if m.startswith("ncsym.")} == {"ncsym.cli"}

@@ -105,6 +105,8 @@ def test_parse_z():
     assert parse_z("inf") == INF
     with pytest.raises(ValueError):
         parse_z("-1")
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_z("1/0")
 
 
 # ---------------------------------------------------------------------------
