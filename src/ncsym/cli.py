@@ -32,19 +32,38 @@ def _seed(args) -> int:
     return args.seed
 
 
+# The family options each family reads; any other one given is rejected.
+_FAMILY_OPTIONS = {
+    "cgal": {"deg_t"},
+    "cgal-z": {"z", "deg_t"},
+    "sch": {"z"},
+    "cnc": {"deg_t"},
+    "cmil": {"branch"},
+    "cga": {"z"},
+    "alt": {"N"},
+}
+
+
 def _solve_basis(args) -> tuple:
     """(AlgebraBasis, StructureConstants or None) for a family request."""
+    family = args.family
+    reads = _FAMILY_OPTIONS.get(family, set())
+    for option in ("z", "deg_t", "branch", "N"):
+        if getattr(args, option, None) is not None and option not in reads:
+            flag = "--" + option.replace("_", "-")
+            raise ValueError(f"{flag} is not an option of --family {family}")
+
     from . import solver
 
     d = args.d
-    z = solver.parse_z(args.z) if args.z else None
-    family = args.family
+    z = None if args.z is None else solver.parse_z(args.z)
+    deg_t = 2 if getattr(args, "deg_t", None) is None else args.deg_t
     if family == "cgal":
-        return solver.solve_cgal(d, args.deg_t), None
+        return solver.solve_cgal(d, deg_t), None
     if family == "cgal-z":
         if z is None:
             raise ValueError("--z required for cgal-z")
-        return solver.solve_cgal_z(d, z, args.deg_t), None
+        return solver.solve_cgal_z(d, z, deg_t), None
     if family == "gal":
         basis = solver.solve_gal(d)
     elif family == "sch-expanded":
@@ -52,16 +71,14 @@ def _solve_basis(args) -> tuple:
     elif family == "sch":
         basis = solver.restrict_sch_z(solver.solve_sch_expanded(d), z or Fraction(2))
     elif family == "cnc":
-        basis, _ = solver.solve_cnc_flat(d, args.deg_t)
-        return basis, None
+        return solver._cnc_basis(d, deg_t), None
     elif family == "cmil":
-        c1, c2 = solver.solve_cmil_flat(d)
-        basis = c1 if args.branch == "c1" else c2
+        basis, = solver._cmil_branches(d, [args.branch or "c1"])
     elif family == "cga":
-        c1, _ = solver.solve_cmil_flat(d)
+        c1, = solver._cmil_branches(d, ["c1"])
         basis = solver.restrict_cmil_z(c1, z or Fraction(1))
     elif family == "alt":
-        basis = solver.alt_subalgebra(d, args.N)
+        basis = solver.alt_subalgebra(d, 1 if args.N is None else args.N)
     else:
         raise ValueError(f"unknown family {family}")
     return basis, solver.structure_constants(basis)
@@ -74,11 +91,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_bracket_table(args) -> int:
-    from . import solver
-
     basis, sc = _solve_basis(args)
-    if sc is None:
-        sc = solver.structure_constants(basis)
     payload = {
         "family": basis.family,
         "d": basis.d,
@@ -239,7 +252,7 @@ def cmd_em_check(args) -> int:
 
     nc = flat_structure(3)
     lib = em.sourcefree_library()
-    c1, _ = solver.solve_cmil_flat(3)
+    c1, = solver._cmil_branches(3, ["c1"])
     failures = []
     for label, X in zip(c1.labels, c1.generators):
         for idx, f in enumerate(lib):
@@ -318,18 +331,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    # Each subcommand parses only the options it reads; the family options
+    # of solve and bracket-table default to None so that _solve_basis can
+    # reject the ones the chosen family does not read.
+    def common(p, seed=False):
         p.add_argument("--out", default=None, help="write JSON/CSV here")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("solve", help="solve a symmetry family")
     p.add_argument("--family", required=True,
                    choices=["cgal", "cgal-z", "gal", "sch", "sch-expanded", "cnc", "cmil", "cga", "alt"])
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--z", default=None, help="dynamical exponent 'p/q' or 'inf'")
-    p.add_argument("--deg-t", type=int, default=2, dest="deg_t")
-    p.add_argument("--branch", choices=["c1", "c2"], default="c1")
-    p.add_argument("--N", type=int, default=1)
+    p.add_argument("--deg-t", type=int, default=None, dest="deg_t", help="time degree (default 2)")
+    p.add_argument("--branch", choices=["c1", "c2"], default=None, help="cmil branch (default c1)")
+    p.add_argument("--N", type=int, default=None, help="alt translation degree (default 1)")
     common(p)
     p.set_defaults(func=cmd_solve)
 
@@ -338,9 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["gal", "sch", "sch-expanded", "cmil", "cga", "alt"])
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--z", default=None)
-    p.add_argument("--deg-t", type=int, default=2, dest="deg_t")
-    p.add_argument("--branch", choices=["c1", "c2"], default="c1")
-    p.add_argument("--N", type=int, default=1)
+    p.add_argument("--branch", choices=["c1", "c2"], default=None, help="cmil branch (default c1)")
+    p.add_argument("--N", type=int, default=None, help="alt translation degree (default 1)")
     common(p)
     p.set_defaults(func=cmd_bracket_table)
 
@@ -359,12 +375,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("noether", help="conserved-quantity residual checks")
     p.add_argument("--model", choices=["massive", "photon"], required=True)
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_noether)
 
     p = sub.add_parser("fluid-check", help="fluid symmetry suite")
     p.add_argument("--negative-control", action="store_true")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(func=cmd_fluid_check)
 
     p = sub.add_parser("em-check", help="Galilean electromagnetism suite")
@@ -373,7 +389,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_em_check)
 
     p = sub.add_parser("selftest", help="run the quick invariant suite")
-    common(p)
     p.set_defaults(func=cmd_selftest)
     return parser
 

@@ -95,15 +95,16 @@ class Echelon:
 
 def primitive(vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
     """Scale to coprime integers with positive leading entry."""
+    # only the nonzero entries are scaled: a nullspace vector is mostly zeros
     denoms = 1
     for v in vector:
-        denoms = denoms * v.denominator // gcd(denoms, v.denominator)
-    ints = [int(v * denoms) for v in vector]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
+        if v:
+            denoms = denoms * v.denominator // gcd(denoms, v.denominator)
+    ints = [v.numerator * (denoms // v.denominator) if v else 0 for v in vector]
+    g = gcd(*ints)
+    zero = Fraction(0)
     if g == 0:
-        return tuple(Fraction(0) for _ in vector)
-    lead = next(v for v in ints if v)
-    sign = -1 if lead < 0 else 1
-    return tuple(Fraction(sign * v, g) for v in ints)
+        return tuple(zero for _ in vector)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(Fraction(v // g) if v else zero for v in ints)

@@ -18,7 +18,7 @@ against the raw nullspace, so dimensions always come from the solver.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
@@ -82,8 +82,9 @@ def parse_z(text: str):
 def trace_factor(X: VectorField) -> Poly:
     """f with L_X gamma = f gamma on the flat chart: f = -(2/d) d_A X^A."""
     d = X.dim
-    div = Poly.zero(d)
-    for A in range(1, d + 1):
+    # no Poly.zero start: the sum must also work on the jets of _compile
+    div = X[1].differentiate(1)
+    for A in range(2, d + 1):
         div = div + X[A].differentiate(A)
     return div * Fraction(-2, d)
 
@@ -235,17 +236,112 @@ def solve_system(
     return restrict_span(ansatz_fields(d, nt_time, nt_space), residual_op)
 
 
+class _Jet:
+    """A constant-coefficient linear combination of partial derivatives of
+    the unknown components, {(component, derivative multi-index): coef}.
+    A residual operator run on a field of jets yields its own table."""
+
+    __slots__ = ("dim", "terms")
+
+    def __init__(self, dim: int, terms: dict):
+        self.dim = dim
+        self.terms = terms
+
+    def differentiate(self, var: int) -> "_Jet":
+        out = {}
+        for (a, alpha), c in self.terms.items():
+            beta = list(alpha)
+            beta[var] += 1
+            out[(a, tuple(beta))] = c
+        return _Jet(self.dim, out)
+
+    def __add__(self, other) -> "_Jet":
+        if not isinstance(other, _Jet):
+            raise TypeError("residual operator is not linear in the field")
+        terms = dict(self.terms)
+        for key, c in other.terms.items():
+            v = terms.get(key, 0) + c
+            if v:
+                terms[key] = v
+            else:
+                terms.pop(key, None)
+        return _Jet(self.dim, terms)
+
+    def __neg__(self) -> "_Jet":
+        return _Jet(self.dim, {key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other) -> "_Jet":
+        return self + (-other)
+
+    def __mul__(self, c) -> "_Jet":
+        if not isinstance(c, (int, Fraction)):
+            raise TypeError("residual operator has a non-constant coefficient")
+        if not c:
+            return _Jet(self.dim, {})
+        return _Jet(self.dim, {key: v * c for key, v in self.terms.items()})
+
+    __rmul__ = __mul__
+
+
+def _compile(d: int, residual_op: Callable[[VectorField], list[Poly]]) -> list[list]:
+    """Derivative table of a linear constant-coefficient operator: for each
+    component a, the (row, alpha, coef) with row i of residual_op(X)
+    containing coef * d^alpha X^a.  Raises TypeError for any other operator."""
+    unit = tuple([0] * (d + 1))
+    X = VectorField(d, [_Jet(d, {(a, unit): Fraction(1)}) for a in range(d + 1)])
+    table = [[] for _ in range(d + 1)]
+    for i, row in enumerate(residual_op(X)):
+        if not isinstance(row, _Jet):
+            raise TypeError(f"residual row {i} is not a linear function of the field")
+        for (a, alpha), c in row.terms.items():
+            table[a].append((i, alpha, c))
+    return table
+
+
+def _residual_rows(
+    fields: Sequence[VectorField], residual_op: Callable[[VectorField], list[Poly]]
+) -> dict:
+    """Sparse residual matrix {(residual index, monomial): {column: coef}}:
+    each field term c x^e of component a meets each table entry
+    (i, alpha, coef) with alpha <= e at row (i, e - alpha), with the
+    falling factorials of d^alpha x^e."""
+    rows: dict = {}
+    if not fields:
+        return rows
+    table = _compile(fields[0].dim, residual_op)
+    for j, X in enumerate(fields):
+        for a, comp in enumerate(X.components):
+            for exp, c in comp.terms.items():
+                for i, alpha, coef in table[a]:
+                    falling = 1
+                    shifted = []
+                    for e, k in zip(exp, alpha):
+                        if k > e:
+                            break
+                        for m in range(k):
+                            falling *= e - m
+                        shifted.append(e - k)
+                    else:
+                        row = rows.setdefault((i, tuple(shifted)), {})
+                        v = c * coef if falling == 1 else c * coef * falling
+                        if j in row:
+                            v += row[j]
+                        if v:
+                            row[j] = v
+                        else:
+                            del row[j]
+    return {key: row for key, row in rows.items() if row}
+
+
 def restrict_span(
     fields: Sequence[VectorField], residual_op: Callable[[VectorField], list[Poly]]
 ) -> list[VectorField]:
     """Sub-span of given fields killed by a linear residual: the canonical
     nullspace of the residual matrix, one sparse row per (residual index,
-    monomial) and one column per field."""
-    rows: dict = {}
-    for j, X in enumerate(fields):
-        for i, p in enumerate(residual_op(X)):
-            for exp, c in p.terms.items():
-                rows.setdefault((i, exp), {})[j] = c
+    monomial) and one column per field.  residual_op is compiled once
+    into a derivative table, so it must be linear with constant
+    coefficients (TypeError otherwise)."""
+    rows = _residual_rows(fields, residual_op)
     kernel = linalg.Echelon(rows.values()).nullspace(len(fields))
     return [_combine(fields, vec) for vec in kernel]
 
@@ -539,14 +635,17 @@ def _graded(nt: int, named_at: Callable[[int], list]) -> list[tuple[str, VectorF
     return out
 
 
-def _factors_for(fields: Sequence[VectorField], d: int) -> list[tuple[Poly, Poly]]:
-    base = flat_galilei(d)
+def _factors_for(fields: Sequence[VectorField]) -> list[tuple[Poly, Poly]]:
+    """(f, g) of each field from the closed forms.  On the flat chart they
+    are its conformal factors exactly when res_conformal(X) vanishes: the
+    gamma^{0B} rows force d_B X^0 = 0, so g = d_0 X^0 depends on t alone,
+    and the gamma^{AB} rows are the spatial conformal Killing equations
+    with f = -(2/d) div X."""
     out = []
     for X in fields:
-        fg = conformal_factors(X, base.gamma, base.theta)
-        if fg is None:
+        if any(not p.is_zero() for p in res_conformal(X)):
             raise AssertionError("emitted generator is not a conformal field")
-        out.append(fg)
+        out.append((trace_factor(X), time_factor(X)))
     return out
 
 
@@ -565,7 +664,7 @@ def _presented(
         d=d,
         generators=fields,
         labels=[name for name, _ in named],
-        factors=_factors_for(fields, d),
+        factors=_factors_for(fields),
         z=z,
     )
 
@@ -768,9 +867,8 @@ def lightlike_gauge_witness(X: VectorField) -> GaugeWitness | None:
     return GaugeWitness(observer=U, coriolis=F)
 
 
-def solve_cnc_flat(d: int, nt: int):
-    """Conformal fields permuting lightlike geodesics, plus a per-generator
-    gauge witness where one exists in the polynomial class."""
+def _cnc_basis(d: int, nt: int) -> AlgebraBasis:
+    """Conformal fields permuting lightlike geodesics, time-degree bound nt."""
     _check_dimension(d)
     _check_time_degree(nt)
     raw = solve_system(d, res_lightlike_projective, nt_time=nt, nt_space=nt)
@@ -778,9 +876,14 @@ def solve_cnc_flat(d: int, nt: int):
     named += _graded(nt, lambda k: [("dil", space_dilation(d, k))])
     named += _graded(nt, lambda k: _translations(d, k))
     named += _graded(nt, lambda k: [("xi", time_translation(d, k))])
-    basis = _presented("cnc", d, raw, named)
-    witnesses = [lightlike_gauge_witness(X) for X in basis.generators]
-    return basis, witnesses
+    return _presented("cnc", d, raw, named)
+
+
+def solve_cnc_flat(d: int, nt: int):
+    """Conformal fields permuting lightlike geodesics, plus a per-generator
+    gauge witness where one exists in the polynomial class."""
+    basis = _cnc_basis(d, nt)
+    return basis, [lightlike_gauge_witness(X) for X in basis.generators]
 
 
 def restrict_cnc_z(basis: AlgebraBasis, z, nt: int) -> list[VectorField]:
@@ -813,7 +916,12 @@ def res_milne_relaxed(X: VectorField) -> list[Poly]:
 
 def cmil_raw_space(d: int, nt: int = 2) -> list[VectorField]:
     """Solutions of the ether-independent subsystem (the second time
-    derivative of the translation part is left free)."""
+    derivative of the translation part is left free) over the ansatz of
+    time degree <= nt.  The answer depends on nt: the subsystem has
+    solutions of every time degree (at d = 3 the raw space has 17, 21 and
+    25 elements at nt = 2, 3, 4, and its c1 slice 16, 19 and 22), so the
+    branches c1 and c2 are maximal bracket-closed subalgebras of it, not
+    nullspaces; the tests check maximality at nt = 2, 3 and 4."""
     return solve_system(d, res_milne_relaxed, nt_time=nt, nt_space=nt)
 
 
@@ -835,6 +943,36 @@ def _res_c2_slice(X: VectorField) -> list[Poly]:
     return out
 
 
+def _cmil_branches(
+    d: int, branches: Sequence[str], ether: Observer | None = None
+) -> list[AlgebraBasis]:
+    """The requested closed branches of the flat NC-Milne system, each
+    'c1' or 'c2', cut out of one raw space; only c1 depends on the ether."""
+    _check_dimension(d)
+    if ether is None:
+        ether = rest_observer(d)
+    if not ether.is_constant():
+        raise ValueError("ether must have constant components")
+    raw = cmil_raw_space(d)
+    out = []
+    for branch in branches:
+        if branch == "c1":
+            u = [ether.U[A].constant_value() for A in range(1, d + 1)]
+            named = _rotations(d) + _accelerations(d)
+            named += _translations(d, 1, "beta") + _translations(d, 0, "gamma")
+            named.append(("kappa", cga_expansion(d, u)))
+            named.append(("lambda", space_dilation(d)))
+            named.append(("mu", time_dilation(d)))
+            named.append(("epsilon", time_translation(d)))
+            out.append(_presented("cmil_c1", d, restrict_span(raw, _res_c1_slice), named))
+            continue
+        sch = solve_sch_expanded(d)
+        if not span_equal(restrict_span(raw, _res_c2_slice), sch.generators):
+            raise AssertionError("second branch must coincide with the timelike algebra")
+        out.append(replace(sch, family="cmil_c2"))
+    return out
+
+
 def solve_cmil_flat(d: int, ether: Observer | None = None):
     """The two closed branches of the flat NC-Milne system.
 
@@ -845,34 +983,7 @@ def solve_cmil_flat(d: int, ether: Observer | None = None):
     only jointly with the expansion generator (their second time
     derivative selects the ether), which is checked exactly elsewhere.
     """
-    _check_dimension(d)
-    if ether is None:
-        ether = rest_observer(d)
-    if not ether.is_constant():
-        raise ValueError("ether must have constant components")
-    raw = cmil_raw_space(d)
-    u = [ether.U[A].constant_value() for A in range(1, d + 1)]
-
-    c1_fields = restrict_span(raw, _res_c1_slice)
-    named1 = _rotations(d) + _accelerations(d)
-    named1 += _translations(d, 1, "beta") + _translations(d, 0, "gamma")
-    named1.append(("kappa", cga_expansion(d, u)))
-    named1.append(("lambda", space_dilation(d)))
-    named1.append(("mu", time_dilation(d)))
-    named1.append(("epsilon", time_translation(d)))
-    c1 = _presented("cmil_c1", d, c1_fields, named1)
-
-    c2_fields = restrict_span(raw, _res_c2_slice)
-    sch = solve_sch_expanded(d)
-    if not span_equal(c2_fields, sch.generators):
-        raise AssertionError("second branch must coincide with the timelike algebra")
-    c2 = AlgebraBasis(
-        family="cmil_c2",
-        d=d,
-        generators=sch.generators,
-        labels=sch.labels,
-        factors=sch.factors,
-    )
+    c1, c2 = _cmil_branches(d, ("c1", "c2"), ether)
     return c1, c2
 
 
@@ -930,7 +1041,7 @@ def restrict_cmil_z(basis: AlgebraBasis, z) -> AlgebraBasis:
 
 
 def solve_cga(d: int) -> AlgebraBasis:
-    c1, _ = solve_cmil_flat(d)
+    c1, = _cmil_branches(d, ["c1"])
     return restrict_cmil_z(c1, Fraction(1))
 
 

@@ -159,11 +159,51 @@ def test_console_entry_point():
         ["solve", "--family", "sch", "--z", "1/0"],
         ["noether", "--model", "massive", "--seed", "-1"],
         ["fluid-check", "--seed", "-5"],
+        ["solve", "--family", "gal", "--d", "2", "--z", "5"],
+        ["solve", "--family", "sch-expanded", "--d", "2", "--z", "5"],
+        ["solve", "--family", "cgal", "--d", "2", "--z", "5"],
+        ["solve", "--family", "cnc", "--d", "2", "--z", "5"],
+        ["solve", "--family", "cmil", "--d", "2", "--z", "5"],
+        ["solve", "--family", "alt", "--d", "2", "--z", "5"],
+        ["solve", "--family", "gal", "--d", "2", "--N", "2"],
+        ["bracket-table", "--family", "sch", "--d", "2", "--N", "2"],
+        ["solve", "--family", "cga", "--d", "2", "--branch", "c1"],
+        ["bracket-table", "--family", "alt", "--d", "2", "--branch", "c2"],
+        ["solve", "--family", "sch", "--d", "2", "--deg-t", "3"],
+        ["bracket-table", "--family", "gal", "--d", "2", "--z", "2"],
+        ["solve", "--family", "sch", "--d", "2", "--z", ""],
     ],
 )
 def test_bad_domain_input_is_a_domain_error(args, capsys):
     assert run_cli(args) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_unread_family_option_error_names_the_flag(capsys):
+    assert run_cli(["solve", "--family", "gal", "--d", "2", "--branch", "c2"]) == 1
+    assert capsys.readouterr().err == "error: --branch is not an option of --family gal\n"
+
+
+# options a subcommand never reads are not in its parser: argparse rejects
+# them with its usage message
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["bracket-table", "--family", "gal", "--d", "2", "--deg-t", "5"],
+        ["selftest", "--out", "selftest.json"],
+        ["solve", "--family", "gal", "--d", "2", "--seed", "3"],
+        ["bracket-table", "--family", "gal", "--d", "2", "--seed", "3"],
+        ["rep-check", "--rep", "sch", "--d", "2", "--seed", "3"],
+        ["em-check", "--seed", "3"],
+        ["selftest", "--seed", "3"],
+        ["geodesic", "--steps", "1", "--seed", "3"],
+    ],
+)
+def test_option_the_subcommand_does_not_read_is_rejected(args, capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(args) == 1
+    assert f"unrecognized arguments: {args[-2]} {args[-1]}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize("args", [["noether", "--model", "massive", "--seed", "-1"],

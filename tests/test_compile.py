@@ -1,0 +1,111 @@
+"""The compiled derivative tables against Poly-path assembly, the oracle."""
+
+from fractions import Fraction
+from unittest import mock
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import example, given, settings, strategies as st
+
+from ncsym import solver
+from ncsym.lie import VectorField
+from ncsym.poly import Poly
+from ncsym.solver import (
+    INF,
+    alt_subalgebra,
+    cga_expansion,
+    quadratic_expansion,
+    rotation,
+    time_translation,
+    translation,
+)
+
+
+def poly_path_rows(fields, residual_op):
+    """The residual matrix assembled by applying the operator to each field
+    through Poly arithmetic: the oracle for the compiled tables."""
+    rows = {}
+    for j, X in enumerate(fields):
+        for i, p in enumerate(residual_op(X)):
+            for exp, c in p.terms.items():
+                rows.setdefault((i, exp), {})[j] = c
+    return rows
+
+
+def compiled_by(run):
+    """The residual operators that run() compiles, in order."""
+    seen = []
+    real = solver._compile
+
+    def spy(d, residual_op):
+        seen.append(residual_op)
+        return real(d, residual_op)
+
+    with mock.patch.object(solver, "_compile", spy):
+        run()
+    return seen
+
+
+# every operator the solvers compile; alt_subalgebra's is a closure
+OPERATORS = {
+    "conformal": solver.res_conformal,
+    "isometry": solver.res_isometry,
+    "timelike_projective": solver.res_timelike_projective,
+    "lightlike_projective": solver.res_lightlike_projective,
+    "milne_relaxed": solver.res_milne_relaxed,
+    "c1_slice": solver._res_c1_slice,
+    "c2_slice": solver._res_c2_slice,
+    "alt": compiled_by(lambda: alt_subalgebra(2, 3))[0],
+    **{
+        f"exponent_{z}": lambda X, z=z: solver.res_exponent(X, z)
+        for z in (Fraction(1), Fraction(2), Fraction(2, 3), INF)
+    },
+}
+
+COEFFS = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def field_lists(draw):
+    d = draw(st.sampled_from([2, 3]))
+    fields = []
+    for _ in range(draw(st.integers(1, 3))):
+        comps = [{} for _ in range(d + 1)]
+        for _ in range(draw(st.integers(1, 8))):
+            exp = tuple(draw(st.integers(0, 3)) for _ in range(d + 1))
+            comps[draw(st.integers(0, d))][exp] = draw(COEFFS)
+        fields.append(VectorField(d, [Poly(d, c) for c in comps]))
+    return fields
+
+
+# solved generators: their residual entries cancel within a column and
+# whole rows vanish, which random fields rarely reach
+@pytest.mark.parametrize("name", sorted(OPERATORS))
+@settings(max_examples=40, deadline=None)
+@given(fields=field_lists())
+@example(fields=[rotation(3, 1, 2), quadratic_expansion(3, 1, 1), cga_expansion(3)])
+def test_compiled_table_rows_equal_poly_path_rows(name, fields):
+    residual_op = OPERATORS[name]
+    assert solver._residual_rows(fields, residual_op) == poly_path_rows(fields, residual_op)
+
+
+def test_alt_compiles_one_operator():
+    assert len(compiled_by(lambda: alt_subalgebra(2, 3))) == 1
+
+
+@pytest.mark.parametrize(
+    "residual_op",
+    [
+        lambda X: [Poly.t(X.dim) * X[0]],
+        lambda X: [X[0] * Poly.t(X.dim)],
+        lambda X: [X[1] + Poly.t(X.dim)],
+        lambda X: [Poly.zero(X.dim)],
+    ],
+    ids=["poly_times_jet", "jet_times_poly", "jet_plus_poly", "row_not_a_jet"],
+)
+def test_operator_that_cannot_be_compiled_raises(residual_op):
+    fields = [time_translation(3), translation(3, 1, 2)]
+    with pytest.raises(TypeError):
+        solver.restrict_span(fields, residual_op)

@@ -290,11 +290,16 @@ def test_cmil_branches_closed_and_maximal():
     c1, c2 = solve_cmil_flat(3)
     assert closure_check(c1.generators).closed
     assert closure_check(c2.generators).closed
-    raw = cmil_raw_space(3)
-    grown = bracket_closure_grow(c1.generators, raw)
-    assert span_equal(grown, c1.generators)
-    grown = bracket_closure_grow(c2.generators, raw)
-    assert span_equal(grown, c2.generators)
+    # the raw space grows with its time bound (17, 21, 25 elements); the
+    # branches stay maximal closed subalgebras above the bound they were
+    # solved at
+    for nt, size in ((2, 17), (3, 21), (4, 25)):
+        raw = cmil_raw_space(3, nt)
+        assert len(raw) == size
+        grown = bracket_closure_grow(c1.generators, raw)
+        assert span_equal(grown, c1.generators)
+        grown = bracket_closure_grow(c2.generators, raw)
+        assert span_equal(grown, c2.generators)
 
 
 def test_cmil_generator_ether_witnesses():
@@ -519,3 +524,29 @@ def test_dimension_formulas_hold_at_d4():
     assert c2.dim == expanded.dim
     assert restrict_cmil_z(c1, Fraction(1)).dim == d * (d - 1) // 2 + 3 * d + 3  # 21
     assert alt_subalgebra(d, 2).dim == d * (d - 1) // 2 + 3 + 3 * d  # 21
+
+
+# ---------------------------------------------------------------------------
+# conformal factors
+# ---------------------------------------------------------------------------
+
+
+def test_factors_equal_conformal_factors():
+    c1, c2 = solve_cmil_flat(3)
+    families = [
+        solve_cgal(2, 2), solve_cgal_z(3, Fraction(3, 2), 1), solve_cgal_z(3, INF, 1),
+        solve_gal(3), solve_sch_expanded(3), solve_sch(3), solve_cnc_flat(3, 1)[0],
+        c1, c2, solve_cga(3), alt_subalgebra(3, 2),
+    ]
+    for basis in families:
+        base = flat_galilei(basis.d)
+        assert len(basis.factors) == basis.dim
+        for X, (f, g) in zip(basis.generators, basis.factors):
+            assert conformal_factors(X, base.gamma, base.theta) == (f, g), basis.family
+
+
+def test_presented_rejects_a_field_that_is_not_conformal():
+    stretch = solver._unit_field(3, 1, [0, 1, 0, 0])  # x^1 d_1 alone
+    assert conformal_factors(stretch, flat_galilei(3).gamma, flat_galilei(3).theta) is None
+    with pytest.raises(AssertionError, match="not a conformal field"):
+        solver._presented("stretch", 3, [stretch], [("s", stretch)])
