@@ -291,9 +291,9 @@ def cmd_selftest(args) -> int:
         checks.append((name, bool(ok)))
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
 
-    s = solver.solve_sch(3)
-    record("dim sch(3) == 12", s.dim == 12)
     c1, c2 = solver.solve_cmil_flat(3)
+    s = solver.restrict_sch_z(c2, Fraction(2))
+    record("dim sch(3) == 12", s.dim == 12)
     record("dim cmil(3) == 16", c1.dim == 16)
     record("dim expanded sch(3) == 13", c2.dim == 13)
     cga = solver.restrict_cmil_z(c1, Fraction(1))

@@ -14,19 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .solver import (
-    acceleration,
-    cga_dilation,
-    cga_expansion,
-    rotation,
-    sch_dilation,
-    sch_expansion,
-    time_translation,
-    translation,
-    _bracket_expansions,
-    _check_dimension,
-    _pairs,
-)
+from .solver import _bracket_expansions, _check_dimension, _slice_named
 
 _HALF = Fraction(1, 2)
 
@@ -109,53 +97,40 @@ def rep_cga(d: int, omega, alpha, beta, gamma, kappa, lam, eps) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _omega_unit(d: int, A: int, B: int) -> list:
-    """Rotation block matching the field x^A d_B - x^B d_A."""
-    om = [[Fraction(0)] * d for _ in range(d)]
-    om[B - 1][A - 1] = Fraction(1)
-    om[A - 1][B - 1] = Fraction(-1)
-    return om
+# keyword of each scalar parameter whose generator label differs from it
+_KEYWORDS = {"lambda": "lam", "epsilon": "eps"}
 
 
-def _parameter_basis(d: int, accelerations: bool, expansion, dilation) -> list:
-    """One (label, parameters, field) row per generator with only its
-    parameter set to 1: rotations, optional accelerations, beta, gamma,
-    then kappa, lambda and epsilon."""
-    vectors = [("beta", lambda A: translation(d, A, 1)), ("gamma", lambda A: translation(d, A, 0))]
-    if accelerations:
-        vectors.insert(0, ("alpha", lambda A: acceleration(d, A)))
-    rows = [
-        (f"omega[{A},{B}]", "omega", _omega_unit(d, A, B), rotation(d, A, B))
-        for A, B in _pairs(d)
-    ]
-    rows += [
-        (f"{key}[{A}]", key, [Fraction(int(B == A)) for B in range(1, d + 1)], field(A))
-        for key, field in vectors
-        for A in range(1, d + 1)
-    ]
-    rows += [
-        ("kappa", "kappa", Fraction(1), expansion),
-        ("lambda", "lam", Fraction(1), dilation),
-        ("epsilon", "eps", Fraction(1), time_translation(d)),
-    ]
-
-    def params(key, value):
-        p = {k: [Fraction(0)] * d for k, _ in vectors}
-        p.update(omega=[[Fraction(0)] * d for _ in range(d)], kappa=Fraction(0), lam=Fraction(0), eps=Fraction(0))
-        p[key] = value
-        return p
-
-    return [(label, params(key, value), field) for label, key, value, field in rows]
+def _parameter_basis(kind: str, d: int, z: Fraction, vectors: tuple) -> list:
+    """One (label, parameters, field) row per generator of the solver's
+    z-slice presentation, with only that generator's parameter set to 1:
+    omega[A,B] sets the rotation block of x^A d_B - x^B d_A, a label
+    name[A] entry A of the vector parameter name, any other label its
+    scalar parameter."""
+    rows = []
+    for label, X in _slice_named(kind, d, z)[1]:
+        params = {key: [0] * d for key in vectors}
+        params.update(omega=[[0] * d for _ in range(d)], kappa=0, lam=0, eps=0)
+        name, _, index = label.rstrip("]").partition("[")
+        if name == "omega":
+            A, B = (int(i) - 1 for i in index.split(","))
+            params["omega"][B][A], params["omega"][A][B] = 1, -1
+        elif index:
+            params[name][int(index) - 1] = 1
+        else:
+            params[_KEYWORDS.get(name, name)] = 1
+        rows.append((label, params, X))
+    return rows
 
 
 def sch_parameter_basis(d: int):
     """Generators of the z = 2 projective family in parameter order."""
-    return _parameter_basis(d, False, sch_expansion(d), sch_dilation(d))
+    return _parameter_basis("sch", d, Fraction(2), ("beta", "gamma"))
 
 
 def cga_parameter_basis(d: int):
     """Generators of the z = 1 family (with accelerations) in order."""
-    return _parameter_basis(d, True, cga_expansion(d), cga_dilation(d))
+    return _parameter_basis("cga", d, Fraction(1), ("alpha", "beta", "gamma"))
 
 
 # ---------------------------------------------------------------------------

@@ -23,14 +23,8 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from . import linalg
-from .geometry import Observer, constant_observer, flat_galilei, rest_observer
-from .lie import (
-    TwoForm,
-    VectorField,
-    conformal_factors,
-    exterior_derivative,
-    lie_bracket,
-)
+from .geometry import Observer, constant_observer, rest_observer
+from .lie import TwoForm, VectorField, exterior_derivative, lie_bracket
 from .poly import Poly, poly_divmod_t
 
 INF = "inf"
@@ -69,8 +63,16 @@ def parse_z(text: str):
         z = Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"dynamical exponent has a zero denominator: {text!r}") from None
+    return _check_z(z)
+
+
+def _check_z(z):
+    """A dynamical exponent as a Fraction, or INF; ValueError unless positive."""
+    if z == INF:
+        return INF
+    z = Fraction(z)
     if z <= 0:
-        raise ValueError("dynamical exponent must be positive or 'inf'")
+        raise ValueError("z must be positive or 'inf'")
     return z
 
 
@@ -397,12 +399,16 @@ class AlgebraBasis:
     d: int
     generators: list[VectorField]
     labels: list[str]
-    factors: list[tuple[Poly, Poly]]
     z: object = None  # Fraction, "inf" or None
 
     @property
     def dim(self) -> int:
         return len(self.generators)
+
+    @property
+    def factors(self) -> list[tuple[Poly, Poly]]:
+        """(f, g) of each generator: L_X gamma = f gamma, L_X theta = g theta."""
+        return [_conformal_pair(X) for X in self.generators]
 
     def to_report(self, structure: "StructureConstants | None" = None) -> dict:
         z = self.z
@@ -609,20 +615,25 @@ def acceleration(d: int, A: int) -> VectorField:
     return translation(d, A, 2).scale(-_HALF)
 
 
-def _pairs(d: int) -> list[tuple[int, int]]:
-    return [(A, B) for A in range(1, d + 1) for B in range(A + 1, d + 1)]
-
-
 def _rotations(d: int, k: int = 0) -> list[tuple[str, VectorField]]:
-    return [(f"omega[{A},{B}]", rotation(d, A, B, k)) for A, B in _pairs(d)]
-
-
-def _accelerations(d: int) -> list[tuple[str, VectorField]]:
-    return [(f"alpha[{A}]", acceleration(d, A)) for A in range(1, d + 1)]
+    return [
+        (f"omega[{A},{B}]", rotation(d, A, B, k))
+        for A in range(1, d + 1)
+        for B in range(A + 1, d + 1)
+    ]
 
 
 def _translations(d: int, k: int = 0, name: str = "eta") -> list[tuple[str, VectorField]]:
     return [(f"{name}[{A}]", translation(d, A, k)) for A in range(1, d + 1)]
+
+
+def _head(d: int, accelerations: bool = False) -> list[tuple[str, VectorField]]:
+    """The head every finite algebra's list starts with: rotations, the
+    accelerations alpha when asked for, boosts beta and translations gamma."""
+    named = _rotations(d)
+    if accelerations:
+        named += [(f"alpha[{A}]", acceleration(d, A)) for A in range(1, d + 1)]
+    return named + _translations(d, 1, "beta") + _translations(d, 0, "gamma")
 
 
 def _graded(nt: int, named_at: Callable[[int], list]) -> list[tuple[str, VectorField]]:
@@ -635,18 +646,15 @@ def _graded(nt: int, named_at: Callable[[int], list]) -> list[tuple[str, VectorF
     return out
 
 
-def _factors_for(fields: Sequence[VectorField]) -> list[tuple[Poly, Poly]]:
-    """(f, g) of each field from the closed forms.  On the flat chart they
-    are its conformal factors exactly when res_conformal(X) vanishes: the
-    gamma^{0B} rows force d_B X^0 = 0, so g = d_0 X^0 depends on t alone,
-    and the gamma^{AB} rows are the spatial conformal Killing equations
-    with f = -(2/d) div X."""
-    out = []
-    for X in fields:
-        if any(not p.is_zero() for p in res_conformal(X)):
-            raise AssertionError("emitted generator is not a conformal field")
-        out.append((trace_factor(X), time_factor(X)))
-    return out
+def _conformal_pair(X: VectorField) -> tuple[Poly, Poly] | None:
+    """(f, g) of X from the closed forms, or None when X is not conformal.
+    On the flat chart they are its conformal factors exactly when
+    res_conformal(X) vanishes: the gamma^{0B} rows force d_B X^0 = 0, so
+    g = d_0 X^0 depends on t alone, and the gamma^{AB} rows are the spatial
+    conformal Killing equations with f = -(2/d) div X."""
+    if any(not p.is_zero() for p in res_conformal(X)):
+        return None
+    return trace_factor(X), time_factor(X)
 
 
 def _presented(
@@ -659,12 +667,13 @@ def _presented(
     fields = [X for _, X in named]
     if len(fields) != len(raw) or not span_equal(raw, fields):
         raise AssertionError(f"{family}: presentation does not match the solved span")
+    if any(_conformal_pair(X) is None for X in fields):
+        raise AssertionError("emitted generator is not a conformal field")
     return AlgebraBasis(
         family=family,
         d=d,
         generators=fields,
         labels=[name for name, _ in named],
-        factors=_factors_for(fields),
         z=z,
     )
 
@@ -679,10 +688,8 @@ def _solve_conformal(d: int, nt: int, z) -> AlgebraBasis:
     z = None leaves the dynamical exponent free, otherwise it is fixed."""
     _check_dimension(d)
     _check_time_degree(nt)
-    if z not in (None, INF):
-        z = Fraction(z)
-        if z <= 0:
-            raise ValueError("z must be positive or 'inf'")
+    if z is not None:
+        z = _check_z(z)
 
     def op(X: VectorField) -> list[Poly]:
         out = res_conformal(X)
@@ -720,8 +727,7 @@ def solve_gal(d: int) -> AlgebraBasis:
     """Galilei automorphisms of the flat structure."""
     _check_dimension(d)
     raw = solve_system(d, res_isometry, nt_time=2, nt_space=2)
-    named = _rotations(d) + _translations(d, 1, "beta") + _translations(d, 0, "gamma")
-    named.append(("epsilon", time_translation(d)))
+    named = _head(d) + [("epsilon", time_translation(d))]
     return _presented("gal", d, raw, named)
 
 
@@ -731,7 +737,7 @@ def solve_sch_expanded(d: int, nt: int = 3) -> AlgebraBasis:
     itself cuts everything above quadratic."""
     _check_dimension(d)
     raw = solve_system(d, res_timelike_projective, nt_time=max(nt, 2), nt_space=max(nt, 2))
-    named = _rotations(d) + _translations(d, 1, "beta") + _translations(d, 0, "gamma")
+    named = _head(d)
     named.append(("kappa", sch_expansion(d)))
     named.append(("mu", time_dilation(d)))
     named.append(("lambda", space_dilation(d)))
@@ -739,26 +745,48 @@ def solve_sch_expanded(d: int, nt: int = 3) -> AlgebraBasis:
     return _presented("sch_expanded", d, raw, named)
 
 
-def restrict_sch_z(basis: AlgebraBasis, z) -> AlgebraBasis:
-    """Slice of the expanded algebra with fixed dynamical exponent."""
-    if basis.family != "sch_expanded":
-        raise ValueError("restriction expects the expanded timelike algebra")
-    d = basis.d
-    restricted = restrict_span(basis.generators, lambda X: res_exponent(X, z))
-    named = _rotations(d) + _translations(d, 1, "beta") + _translations(d, 0, "gamma")
-    if z == Fraction(2):
-        named.append(("kappa", sch_expansion(d)))
-        named.append(("lambda", sch_dilation(d)))
-        family = "sch"
-    elif z == INF:
+# The two sliced families, keyed by the finite algebra each holds: the
+# families of the bases it slices, the exponent and expansion generator of
+# that algebra, and the family prefix of the other slices.
+_SLICES = {
+    "sch": (("sch_expanded", "cmil_c2"), Fraction(2), sch_expansion, "sch"),
+    "cga": (("cmil_c1",), Fraction(1), cga_expansion, "cmil"),
+}
+
+
+def _slice_named(kind: str, d: int, z) -> tuple[str, list[tuple[str, VectorField]]]:
+    """Family name and generator list of the z-slice of the timelike
+    algebra (kind 'sch') or of the acceleration branch (kind 'cga'): the
+    head, the expansion kappa at the special exponent, the dilation lambda
+    of weight z (the time dilation mu at z = inf), then epsilon."""
+    _, special, expansion, prefix = _SLICES[kind]
+    named = _head(d, accelerations=kind == "cga")
+    if z == special:
+        named.append(("kappa", expansion(d)))
+    if z == INF:
         named.append(("mu", time_dilation(d)))
-        family = "sch_inf"
     else:
-        z = Fraction(z)
         named.append(("lambda", time_dilation(d).scale(z) + space_dilation(d)))
-        family = "sch_z"
     named.append(("epsilon", time_translation(d)))
-    return _presented(family, d, restricted, named, z=z)
+    if z == special:
+        return kind, named
+    return f"{prefix}_{'inf' if z == INF else 'z'}", named
+
+
+def _restrict_z(kind: str, basis: AlgebraBasis, z) -> AlgebraBasis:
+    families = _SLICES[kind][0]
+    if basis.family not in families:
+        raise ValueError(f"restriction expects a {' or '.join(families)} basis")
+    z = _check_z(z)
+    restricted = restrict_span(basis.generators, lambda X: res_exponent(X, z))
+    family, named = _slice_named(kind, basis.d, z)
+    return _presented(family, basis.d, restricted, named, z=z)
+
+
+def restrict_sch_z(basis: AlgebraBasis, z) -> AlgebraBasis:
+    """Slice of the expanded timelike algebra (or of the NC-Milne branch c2,
+    which equals it) with fixed dynamical exponent; z = 2 is sch."""
+    return _restrict_z("sch", basis, z)
 
 
 def solve_sch(d: int) -> AlgebraBasis:
@@ -819,8 +847,7 @@ def lightlike_gauge_witness(X: VectorField) -> GaugeWitness | None:
     admit one, since the mixed equation forces (f+g) F_AB = -2 omega'_AB
     while f + g = 0 kills the right-hand side."""
     d = X.dim
-    base = flat_galilei(d)
-    fg_pair = conformal_factors(X, base.gamma, base.theta)
+    fg_pair = _conformal_pair(X)
     if fg_pair is None:
         return None
     f, g = fg_pair
@@ -886,7 +913,7 @@ def solve_cnc_flat(d: int, nt: int):
     return basis, [lightlike_gauge_witness(X) for X in basis.generators]
 
 
-def restrict_cnc_z(basis: AlgebraBasis, z, nt: int) -> list[VectorField]:
+def restrict_cnc_z(basis: AlgebraBasis, z) -> list[VectorField]:
     """z-slice of the lightlike family (span only; compared against the
     conformal solver with the same degree bound)."""
     if basis.family != "cnc":
@@ -958,8 +985,7 @@ def _cmil_branches(
     for branch in branches:
         if branch == "c1":
             u = [ether.U[A].constant_value() for A in range(1, d + 1)]
-            named = _rotations(d) + _accelerations(d)
-            named += _translations(d, 1, "beta") + _translations(d, 0, "gamma")
+            named = _head(d, accelerations=True)
             named.append(("kappa", cga_expansion(d, u)))
             named.append(("lambda", space_dilation(d)))
             named.append(("mu", time_dilation(d)))
@@ -991,8 +1017,7 @@ def cmil_generator_ether(X: VectorField) -> Observer | None:
     """Constant ether making the full NC-Milne system hold for X alone,
     or None (accelerations need the expansion generator alongside)."""
     d = X.dim
-    base = flat_galilei(d)
-    pair = conformal_factors(X, base.gamma, base.theta)
+    pair = _conformal_pair(X)
     if pair is None:
         return None
     f, g = pair
@@ -1019,25 +1044,7 @@ def cmil_generator_ether(X: VectorField) -> Observer | None:
 def restrict_cmil_z(basis: AlgebraBasis, z) -> AlgebraBasis:
     """z-slice of the acceleration branch; z = 1 is the conformal
     Galilean algebra with its accelerations."""
-    if basis.family != "cmil_c1":
-        raise ValueError("restriction expects the acceleration branch")
-    d = basis.d
-    restricted = restrict_span(basis.generators, lambda X: res_exponent(X, z))
-    named = _rotations(d) + _accelerations(d)
-    named += _translations(d, 1, "beta") + _translations(d, 0, "gamma")
-    if z == Fraction(1):
-        named.append(("kappa", cga_expansion(d)))
-        named.append(("lambda", cga_dilation(d)))
-        family = "cga"
-    elif z == INF:
-        named.append(("mu", time_dilation(d)))
-        family = "cmil_inf"
-    else:
-        z = Fraction(z)
-        named.append(("lambda", time_dilation(d).scale(z) + space_dilation(d)))
-        family = "cmil_z"
-    named.append(("epsilon", time_translation(d)))
-    return _presented(family, d, restricted, named, z=z)
+    return _restrict_z("cga", basis, z)
 
 
 def solve_cga(d: int) -> AlgebraBasis:
@@ -1082,7 +1089,7 @@ def alt_candidate(d: int, N: int, z) -> list[tuple[str, VectorField]]:
     """Candidate generator list: quadratic time reparametrizations acting
     with dilation weight 1/z, constant rotations, translations of time
     degree <= N.  Closed under brackets iff z = 2/N."""
-    zinv = Fraction(1) / Fraction(z)
+    zinv = 1 / _check_z(Fraction(z))
     named = _rotations(d) + _graded(N, lambda k: _translations(d, k))
     named.append(("kappa", time_translation(d, 2).scale(_HALF) + space_dilation(d, 1).scale(zinv)))
     named.append(("mu", time_dilation(d) + space_dilation(d).scale(zinv)))
@@ -1118,7 +1125,7 @@ def alt_obstruction_coefficient(d: int, N: int, z) -> Fraction:
     """Top-degree coefficient obstructing closure: the bracket of the
     expansion generator with a degree-N translation has a t^(N+1)
     translation part with coefficient (N/2 - 1/z)."""
-    zinv = Fraction(1) / Fraction(z)
+    zinv = 1 / _check_z(Fraction(z))
     K = time_translation(d, 2).scale(_HALF) + space_dilation(d, 1).scale(zinv)
     eta = translation(d, 1, N)
     br = lie_bracket(K, eta)

@@ -107,7 +107,7 @@ def test_criterion_4_inclusions_and_scans():
                     ok &= X[c].differentiate(A).differentiate(B).is_zero()
     # the z-slices of the lightlike family equal the conformal solver spans
     for z in (Fraction(2), Fraction(1), solver.INF):
-        sliced = solver.restrict_cnc_z(cnc, z, 2)
+        sliced = solver.restrict_cnc_z(cnc, z)
         ref = solver.solve_cgal_z(3, z, 2)
         ok &= solver.span_equal(sliced, ref.generators)
     # polynomial-family closure happens exactly at z = 2/N

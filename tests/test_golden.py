@@ -85,6 +85,14 @@ GOLDEN = [
      "e885ac061af1dd28cbbd03a18c9be894f9ce256ecac022797f28713bc155af9f"),
     ("bracket-table --family cmil --branch c2 --d 3",
      "f179ea28f45841418f20b59b863c4b2c6884c762dab59f67e58874403015adee"),
+    ("rep-check --rep sch --d 2",
+     "24a4f94cace437a5e704680c70a0ef3025d345533352dfd21a8060b77e368bce"),
+    ("rep-check --rep sch --d 3",
+     "4c9275f88e0983003b2da8d916a634814b4ecf66fbe00ef65ce80c2276c14954"),
+    ("rep-check --rep cga --d 2",
+     "f51db22f2a40aa8fb2f715ef7f008881b8de5cc878eaf61c89526170c1ae8afb"),
+    ("rep-check --rep cga --d 3",
+     "7f0619c0958faea5954bc05f1f9aed609b47a49a2d423697e1c28f162e3c9c4e"),
 ]
 
 

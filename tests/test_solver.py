@@ -109,6 +109,35 @@ def test_parse_z():
         parse_z("1/0")
 
 
+@pytest.mark.parametrize("z", [Fraction(0), Fraction(-2)])
+def test_every_z_entry_point_rejects_a_nonpositive_exponent(z):
+    expanded = solve_sch_expanded(2)
+    c1, c2 = solve_cmil_flat(2)
+    calls = [
+        lambda: solve_cgal_z(2, z, 1),
+        lambda: restrict_sch_z(expanded, z),
+        lambda: restrict_sch_z(c2, z),
+        lambda: restrict_cmil_z(c1, z),
+        lambda: solver.alt_candidate(2, 1, z),
+        lambda: alt_obstruction_coefficient(2, 1, z),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="z must be positive or 'inf'"):
+            call()
+
+
+def test_sch_slice_of_the_second_milne_branch_equals_sch():
+    c1, c2 = solve_cmil_flat(3)
+    s = solve_sch(3)
+    from_c2 = restrict_sch_z(c2, Fraction(2))
+    assert (from_c2.family, from_c2.labels) == (s.family, s.labels)
+    assert from_c2.to_report() == s.to_report()
+    with pytest.raises(ValueError, match="restriction expects"):
+        restrict_sch_z(c1, Fraction(2))
+    with pytest.raises(ValueError, match="restriction expects"):
+        restrict_cmil_z(c2, Fraction(1))
+
+
 # ---------------------------------------------------------------------------
 # timelike-projective family
 # ---------------------------------------------------------------------------
@@ -200,7 +229,7 @@ def test_sch2_inside_cnc_with_balanced_factors():
 def test_cnc_z_matches_cgal_z_basis_for_basis():
     cnc, _ = solve_cnc_flat(3, 2)
     for z in (Fraction(2), Fraction(1), Fraction(1, 2), INF):
-        sliced = restrict_cnc_z(cnc, z, 2)
+        sliced = restrict_cnc_z(cnc, z)
         ref = solve_cgal_z(3, z, 2)
         assert span_equal(sliced, ref.generators)
         assert len(sliced) == ref.dim
