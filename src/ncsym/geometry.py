@@ -274,7 +274,6 @@ def vary_connection(
     F: TwoForm,
     f: Poly,
     g: Poly,
-    psi: OneForm | None = None,
     lightlike: bool = False,
 ) -> Connection:
     """Variation of the connection under the rescaling (f gamma, g theta).
@@ -287,8 +286,6 @@ def vary_connection(
     term collapses, giving
       dGamma^c_ab = -f' delta^c_(a theta_b) + (f'+g') U^c theta_a theta_b
                     + (f+g) gamma^ck theta_(a F_b)k.
-    The result does not depend on the boost one-form ``psi``; the
-    argument is accepted to make that gauge independence testable.
     """
     d = base.dim
     n = d + 1

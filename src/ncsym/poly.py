@@ -118,11 +118,6 @@ class Poly:
             return -1
         return max(exp[var] for exp in self.terms)
 
-    def spatial_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(exp[1:]) for exp in self.terms)
-
     def depends_on(self, var: int) -> bool:
         return any(exp[var] for exp in self.terms)
 

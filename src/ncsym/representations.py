@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .solver import _bracket_expansions, _check_dimension, _slice_named
+from .solver import _SLICES, _bracket_expansions, _check_dimension, _slice_named
 
 _HALF = Fraction(1, 2)
 
@@ -93,76 +93,57 @@ def rep_cga(d: int, omega, alpha, beta, gamma, kappa, lam, eps) -> list:
 
 
 # ---------------------------------------------------------------------------
-# basis enumeration: (label, parameter kwargs, vector field)
+# verification on sparse matrices {(row, col): value}
 # ---------------------------------------------------------------------------
 
+
+# The matrix builder of each finite algebra and its vector parameters; the
+# algebra is the solver's slice at its own exponent.
+_REPS = {
+    "sch": (rep_schrodinger, ("beta", "gamma")),
+    "cga": (rep_cga, ("alpha", "beta", "gamma")),
+}
 
 # keyword of each scalar parameter whose generator label differs from it
 _KEYWORDS = {"lambda": "lam", "epsilon": "eps"}
 
 
-def _parameter_basis(kind: str, d: int, z: Fraction, vectors: tuple) -> list:
-    """One (label, parameters, field) row per generator of the solver's
-    z-slice presentation, with only that generator's parameter set to 1:
+def _unit_parameters(label: str, d: int, vectors: tuple) -> dict:
+    """Builder keywords with only the parameter of one generator set to 1:
     omega[A,B] sets the rotation block of x^A d_B - x^B d_A, a label
     name[A] entry A of the vector parameter name, any other label its
     scalar parameter."""
-    rows = []
-    for label, X in _slice_named(kind, d, z)[1]:
-        params = {key: [0] * d for key in vectors}
-        params.update(omega=[[0] * d for _ in range(d)], kappa=0, lam=0, eps=0)
-        name, _, index = label.rstrip("]").partition("[")
-        if name == "omega":
-            A, B = (int(i) - 1 for i in index.split(","))
-            params["omega"][B][A], params["omega"][A][B] = 1, -1
-        elif index:
-            params[name][int(index) - 1] = 1
-        else:
-            params[_KEYWORDS.get(name, name)] = 1
-        rows.append((label, params, X))
-    return rows
+    params = {key: [0] * d for key in vectors}
+    params.update(omega=[[0] * d for _ in range(d)], kappa=0, lam=0, eps=0)
+    name, _, index = label.rstrip("]").partition("[")
+    if name == "omega":
+        A, B = (int(i) - 1 for i in index.split(","))
+        params["omega"][B][A], params["omega"][A][B] = 1, -1
+    elif index:
+        params[name][int(index) - 1] = 1
+    else:
+        params[_KEYWORDS.get(name, name)] = 1
+    return params
 
 
-def sch_parameter_basis(d: int):
-    """Generators of the z = 2 projective family in parameter order."""
-    return _parameter_basis("sch", d, Fraction(2), ("beta", "gamma"))
+def _commutator(a: dict, b: dict) -> dict:
+    """ab - ba of two sparse matrices."""
+    out: dict = {}
+    for (i, k), u in a.items():
+        for (l, j), v in b.items():
+            if k == l:
+                out[i, j] = out.get((i, j), 0) + u * v
+            if j == i:
+                out[l, k] = out.get((l, k), 0) - u * v
+    return {key: v for key, v in out.items() if v}
 
 
-def cga_parameter_basis(d: int):
-    """Generators of the z = 1 family (with accelerations) in order."""
-    return _parameter_basis("cga", d, Fraction(1), ("alpha", "beta", "gamma"))
-
-
-# ---------------------------------------------------------------------------
-# verification
-# ---------------------------------------------------------------------------
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
-def _mat_mul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)
-    ]
-
-
-def _commutator(a, b):
-    return _mat_sub(_mat_mul(a, b), _mat_mul(b, a))
-
-
-def _mat_scale(a, c):
-    return [[v * c for v in row] for row in a]
-
-
-def _mat_add(a, b):
-    return [[x + y for x, y in zip(r1, r2)] for r1, r2 in zip(a, b)]
-
-
-def _is_zero(a) -> bool:
-    return all(not v for row in a for v in row)
+def _combination(coeffs: dict, mats: list) -> dict:
+    """sum_k coeffs[k] * mats[k] of sparse matrices."""
+    out: dict = {}
+    for k, c in coeffs.items():
+        linalg._axpy(out, c, mats[k])
+    return out
 
 
 def verify_representation(kind: str, d: int) -> dict:
@@ -174,50 +155,43 @@ def verify_representation(kind: str, d: int) -> dict:
     against it.
     """
     _check_dimension(d)
-    if kind == "sch":
-        basis = sch_parameter_basis(d)
-        rep = lambda p: rep_schrodinger(d, **p)
-    elif kind == "cga":
-        basis = cga_parameter_basis(d)
-        rep = lambda p: rep_cga(d, **p)
-    else:
+    if kind not in _REPS:
         raise ValueError("kind must be 'sch' or 'cga'")
+    build, vectors = _REPS[kind]
+    labels, fields, mats = [], [], []
+    for label, X in _slice_named(kind, d, _SLICES[kind][1])[1]:
+        Z = build(d, **_unit_parameters(label, d, vectors))
+        labels.append(label)
+        fields.append(X)
+        mats.append({(r, c): v for r, row in enumerate(Z) for c, v in enumerate(row) if v})
 
-    fields = [X for _, _, X in basis]
-    mats = [rep(p) for _, p, _ in basis]
-
-    entries = linalg.Echelon(
-        {(r, c): v for r, row in enumerate(m) for c, v in enumerate(row) if v} for m in mats
-    )
-    faithful = entries.rank == len(basis)
+    faithful = linalg.Echelon(mats).rank == len(mats)
 
     sign = None
     mismatches = []
     for i, j, coeffs, remainder in _bracket_expansions(fields):
         if remainder:
-            mismatches.append([basis[i][0], basis[j][0], "bracket leaves span"])
+            mismatches.append([labels[i], labels[j], "bracket leaves span"])
             continue
-        target = _zeros(len(mats[0]))
-        for k, c in coeffs.items():
-            target = _mat_add(target, _mat_scale(mats[k], c))
+        target = _combination(coeffs, mats)
         comm = _commutator(mats[i], mats[j])
-        if _is_zero(target) and _is_zero(comm):
+        if not target and not comm:
             continue
-        if _is_zero(_mat_sub(comm, target)):
+        if comm == target:
             pair_sign = 1
-        elif _is_zero(_mat_add(comm, target)):
+        elif comm == {key: -v for key, v in target.items()}:
             pair_sign = -1
         else:
-            mismatches.append([basis[i][0], basis[j][0], "no sign matches"])
+            mismatches.append([labels[i], labels[j], "no sign matches"])
             continue
         if sign is None:
             sign = pair_sign
         elif sign != pair_sign:
-            mismatches.append([basis[i][0], basis[j][0], "sign flips"])
+            mismatches.append([labels[i], labels[j], "sign flips"])
     return {
         "rep": kind,
-        "size": len(mats[0]),
-        "dim": len(basis),
+        "size": len(Z),
+        "dim": len(mats),
         "sign": sign,
         "faithful": faithful,
         "mismatches": mismatches,

@@ -731,12 +731,12 @@ def solve_gal(d: int) -> AlgebraBasis:
     return _presented("gal", d, raw, named)
 
 
-def solve_sch_expanded(d: int, nt: int = 3) -> AlgebraBasis:
+def solve_sch_expanded(d: int) -> AlgebraBasis:
     """Conformal fields permuting timelike geodesics (independent time and
-    space dilations).  The degree bound only needs to be >= 2; the system
-    itself cuts everything above quadratic."""
+    space dilations).  The ansatz degree bound 3 only needs to be >= 2;
+    the system itself cuts everything above quadratic."""
     _check_dimension(d)
-    raw = solve_system(d, res_timelike_projective, nt_time=max(nt, 2), nt_space=max(nt, 2))
+    raw = solve_system(d, res_timelike_projective, nt_time=3, nt_space=3)
     named = _head(d)
     named.append(("kappa", sch_expansion(d)))
     named.append(("mu", time_dilation(d)))
@@ -1089,7 +1089,8 @@ def alt_candidate(d: int, N: int, z) -> list[tuple[str, VectorField]]:
     """Candidate generator list: quadratic time reparametrizations acting
     with dilation weight 1/z, constant rotations, translations of time
     degree <= N.  Closed under brackets iff z = 2/N."""
-    zinv = 1 / _check_z(Fraction(z))
+    z = _check_z(z)
+    zinv = Fraction(0) if z == INF else 1 / z
     named = _rotations(d) + _graded(N, lambda k: _translations(d, k))
     named.append(("kappa", time_translation(d, 2).scale(_HALF) + space_dilation(d, 1).scale(zinv)))
     named.append(("mu", time_dilation(d) + space_dilation(d).scale(zinv)))
@@ -1125,7 +1126,8 @@ def alt_obstruction_coefficient(d: int, N: int, z) -> Fraction:
     """Top-degree coefficient obstructing closure: the bracket of the
     expansion generator with a degree-N translation has a t^(N+1)
     translation part with coefficient (N/2 - 1/z)."""
-    zinv = 1 / _check_z(Fraction(z))
+    z = _check_z(z)
+    zinv = Fraction(0) if z == INF else 1 / z
     K = time_translation(d, 2).scale(_HALF) + space_dilation(d, 1).scale(zinv)
     eta = translation(d, 1, N)
     br = lie_bracket(K, eta)

@@ -179,6 +179,13 @@ def test_bad_domain_input_is_a_domain_error(args, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_selftest_passes_every_check(capsys):
+    assert run_cli(["selftest"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10
+    assert all(line.startswith("PASS  ") for line in lines)
+
+
 def test_unread_family_option_error_names_the_flag(capsys):
     assert run_cli(["solve", "--family", "gal", "--d", "2", "--branch", "c2"]) == 1
     assert capsys.readouterr().err == "error: --branch is not an option of --family gal\n"

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ncsym import representations as reps
 from ncsym.solver import solve_cga, solve_sch, structure_constants
@@ -20,16 +21,64 @@ def test_rep_sch_rotation_block():
     assert all(Z[A][B] == 0 for A in range(5) for B in range(5) if A >= 3 or B >= 3)
 
 
+def sparse(Z) -> dict:
+    return {(r, c): v for r, row in enumerate(Z) for c, v in enumerate(row) if v}
+
+
 def test_rep_sch_commutator_of_rotations_matches_so3():
     om12 = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
     om13 = [[0, 0, 1], [0, 0, 0], [-1, 0, 0]]
-    Z1 = reps.rep_schrodinger(3, om12, [0] * 3, [0] * 3, 0, 0, 0)
-    Z2 = reps.rep_schrodinger(3, om13, [0] * 3, [0] * 3, 0, 0, 0)
-    comm = reps._commutator(Z1, Z2)
-    # [om12, om13] as matrices
-    expect = reps._mat_sub(reps._mat_mul(Z1, Z2), reps._mat_mul(Z2, Z1))
-    assert comm == expect
-    assert any(v for row in comm for v in row)
+    om23 = [[0, 0, 0], [0, 0, 1], [0, -1, 0]]
+    Z12, Z13, Z23 = (
+        sparse(reps.rep_schrodinger(3, om, [0] * 3, [0] * 3, 0, 0, 0))
+        for om in (om12, om13, om23)
+    )
+    # [Z(omega12), Z(omega13)] = Z(-omega23)
+    assert reps._commutator(Z12, Z13) == {k: -v for k, v in Z23.items()}
+
+
+# dense oracle for the sparse matrix arithmetic of the verifier
+def dense_mul(a, b):
+    n = len(a)
+    return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
+
+
+def dense_commutator(a, b):
+    ab, ba = dense_mul(a, b), dense_mul(b, a)
+    return [[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(ab, ba)]
+
+
+def dense_combination(coeffs, mats, n):
+    out = [[Fraction(0)] * n for _ in range(n)]
+    for k, c in coeffs.items():
+        out = [[x + c * y for x, y in zip(r1, r2)] for r1, r2 in zip(out, mats[k])]
+    return out
+
+
+ENTRIES = st.one_of(
+    st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4)
+)
+
+
+@st.composite
+def matrix_sets(draw):
+    n = draw(st.integers(1, 5))
+    mats = draw(st.lists(
+        st.lists(st.lists(ENTRIES, min_size=n, max_size=n), min_size=n, max_size=n),
+        min_size=2, max_size=4,
+    ))
+    coeffs = draw(st.dictionaries(st.integers(0, len(mats) - 1), ENTRIES))
+    return n, mats, coeffs
+
+
+@settings(max_examples=80, deadline=None)
+@given(matrix_sets())
+def test_sparse_commutator_and_target_match_dense(case):
+    n, mats, coeffs = case
+    a, b = mats[0], mats[1]
+    assert reps._commutator(sparse(a), sparse(b)) == sparse(dense_commutator(a, b))
+    target = reps._combination(coeffs, [sparse(m) for m in mats])
+    assert target == sparse(dense_combination(coeffs, mats, n))
 
 
 def test_rep_sch_sl2_block_closes_like_vector_fields():
@@ -68,6 +117,23 @@ def test_rep_consistency_full_pairwise():
         assert report["faithful"], (kind, d)
         assert report["mismatches"] == [], (kind, d)
         assert report["sign"] == -1, (kind, d)  # anti-homomorphism throughout
+
+
+def test_sign_flipped_cga_entry_is_reported(monkeypatch):
+    build, vectors = reps._REPS["cga"]
+
+    def flipped(d, *args, **kwargs):
+        Z = build(d, *args, **kwargs)
+        Z[d + 1][d] = -Z[d + 1][d]
+        return Z
+
+    monkeypatch.setitem(reps._REPS, "cga", (flipped, vectors))
+    report = reps.verify_representation("cga", 3)
+    assert report["sign"] == -1
+    assert report["faithful"]
+    assert report["mismatches"] == [[f"beta[{A}]", "kappa", "sign flips"] for A in (1, 2, 3)] + [
+        ["kappa", "epsilon", "no sign matches"]
+    ]
 
 
 def test_levi_sch():

@@ -120,6 +120,7 @@ def test_every_z_entry_point_rejects_a_nonpositive_exponent(z):
         lambda: restrict_cmil_z(c1, z),
         lambda: solver.alt_candidate(2, 1, z),
         lambda: alt_obstruction_coefficient(2, 1, z),
+        lambda: alt_closure_scan(2, 1, [z]),
     ]
     for call in calls:
         with pytest.raises(ValueError, match="z must be positive or 'inf'"):
@@ -510,6 +511,13 @@ def test_alt_obstruction_coefficient():
             expect = Fraction(N, 2) - Fraction(1) / z
             assert coeff == expect
             assert (coeff == 0) == (z == Fraction(2, N))
+
+
+def test_alt_candidate_at_infinite_exponent():
+    # 1/z = 0: the expansion and mu carry no space dilation
+    assert alt_obstruction_coefficient(2, 1, INF) == Fraction(1, 2)
+    assert alt_closure_scan(2, 1, [INF, "2"]) == {"inf": False, "2": True}
+    assert dict(solver.alt_candidate(2, 1, INF))["mu"] == time_dilation(2)
 
 
 def test_alt_closure_certificate():
