@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 
 from .poly import Poly
 
@@ -338,10 +339,59 @@ class Connection:
 # ---------------------------------------------------------------------------
 
 
+def _field_vector(X: VectorField) -> dict:
+    """X as a sparse vector keyed by (component, exponent)."""
+    return {(a, exp): c for a, comp in enumerate(X.components) for exp, c in comp.terms.items()}
+
+
+def _vector_field(d: int, vector: dict) -> VectorField:
+    """The field of a sparse {(component, exponent): coef} vector."""
+    comps = [dict() for _ in range(d + 1)]
+    for (a, exp), c in vector.items():
+        comps[a][exp] = c
+    return VectorField(d, [Poly(d, c) for c in comps])
+
+
+def _bracket_terms(X: VectorField) -> tuple:
+    """Term lists of X for _bracket_vector: (terms, derivatives), where
+    terms[b] lists (exp, c) for each term c x^exp of X^b, and
+    derivatives[b] lists (a, exp - unit_b, c exp[b]) for each term of X^a
+    with exp[b] > 0, the terms of d_b X^a."""
+    n = X.dim + 1
+    terms = [list(comp.terms.items()) for comp in X.components]
+    derivatives = [[] for _ in range(n)]
+    for a, comp in enumerate(X.components):
+        for exp, c in comp.terms.items():
+            for b, e in enumerate(exp):
+                if e:
+                    shifted = list(exp)
+                    shifted[b] = e - 1
+                    derivatives[b].append((a, tuple(shifted), c * e))
+    return terms, derivatives
+
+
+def _bracket_vector(x: tuple, y: tuple) -> dict:
+    """[X,Y] = X^b d_b Y^a - Y^b d_b X^a as a sparse {(component,
+    exponent): coef} vector, from the _bracket_terms x of X and y of Y:
+    each term c1 x^e1 of X^b times each term c2 x^e2 of d_b Y^a adds
+    c1 c2 at (a, e1 + e2), then the same with X and Y swapped is
+    subtracted.  Entries that cancel are dropped."""
+    out: dict = {}
+    for (terms, _), (_, derivatives), sign in ((x, y, 1), (y, x, -1)):
+        for b, factors in enumerate(terms):
+            for e1, c1 in factors:
+                c1 *= sign
+                for a, e2, c2 in derivatives[b]:
+                    key = (a, tuple(map(add, e1, e2)))
+                    v = out.get(key)
+                    out[key] = c1 * c2 if v is None else v + c1 * c2
+    return {key: v for key, v in out.items() if v}
+
+
 def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
-    """[X,Y]^a = X^b d_b Y^a - Y^b d_b X^a."""
+    """[X,Y]^a = X^b d_b Y^a - Y^b d_b X^a, from term products."""
     d = _check_same_dim(X.dim, Y.dim)
-    return VectorField(d, [X.apply(Y[a]) - Y.apply(X[a]) for a in range(d + 1)])
+    return _vector_field(d, _bracket_vector(_bracket_terms(X), _bracket_terms(Y)))
 
 
 def lie_derive_sym2up(X: VectorField, G: SymTensor2Up) -> SymTensor2Up:

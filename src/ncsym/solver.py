@@ -24,7 +24,16 @@ from typing import Callable, Iterable, Sequence
 
 from . import linalg
 from .geometry import Observer, constant_observer, rest_observer
-from .lie import TwoForm, VectorField, exterior_derivative, lie_bracket
+from .lie import (
+    TwoForm,
+    VectorField,
+    _bracket_terms,
+    _bracket_vector,
+    _field_vector,
+    _vector_field,
+    exterior_derivative,
+    lie_bracket,
+)
 from .poly import Poly, poly_divmod_t
 
 INF = "inf"
@@ -219,15 +228,6 @@ def ansatz_fields(d: int, nt_time: int, nt_space: int) -> list[VectorField]:
     return fields
 
 
-def _combine(fields: Sequence[VectorField], coeffs: Sequence[Fraction]) -> VectorField:
-    d = fields[0].dim
-    out = VectorField.zero(d)
-    for X, c in zip(fields, coeffs):
-        if c:
-            out = out + X.scale(c)
-    return out
-
-
 def solve_system(
     d: int,
     residual_op: Callable[[VectorField], list[Poly]],
@@ -345,22 +345,18 @@ def restrict_span(
     coefficients (TypeError otherwise)."""
     rows = _residual_rows(fields, residual_op)
     kernel = linalg.Echelon(rows.values()).nullspace(len(fields))
-    return [_combine(fields, vec) for vec in kernel]
+    vectors = [_field_vector(X) for X in fields]
+    out = []
+    for coeffs in kernel:
+        combination: dict = {}
+        for c, vector in zip(coeffs, vectors):
+            if c:
+                linalg._axpy(combination, c, vector)
+        out.append(_vector_field(fields[0].dim, combination))
+    return out
 
 
 # -- span algebra on vector fields -----------------------------------------
-
-
-def _field_vector(X: VectorField) -> dict:
-    """X as a sparse vector keyed by (component, exponent)."""
-    return {(a, exp): c for a, comp in enumerate(X.components) for exp, c in comp.terms.items()}
-
-
-def _vector_field(d: int, vector: dict) -> VectorField:
-    comps = [dict() for _ in range(d + 1)]
-    for (a, exp), c in vector.items():
-        comps[a][exp] = c
-    return VectorField(d, [Poly(d, c) for c in comps])
 
 
 def _span(fields: Iterable[VectorField]) -> linalg.Echelon:
@@ -488,11 +484,13 @@ class ClosureReport:
 
 def _bracket_expansions(fields: Sequence[VectorField]):
     """(i, j, coeffs, remainder) for each pair i < j: the bracket of fields
-    i and j reduced against one factorization of their span."""
+    i and j, computed from their term lists, reduced against one
+    factorization of their span."""
     span = _span(fields)
+    terms = [_bracket_terms(X) for X in fields]
     for i in range(len(fields)):
         for j in range(i + 1, len(fields)):
-            coeffs, remainder = span.reduce(_field_vector(lie_bracket(fields[i], fields[j])))
+            coeffs, remainder = span.reduce(_bracket_vector(terms[i], terms[j]))
             yield i, j, coeffs, remainder
 
 
@@ -667,7 +665,7 @@ def _presented(
     fields = [X for _, X in named]
     if len(fields) != len(raw) or not span_equal(raw, fields):
         raise AssertionError(f"{family}: presentation does not match the solved span")
-    if any(_conformal_pair(X) is None for X in fields):
+    if _residual_rows(fields, res_conformal):
         raise AssertionError("emitted generator is not a conformal field")
     return AlgebraBasis(
         family=family,
@@ -918,6 +916,7 @@ def restrict_cnc_z(basis: AlgebraBasis, z) -> list[VectorField]:
     conformal solver with the same degree bound)."""
     if basis.family != "cnc":
         raise ValueError("restriction expects the lightlike family")
+    z = _check_z(z)
     return restrict_span(basis.generators, lambda X: res_exponent(X, z))
 
 

@@ -113,11 +113,13 @@ def test_parse_z():
 def test_every_z_entry_point_rejects_a_nonpositive_exponent(z):
     expanded = solve_sch_expanded(2)
     c1, c2 = solve_cmil_flat(2)
+    cnc = solver._cnc_basis(2, 1)
     calls = [
         lambda: solve_cgal_z(2, z, 1),
         lambda: restrict_sch_z(expanded, z),
         lambda: restrict_sch_z(c2, z),
         lambda: restrict_cmil_z(c1, z),
+        lambda: restrict_cnc_z(cnc, z),
         lambda: solver.alt_candidate(2, 1, z),
         lambda: alt_obstruction_coefficient(2, 1, z),
         lambda: alt_closure_scan(2, 1, [z]),
