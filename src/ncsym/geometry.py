@@ -269,21 +269,14 @@ def coriolis_from_observer(nc: NCStructure, obs: Observer) -> TwoForm:
 
 
 def vary_connection(
-    base: GalileiStructure,
-    obs: Observer,
-    F: TwoForm,
-    f: Poly,
-    g: Poly,
-    lightlike: bool = False,
+    base: GalileiStructure, obs: Observer, F: TwoForm, f: Poly, g: Poly
 ) -> Connection:
-    """Variation of the connection under the rescaling (f gamma, g theta).
-
-    General form (four terms):
+    """Variation of the connection under the rescaling (f gamma, g theta):
       dGamma^c_ab = -delta^c_(a d_b) f + U^c theta_(a d_b)(f+g)
                     + 1/2 (gamma^ck d_k f) Ugam_ab
-                    + (f+g) gamma^ck theta_(a F_b)k
-    With ``lightlike=True`` f must depend on t alone and the gradient
-    term collapses, giving
+                    + (f+g) gamma^ck theta_(a F_b)k.
+    When f and g depend on t alone, d_b f = f' theta_b and
+    gamma^ck d_k f = 0 on the flat chart, so this is the lightlike form
       dGamma^c_ab = -f' delta^c_(a theta_b) + (f'+g') U^c theta_a theta_b
                     + (f+g) gamma^ck theta_(a F_b)k.
     """
@@ -294,27 +287,6 @@ def vary_connection(
     half = Fraction(1, 2)
     fg = f + g
     comp = [[[Poly.zero(d) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-
-    if lightlike:
-        if any(f.depends_on(a) for a in range(1, n)):
-            raise ValueError("lightlike form requires f to be a function of t alone")
-        fp = f.differentiate(0)
-        fgp = fg.differentiate(0)
-        for c in range(n):
-            for a in range(n):
-                for b in range(a, n):
-                    delta_ca = Poly.const(d, 1) if c == a else Poly.zero(d)
-                    delta_cb = Poly.const(d, 1) if c == b else Poly.zero(d)
-                    val = -(delta_ca * base.theta[b] + delta_cb * base.theta[a]) * half * fp
-                    val = val + fgp * obs.U[c] * base.theta[a] * base.theta[b]
-                    for k in range(n):
-                        val = val + fg * base.gamma[c, k] * (
-                            base.theta[a] * F[b, k] + base.theta[b] * F[a, k]
-                        ) * half
-                    comp[c][a][b] = val
-                    comp[c][b][a] = val
-        return Connection(d, comp)
-
     ug = observer_cometric(base, obs)
     for c in range(n):
         for a in range(n):

@@ -324,7 +324,6 @@ class Connection:
     @classmethod
     def from_obj(cls, obj) -> "Connection":
         d = obj["dim"]
-        out = cls.zero(d)
         comp = [[[Poly.zero(d) for _ in range(d + 1)] for _ in range(d + 1)] for _ in range(d + 1)]
         for e in obj["entries"]:
             c, a, b = e["index"]
@@ -394,70 +393,67 @@ def lie_bracket(X: VectorField, Y: VectorField) -> VectorField:
     return _vector_field(d, _bracket_vector(_bracket_terms(X), _bracket_terms(Y)))
 
 
+def _lie_derive(X: VectorField, upper: int, T, indices) -> dict:
+    """L_X of a tensor whose first ``upper`` slots are contravariant and
+    the rest covariant, at each index tuple of ``indices``:
+      X^k d_k T(..) - d_k X^i T(..k..) for each upper slot i
+                    + d_i X^k T(..k..) for each lower slot i.
+    ``T`` maps an index tuple to its component; returns {tuple: Poly}."""
+    n = X.dim + 1
+    dX = [[X[a].differentiate(b) for b in range(n)] for a in range(n)]  # d_b X^a
+    coefs = (
+        [[-p for p in row] for row in dX],  # upper slot i, summed k: -d_k X^i
+        [list(col) for col in zip(*dX)],  # lower slot i, summed k: d_i X^k
+    )
+    out = {}
+    for idx in indices:
+        val = X.apply(T(idx))
+        for slot, i in enumerate(idx):
+            row = coefs[slot >= upper][i]
+            for k in range(n):
+                if not row[k].is_zero():
+                    val = val + row[k] * T(idx[:slot] + (k,) + idx[slot + 1:])
+        out[idx] = val
+    return out
+
+
 def lie_derive_sym2up(X: VectorField, G: SymTensor2Up) -> SymTensor2Up:
     """L_X gamma^{ab} = X^c d_c gamma^{ab} - 2 d_c X^(a gamma^b)c."""
     d = _check_same_dim(X.dim, G.dim)
     n = d + 1
-    out = [[Poly.zero(d) for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            val = X.apply(G[a, b])
-            for c in range(n):
-                val = val - X[a].differentiate(c) * G[b, c] - X[b].differentiate(c) * G[a, c]
-            out[a][b] = val
-            out[b][a] = val
-    return SymTensor2Up(d, out)
+    lg = _lie_derive(X, 2, G.__getitem__, [(a, b) for a in range(n) for b in range(a, n)])
+    return SymTensor2Up(d, [[lg[min(a, b), max(a, b)] for b in range(n)] for a in range(n)])
 
 
 def lie_derive_one_form(X: VectorField, w: OneForm) -> OneForm:
     """L_X w_a = X^b d_b w_a + w_b d_a X^b."""
     d = _check_same_dim(X.dim, w.dim)
-    comps = []
-    for a in range(d + 1):
-        val = X.apply(w[a])
-        for b in range(d + 1):
-            val = val + w[b] * X[b].differentiate(a)
-        comps.append(val)
-    return OneForm(d, comps)
+    return OneForm(d, _lie_derive(X, 0, lambda i: w[i[0]], [(a,) for a in range(d + 1)]).values())
 
 
 def lie_derive_structure(X: VectorField, gamma: SymTensor2Up, theta: OneForm):
-    """Lie derivatives of a Galilei pair; theta must be closed, for which
-    L_X theta_a = d_a(theta_b X^b)."""
-    d = _check_same_dim(X.dim, gamma.dim, theta.dim)
-    pairing = theta.pair(X)
-    dtheta = OneForm(d, [pairing.differentiate(a) for a in range(d + 1)])
-    return lie_derive_sym2up(X, gamma), dtheta
+    """(L_X gamma, L_X theta) of a Galilei pair."""
+    return lie_derive_sym2up(X, gamma), lie_derive_one_form(X, theta)
 
 
 def lie_derive_two_form(X: VectorField, F: TwoForm) -> TwoForm:
     """L_X F_ab = X^c d_c F_ab + F_cb d_a X^c + F_ac d_b X^c."""
     d = _check_same_dim(X.dim, F.dim)
-    entries = {}
-    for a in range(d + 1):
-        for b in range(a + 1, d + 1):
-            val = X.apply(F[a, b])
-            for c in range(d + 1):
-                val = val + F[c, b] * X[c].differentiate(a) + F[a, c] * X[c].differentiate(b)
-            entries[(a, b)] = val
-    return TwoForm.from_upper(d, entries)
+    n = d + 1
+    return TwoForm.from_upper(
+        d, _lie_derive(X, 0, F.__getitem__, [(a, b) for a in range(n) for b in range(a + 1, n)])
+    )
 
 
 def lie_derive_connection(X: VectorField, G: Connection) -> Connection:
-    """L_X Gamma^c_ab; reduces to d_a d_b X^c on a flat chart."""
+    """L_X Gamma^c_ab, the (1,2)-tensor formula plus d_a d_b X^c; reduces
+    to d_a d_b X^c on a flat chart."""
     d = _check_same_dim(X.dim, G.dim)
     n = d + 1
-    out = [[[Poly.zero(d) for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for c in range(n):
-        for a in range(n):
-            for b in range(a, n):
-                val = X.apply(G[c, a, b]) + X[c].differentiate(a).differentiate(b)
-                for k in range(n):
-                    val = val - G[k, a, b] * X[c].differentiate(k)
-                    val = val + G[c, k, b] * X[k].differentiate(a)
-                    val = val + G[c, a, k] * X[k].differentiate(b)
-                out[c][a][b] = val
-                out[c][b][a] = val
+    indices = [(c, a, b) for c in range(n) for a in range(n) for b in range(a, n)]
+    out = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for (c, a, b), val in _lie_derive(X, 1, G.__getitem__, indices).items():
+        out[c][a][b] = out[c][b][a] = val + X[c].differentiate(a).differentiate(b)
     return Connection(d, out)
 
 
@@ -538,39 +534,15 @@ def lie_derive_gamma_theta_power(X: VectorField, gamma: SymTensor2Up, theta: One
     from itertools import product as iproduct
 
     d = _check_same_dim(X.dim, gamma.dim, theta.dim)
-    n = d + 1
 
-    def T(a, b, cs):
-        val = gamma[a, b]
-        for c in cs:
+    def T(idx):
+        val = gamma[idx[0], idx[1]]
+        for c in idx[2:]:
             val = val * theta[c]
         return val
 
-    out = {}
-    for a in range(n):
-        for b in range(n):
-            for cs in iproduct(range(n), repeat=ncov):
-                val = Poly.zero(d)
-                for k in range(n):
-                    transport = gamma[a, b].differentiate(k)
-                    for c in cs:
-                        transport = transport * theta[c]
-                    for i in range(ncov):
-                        term = gamma[a, b] * theta[cs[i]].differentiate(k)
-                        for j, c in enumerate(cs):
-                            if j != i:
-                                term = term * theta[c]
-                        transport = transport + term
-                    val = val + X[k] * transport
-                    val = val - X[a].differentiate(k) * T(k, b, cs)
-                    val = val - X[b].differentiate(k) * T(a, k, cs)
-                    for i in range(ncov):
-                        swapped = list(cs)
-                        swapped[i] = k
-                        val = val + X[k].differentiate(cs[i]) * T(a, b, tuple(swapped))
-                if not val.is_zero():
-                    out[(a, b) + cs] = val
-    return out
+    out = _lie_derive(X, 2, T, iproduct(range(d + 1), repeat=ncov + 2))
+    return {idx: val for idx, val in out.items() if not val.is_zero()}
 
 
 # ---------------------------------------------------------------------------

@@ -253,13 +253,39 @@ def test_vary_connection_timelike_branch():
                 assert out[c, a, b] == expect
 
 
+def _lightlike_form(base, obs, F, f, g):
+    """-f' delta^c_(a theta_b) + (f'+g') U^c theta_a theta_b
+    + (f+g) gamma^ck theta_(a F_b)k, for f and g functions of t."""
+    d = base.dim
+    n = d + 1
+    half = Fraction(1, 2)
+    fp = f.differentiate(0)
+    fgp = (f + g).differentiate(0)
+    out = {}
+    for c in range(n):
+        for a in range(n):
+            for b in range(n):
+                val = fgp * obs.U[c] * base.theta[a] * base.theta[b]
+                if c == a:
+                    val = val - fp * base.theta[b] * half
+                if c == b:
+                    val = val - fp * base.theta[a] * half
+                for k in range(n):
+                    val = val + (f + g) * base.gamma[c, k] * (
+                        base.theta[a] * F[b, k] + base.theta[b] * F[a, k]
+                    ) * half
+                out[(c, a, b)] = val
+    return out
+
+
 def test_vary_connection_lightlike_branch():
-    # f' + g' = 0 leaves -f' delta^c_(a theta_b)
+    # f' + g' = 0 leaves -f' delta^c_(a theta_b), the paper's lightlike form
     d = 3
     base = flat_galilei(d)
     f = Poly.t(d) * 3
     g = Poly.t(d) * (-3) + Poly.const(d, 1)
-    out = vary_connection(base, rest_observer(d), TwoForm.zero(d), f, g, lightlike=True)
+    U = rest_observer(d)
+    out = vary_connection(base, U, TwoForm.zero(d), f, g)
     fp = f.differentiate(0)
     half = Fraction(1, 2)
     for c in range(4):
@@ -271,42 +297,51 @@ def test_vary_connection_lightlike_branch():
                 if c == b:
                     expect = expect - fp * base.theta[a] * half
                 assert out[c, a, b] == expect
+    assert _lightlike_form(base, U, TwoForm.zero(d), f, g) == {
+        (c, a, b): out[c, a, b] for c in range(4) for a in range(4) for b in range(4)
+    }
 
 
-def test_vary_connection_lightlike_matches_general_for_time_f(rng):
+def _random_time_poly(rng, d, degree=3):
+    t = Poly.t(d)
+    return sum(
+        (t ** k * Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for k in range(degree + 1)),
+        Poly.zero(d),
+    )
+
+
+def test_vary_connection_reduces_to_lightlike_form_for_time_factors(rng):
+    # f = f(t), g = g(t): d_b f = f' theta_b and gamma^ck d_k f = 0 collapse
+    # the general form onto the lightlike one, for any observer and closed F
+    for d in (2, 3):
+        base = flat_galilei(d)
+        n = d + 1
+        for _ in range(4):
+            U = Observer(
+                VectorField(d, [Poly.const(d, 1)] + [random_poly(rng, d, 2, 3) for _ in range(d)])
+            )
+            assert not U.is_constant()
+            F = _closed_two_form(rng, d)
+            assert not F.is_zero()
+            f, g = _random_time_poly(rng, d), _random_time_poly(rng, d)
+            out = vary_connection(base, U, F, f, g)
+            assert _lightlike_form(base, U, F, f, g) == {
+                (c, a, b): out[c, a, b] for c in range(n) for a in range(n) for b in range(n)
+            }
+
+
+def test_vary_connection_rejects_a_non_flat_base():
+    # theta = dt with gamma = diag(0, 2, 1, 1) is a Galilei pair off the flat chart
+    from ncsym.lie import SymTensor2Up
+
     d = 3
-    base = flat_galilei(d)
-    U = constant_observer(d, [1, 0, 2])
-    F = _closed_two_form(rng, d, deg=1)
-    f = Poly.t(d) * Fraction(3, 2) + Poly.const(d, 1)
-    g = Poly.t(d) * Poly.t(d)
-    a = vary_connection(base, U, F, f, g)
-    b = vary_connection(base, U, F, f, g, lightlike=True)
-    # for f = f(t) the gradient term collapses onto the theta theta term
-    n = d + 1
-    diff_entries = []
-    for c in range(n):
-        for i in range(n):
-            for j in range(n):
-                if a[c, i, j] != b[c, i, j]:
-                    diff_entries.append((c, i, j))
-    # they differ exactly by the gradient term's time components
-    fp = f.differentiate(0)
-    for c, i, j in diff_entries:
-        assert i == 0 and j == 0
-    # and agree entirely once that term is accounted for: check c spatial
-    ug = observer_cometric(base, U)
-    half = Fraction(1, 2)
-    for c, i, j in diff_entries:
-        grad = Poly.zero(d)
-        for k in range(n):
-            grad = grad + base.gamma[c, k] * f.differentiate(k)
-        gap = grad * ug[i][j] * half - fp.differentiate(0) * 0  # explicit term
-        fgp = (f + g).differentiate(0)
-        drop = fgp * U.U[c] * base.theta[i] * base.theta[j] - (
-            (f + g).differentiate(j) * base.theta[i] + (f + g).differentiate(i) * base.theta[j]
-        ) * U.U[c] * half
-        assert a[c, i, j] - b[c, i, j] == gap + drop
+    z, one = Poly.zero(d), Poly.const(d, 1)
+    diag = [z, Poly.const(d, 2), one, one]
+    gamma = SymTensor2Up(d, [[diag[a] if a == b else z for b in range(4)] for a in range(4)])
+    base = GalileiStructure(d, gamma, OneForm(d, [one, z, z, z]))
+    t = Poly.t(d)
+    with pytest.raises(ValueError):
+        vary_connection(base, rest_observer(d), TwoForm.zero(d), t, t * t)
 
 
 def test_vary_connection_rejects_spatial_g():
@@ -314,10 +349,6 @@ def test_vary_connection_rejects_spatial_g():
     base = flat_galilei(d)
     with pytest.raises(ValueError):
         vary_connection(base, rest_observer(d), TwoForm.zero(d), Poly.zero(d), Poly.x(d, 1))
-    with pytest.raises(ValueError):
-        vary_connection(
-            base, rest_observer(d), TwoForm.zero(d), Poly.x(d, 1), Poly.zero(d), lightlike=True
-        )
 
 
 def test_observer_must_be_unit():
@@ -357,7 +388,7 @@ def test_variation_formula_matches_lie_transport_timelike():
 
 
 def test_variation_formula_matches_lie_transport_lightlike():
-    # same check on the lightlike branch, using each generator's own
+    # same check on the lightlike family, using each generator's own
     # exact gauge witness where one exists
     from ncsym.lie import conformal_factors, lie_derive_connection
     from ncsym.solver import solve_cnc_flat
@@ -370,9 +401,7 @@ def test_variation_formula_matches_lie_transport_lightlike():
         if w is None:
             continue
         f, g = conformal_factors(X, base.gamma, base.theta)
-        via_variation = vary_connection(
-            base, w.observer, w.coriolis, f, g, lightlike=True
-        )
+        via_variation = vary_connection(base, w.observer, w.coriolis, f, g)
         via_transport = lie_derive_connection(X, Connection.zero(d))
         assert (via_variation - via_transport).is_zero()
         checked += 1

@@ -93,6 +93,10 @@ GOLDEN = [
      "f51db22f2a40aa8fb2f715ef7f008881b8de5cc878eaf61c89526170c1ae8afb"),
     ("rep-check --rep cga --d 3",
      "7f0619c0958faea5954bc05f1f9aed609b47a49a2d423697e1c28f162e3c9c4e"),
+    ("em-check",
+     "afdd46b3beb5ceefdf327352bb0c57668cc428d2a739ee6f51f17ae84bd8cdc7"),
+    ("em-check --negative-control",
+     "afdd46b3beb5ceefdf327352bb0c57668cc428d2a739ee6f51f17ae84bd8cdc7"),
 ]
 
 

@@ -256,3 +256,169 @@ def test_gamma_theta_power_weights():
 def test_dimension_mismatch_raises():
     with pytest.raises(ValueError):
         lie_bracket(time_translation(2), time_translation(3))
+
+
+# -- the tensor Lie-derivative adapters against hand-written formulas -------
+
+
+def _oracle_sym2up(X, G):
+    n = X.dim + 1
+    out = [[Poly.zero(X.dim) for _ in range(n)] for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            val = X.apply(G[a, b])
+            for c in range(n):
+                val = val - X[a].differentiate(c) * G[b, c] - X[b].differentiate(c) * G[a, c]
+            out[a][b] = out[b][a] = val
+    return out
+
+
+def _oracle_one_form(X, w):
+    n = X.dim + 1
+    out = []
+    for a in range(n):
+        val = X.apply(w[a])
+        for b in range(n):
+            val = val + w[b] * X[b].differentiate(a)
+        out.append(val)
+    return out
+
+
+def _oracle_two_form(X, F):
+    n = X.dim + 1
+    out = {}
+    for a in range(n):
+        for b in range(a + 1, n):
+            val = X.apply(F[a, b])
+            for c in range(n):
+                val = val + F[c, b] * X[c].differentiate(a) + F[a, c] * X[c].differentiate(b)
+            out[(a, b)] = val
+    return out
+
+
+def _oracle_connection(X, G):
+    n = X.dim + 1
+    out = {}
+    for c in range(n):
+        for a in range(n):
+            for b in range(n):
+                val = X.apply(G[c, a, b]) + X[c].differentiate(a).differentiate(b)
+                for k in range(n):
+                    val = val - G[k, a, b] * X[c].differentiate(k)
+                    val = val + G[c, k, b] * X[k].differentiate(a)
+                    val = val + G[c, a, k] * X[k].differentiate(b)
+                out[(c, a, b)] = val
+    return out
+
+
+def _oracle_gamma_theta_power(X, gamma, theta, ncov):
+    from itertools import product
+
+    n = X.dim + 1
+
+    def T(a, b, cs):
+        val = gamma[a, b]
+        for c in cs:
+            val = val * theta[c]
+        return val
+
+    out = {}
+    for a in range(n):
+        for b in range(n):
+            for cs in product(range(n), repeat=ncov):
+                val = Poly.zero(X.dim)
+                for k in range(n):
+                    transport = gamma[a, b].differentiate(k)
+                    for c in cs:
+                        transport = transport * theta[c]
+                    for i in range(ncov):
+                        term = gamma[a, b] * theta[cs[i]].differentiate(k)
+                        for j, c in enumerate(cs):
+                            if j != i:
+                                term = term * theta[c]
+                        transport = transport + term
+                    val = val + X[k] * transport
+                    val = val - X[a].differentiate(k) * T(k, b, cs)
+                    val = val - X[b].differentiate(k) * T(a, k, cs)
+                    for i in range(ncov):
+                        swapped = list(cs)
+                        swapped[i] = k
+                        val = val + X[k].differentiate(cs[i]) * T(a, b, tuple(swapped))
+                if not val.is_zero():
+                    out[(a, b) + cs] = val
+    return out
+
+
+def _random_sym2up(rng, d):
+    from ncsym.lie import SymTensor2Up
+
+    n = d + 1
+    comp = [[None] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            comp[a][b] = comp[b][a] = random_poly(rng, d, max_degree=2, terms=2)
+    return SymTensor2Up(d, comp)
+
+
+def _random_one_form(rng, d):
+    return OneForm(d, [random_poly(rng, d, max_degree=2, terms=2) for _ in range(d + 1)])
+
+
+def _random_connection(rng, d):
+    n = d + 1
+    comp = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for c in range(n):
+        for a in range(n):
+            for b in range(a, n):
+                comp[c][a][b] = comp[c][b][a] = random_poly(rng, d, max_degree=2, terms=2)
+    return Connection(d, comp)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_tensor_lie_derivatives_match_hand_formulas(rng, d):
+    from ncsym.lie import lie_derive_sym2up
+
+    n = d + 1
+    for _ in range(4):
+        X = _random_field(rng, d, max_degree=3)
+        G = _random_sym2up(rng, d)
+        assert lie_derive_sym2up(X, G).comp == _oracle_sym2up(X, G)
+        w = _random_one_form(rng, d)
+        assert list(lie_derive_one_form(X, w).components) == _oracle_one_form(X, w)
+        F = exterior_derivative_one_form(_random_one_form(rng, d)) + TwoForm.from_upper(
+            d, {(0, 1): random_poly(rng, d, max_degree=2, terms=2)}
+        )
+        LF = lie_derive_two_form(X, F)
+        for (a, b), val in _oracle_two_form(X, F).items():
+            assert LF[a, b] == val and LF[b, a] == -val
+        C = _random_connection(rng, d)
+        LC = lie_derive_connection(X, C)
+        for (c, a, b), val in _oracle_connection(X, C).items():
+            assert LC[c, a, b] == val
+    for ncov in (1, 2):
+        X = _random_field(rng, d, max_degree=2)
+        gamma = _random_sym2up(rng, d)
+        theta = OneForm(d, [random_poly(rng, d, max_degree=1, terms=2) for _ in range(n)])
+        expect = _oracle_gamma_theta_power(X, gamma, theta, ncov)
+        assert expect
+        assert lie_derive_gamma_theta_power(X, gamma, theta, ncov) == expect
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_lie_derive_structure_on_closed_and_open_theta(rng, d):
+    from ncsym.lie import lie_derive_sym2up
+
+    for _ in range(6):
+        X = _random_field(rng, d, max_degree=3)
+        gamma = _random_sym2up(rng, d)
+        h = random_poly(rng, d, max_degree=3, terms=4)
+        closed = OneForm(d, [h.differentiate(a) for a in range(d + 1)])
+        lg, lt = lie_derive_structure(X, gamma, closed)
+        assert lg.comp == lie_derive_sym2up(X, gamma).comp
+        pairing = closed.pair(X)
+        assert list(lt.components) == [pairing.differentiate(a) for a in range(d + 1)]
+        theta = _random_one_form(rng, d)
+        assert not exterior_derivative_one_form(theta).is_zero()
+        _, lt = lie_derive_structure(X, gamma, theta)
+        assert list(lt.components) == list(lie_derive_one_form(X, theta).components)
+        assert list(lt.components) == _oracle_one_form(X, theta)
