@@ -2,7 +2,10 @@
 
 Numeric layer (float64).  Trajectories use fixed-step RK4 with
 compensated state accumulation so that conserved-quantity drift over
-10^4 steps stays at round-off level.  Differential forms are evaluated
+10^4 steps stays at round-off level.  Right-hand sides take the state
+as a list of floats; the RK4 step (per state length) and the geodesic
+right-hand side (per connection) run as generated straight-line source
+whose only literals are integers.  Differential forms are evaluated
 as bilinear pairings at points, never stored symbolically; the spin
 sphere is handled as an embedded unit vector with per-step
 renormalization.
@@ -10,6 +13,8 @@ renormalization.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass, fields, replace
 
@@ -32,17 +37,51 @@ EPS_UNIT = 1e-12
 MAX_STEPS = 10**6
 
 
-def _as_floats(k):
-    return k.tolist() if isinstance(k, np.ndarray) else k
+def _names(fmt: str, n: int) -> str:
+    return ", ".join(fmt.format(j) for j in range(n))
+
+
+@functools.lru_cache(maxsize=None)
+def _rk4_kernel(n: int):
+    """The RK4 loop for states of length n, unrolled into locals y0..y{n-1}
+    (state) and c0..c{n-1} (Kahan carry), one statement per component.
+    The source holds only identifiers and integer literals; the float
+    constants are bound by name."""
+    y = _names("y{}", n)
+    src = [
+        "def kernel(rhs, out, state, h, steps):",
+        f"    [{y}] = state",
+        f"    [{_names('c{}', n)}] = [{_names('ZERO', n)}]",
+        "    hh = HALF * h",
+        "    h6 = h / SIX",
+        "    t = ZERO",
+        "    for i in range(1, steps + 1):",
+        f"        [{_names('p{}', n)}] = rhs(t, [{y}])",
+        f"        [{_names('q{}', n)}] = rhs(t + hh, [{_names('y{0} + hh * p{0}', n)}])",
+        f"        [{_names('r{}', n)}] = rhs(t + hh, [{_names('y{0} + hh * q{0}', n)}])",
+        f"        [{_names('s{}', n)}] = rhs(t + h, [{_names('y{0} + h * r{0}', n)}])",
+    ]
+    for j in range(n):
+        src += [
+            f"        add = h6 * (p{j} + TWO * q{j} + TWO * r{j} + s{j}) + c{j}",
+            f"        b = y{j} + add",
+            f"        c{j} = add - (b - y{j})",
+            f"        y{j} = b",
+        ]
+    src += ["        t = i * h", f"        out[i] = [{y}]"]
+    env = {"ZERO": 0.0, "HALF": 0.5, "TWO": 2.0, "SIX": 6.0}
+    exec("\n".join(src), env)
+    return env["kernel"]
 
 
 def rk4(rhs, y0, h, steps):
     """Fixed-step RK4 with Kahan-compensated accumulation of the state.
 
-    ``rhs(t, y)`` receives a 1-D float64 array and returns any length-n
-    float sequence.  The state is carried between stages as Python
-    floats; each operation rounds exactly as the elementwise array form.
-    Returns the (steps+1, len(y0)) trajectory array.
+    ``rhs(t, y)`` receives the state as a list of floats and returns any
+    length-n sequence.  Steps run in the unrolled kernel for len(y0), each
+    component rounding exactly as the elementwise array form.  Returns the
+    (steps+1, len(y0)) trajectory array; a non-finite state is a
+    ``ValueError`` naming its first step.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step size must be finite and positive, got {h}")
@@ -53,59 +92,35 @@ def rk4(rhs, y0, h, steps):
     y0 = np.array(y0, dtype=float)
     out = np.empty((steps + 1, y0.size))
     out[0] = y0
-    y = y0.tolist()
-    carry = [0.0] * len(y)
-    hh = 0.5 * h
-    h6 = h / 6.0
-    t = 0.0
-    for i in range(1, steps + 1):
-        k1 = _as_floats(rhs(t, np.array(y)))
-        k2 = _as_floats(rhs(t + hh, np.array([a + hh * b for a, b in zip(y, k1, strict=True)])))
-        k3 = _as_floats(rhs(t + hh, np.array([a + hh * b for a, b in zip(y, k2, strict=True)])))
-        k4 = _as_floats(rhs(t + h, np.array([a + h * b for a, b in zip(y, k3, strict=True)])))
-        new = []
-        next_carry = []
-        for a, c, q1, q2, q3, q4 in zip(y, carry, k1, k2, k3, k4, strict=True):
-            add = h6 * (q1 + 2.0 * q2 + 2.0 * q3 + q4) + c
-            b = a + add
-            new.append(b)
-            next_carry.append(add - (b - a))
-        y = new
-        carry = next_carry
-        t = i * h
-        out[i] = y
+    _rk4_kernel(y0.size)(rhs, out, y0.tolist(), h, steps)
+    if not np.isfinite(out).all():
+        step = int(np.argmin(np.isfinite(out).all(axis=1)))
+        raise ValueError(f"RK4 state is not finite at step {step} (step size {h})")
     return out
 
 
-def _poly_terms(p: Poly) -> list:
-    """Float term list of a polynomial: (coefficient, [(variable, exponent)
-    for nonzero exponents in increasing variable order]) in ``p.terms``
-    order, so that ``_evaluate_terms`` rounds exactly as ``Poly.evaluate``
-    at a float point."""
-    return [(float(c), [(i, e) for i, e in enumerate(exp) if e]) for exp, c in p.terms.items()]
-
-
-def _evaluate_terms(terms: list, x: list) -> float:
-    total = 0.0
-    for coef, powers in terms:
-        term = coef
-        for i, e in powers:
-            term *= x[i] ** e
-        total += term
-    return total
-
-
-def _connection_table(conn: Connection) -> list:
-    """One row (c, a, b, terms) per nonzero Gamma^c_ab in (c, a, b) order;
-    the symmetric pair (c, a, b) / (c, b, a) stays two rows."""
+def _geodesic_rhs(conn: Connection):
+    """(x, v) -> (v, -Gamma^c_ab(x) v^a v^b) as straight-line code, one
+    statement per nonzero Gamma^c_ab in (c, a, b) order, each summed from
+    0.0 in ``Poly.evaluate``'s term order and subtracted from its
+    accumulator, so it rounds exactly as that method at float points.
+    Coefficients are bound by name, leaving only integer literals."""
     n = conn.dim + 1
-    return [
-        (c, a, b, _poly_terms(conn[c, a, b]))
-        for c in range(n)
-        for a in range(n)
-        for b in range(n)
-        if not conn[c, a, b].is_zero()
-    ]
+    x, v, g = _names("x{}", n), _names("v{}", n), _names("g{}", n)
+    env = {"ZERO": 0.0}
+    src = ["def rhs(_t, y):", f"    [{x}, {v}] = y", f"    [{g}] = [{_names('ZERO', n)}]"]
+    for c, a, b in itertools.product(range(n), repeat=3):
+        total = ["ZERO"]
+        for exp, coef in conn[c, a, b].terms.items():
+            name = f"k{len(env)}"
+            env[name] = float(coef)
+            powers = [f"x{i} ** {e}" if e > 1 else f"x{i}" for i, e in enumerate(exp) if e]
+            total.append(" * ".join([name, *powers]))
+        if len(total) > 1:
+            src.append(f"    g{c} -= ({' + '.join(total)}) * v{a} * v{b}")
+    src.append(f"    return [{v}, {g}]")
+    exec("\n".join(src), env)
+    return env["rhs"]
 
 
 def integrate_geodesic(conn: Connection, x0, xdot0, h, steps):
@@ -115,23 +130,9 @@ def integrate_geodesic(conn: Connection, x0, xdot0, h, steps):
     time-velocity class ('timelike' for xdot^0 != 0, else 'lightlike',
     preserved exactly when the connection has no time components).
     """
-    d = conn.dim
-    n = d + 1
-    table = _connection_table(conn)
-
-    def rhs(_t, y):
-        y = y.tolist()
-        x = y[:n]
-        v = y[n:]
-        acc = [0.0] * n
-        for c, a, b, terms in table:
-            acc[c] -= _evaluate_terms(terms, x) * v[a] * v[b]
-        return v + acc
-
-    y0 = np.concatenate([np.array(x0, float), np.array(xdot0, float)])
-    traj = rk4(rhs, y0, h, steps)
-    tclass = "timelike" if abs(y0[n]) > 0 else "lightlike"
-    return {"trajectory": traj, "tdot_class": tclass, "dim": d, "h": h}
+    traj = rk4(_geodesic_rhs(conn), [*x0, *xdot0], h, steps)
+    tclass = "timelike" if abs(traj[0, conn.dim + 1]) > 0 else "lightlike"
+    return {"trajectory": traj, "tdot_class": tclass, "dim": conn.dim, "h": h}
 
 
 # ---------------------------------------------------------------------------
@@ -598,16 +599,16 @@ def inverse_square_trajectory(m: float, c: float, x0, v0, h: float, steps: int):
     trajectory and the (E, D, K) series."""
 
     def rhs(_t, y):
+        y = np.asarray(y)
         x = y[:3]
         v = y[3:]
         r2 = float(x @ x)
         if r2 < R_MIN**2:
             raise ValueError("trajectory entered the r_min ball")
         acc = (2.0 * c / (m * r2 * r2)) * x
-        return np.concatenate([v, acc])
+        return np.concatenate([v, acc]).tolist()
 
-    y0 = np.concatenate([np.array(x0, float), np.array(v0, float)])
-    traj = rk4(rhs, y0, h, steps)
+    traj = rk4(rhs, [*x0, *v0], h, steps)
     times = h * np.arange(steps + 1)
     xs = traj[:, :3]
     vs = traj[:, 3:]
@@ -618,14 +619,12 @@ def inverse_square_trajectory(m: float, c: float, x0, v0, h: float, steps: int):
 
 def harmonic_trajectory(m: float, k: float, x0, v0, h: float, steps: int):
     """Same series for U = 1/2 k |x|^2 (degree +2 control: D must drift)."""
+    w = -(k / m)
 
     def rhs(_t, y):
-        x = y[:3]
-        v = y[3:]
-        return np.concatenate([v, -(k / m) * x])
+        return y[3:] + [w * q for q in y[:3]]
 
-    y0 = np.concatenate([np.array(x0, float), np.array(v0, float)])
-    traj = rk4(rhs, y0, h, steps)
+    traj = rk4(rhs, [*x0, *v0], h, steps)
     times = h * np.arange(steps + 1)
     xs = traj[:, :3]
     vs = traj[:, 3:]

@@ -172,6 +172,7 @@ def test_console_entry_point():
         ["solve", "--family", "sch", "--d", "2", "--deg-t", "3"],
         ["bracket-table", "--family", "gal", "--d", "2", "--z", "2"],
         ["solve", "--family", "sch", "--d", "2", "--z", ""],
+        ["geodesic", "--model", "harmonic", "--steps", "10", "--h", "1e300"],
     ],
 )
 def test_bad_domain_input_is_a_domain_error(args, capsys):

@@ -1,9 +1,10 @@
-"""Byte identity of the exact subcommands' stdout, pinned by sha256.
+"""Byte identity of the subcommands' stdout, pinned by sha256.
 
 Each digest is of the stdout of ``ncsym.cli.main`` run in process on the
 command's arguments.  A change to the solver that alters a single byte of
 a report (a generator's coefficients, the label order, the structure
-constants) fails here.
+constants) fails here, and so does a change to the RK4 integrator that
+moves a geodesic's final state or its ``--out`` CSV by one bit.
 """
 
 import hashlib
@@ -97,10 +98,22 @@ GOLDEN = [
      "afdd46b3beb5ceefdf327352bb0c57668cc428d2a739ee6f51f17ae84bd8cdc7"),
     ("em-check --negative-control",
      "afdd46b3beb5ceefdf327352bb0c57668cc428d2a739ee6f51f17ae84bd8cdc7"),
+    ("geodesic --model harmonic --steps 20000",
+     "bea07c373bd601333604cd040e9118ccee2094db4f25b54ed7b58e0112f507d4"),
+    ("geodesic --model free --steps 20000",
+     "fe405609652dc2dfab79261cbb15449c5a3cf679c3b73fbdcecf5fac84b5ae83"),
 ]
+
+GEODESIC_CSV = "0c65df96e8dc00cf20fd48231069f751109614054d1fa19c247b95d991909668"
 
 
 @pytest.mark.parametrize("command, digest", GOLDEN, ids=[c for c, _ in GOLDEN])
 def test_stdout_digest(command, digest, capsys):
     assert main(command.split()) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_geodesic_csv_digest(tmp_path):
+    out = tmp_path / "traj.csv"
+    assert main(["geodesic", "--model", "harmonic", "--steps", "5000", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == GEODESIC_CSV

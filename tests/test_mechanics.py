@@ -6,7 +6,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ncsym import mechanics as mech
-from ncsym.geometry import connection_from_observer, flat_galilei, newtonian_connection, rest_observer
+from ncsym.geometry import (
+    connection_from_observer,
+    flat_galilei,
+    flat_structure,
+    newtonian_connection,
+    rest_observer,
+)
 from ncsym.lie import Connection, OneForm, exterior_derivative_one_form
 from ncsym.poly import Poly
 
@@ -72,6 +78,7 @@ def test_rotating_frame_agrees_with_second_order_form():
         return np.array([0.0, 0.0, -(float(w0) + float(w1) * t)])
 
     def rhs(t, y):
+        y = np.asarray(y)
         x, v = y[:3], y[3:]
         wv = omega_vec(t)
         wdot = np.array([0.0, 0.0, -float(w1)])
@@ -100,9 +107,19 @@ def polys_and_points(draw):
 @given(polys_and_points())
 @example((Poly(2, {(0, 3, 1): Fraction(1, 3), (2, 0, 1): Fraction(-7, 2), (0, 0, 0): -1}), [0.1, -1.7, 3.3]))
 def test_term_table_evaluates_bitwise_like_poly(case):
+    # the compiled geodesic right-hand side with p in one Gamma entry: that
+    # entry's accumulator is 0.0 - p(x) v^a v^a, every other one stays 0.0
     p, x = case
-    got = mech._evaluate_terms(mech._poly_terms(p), x)
-    assert got.hex() == float(p.evaluate(x)).hex()
+    n = p.dim + 1
+    v = [0.5 - q for q in reversed(x)]
+    for c in range(n):
+        for a in range(n):
+            comp = [[[Poly.zero(p.dim)] * n for _ in range(n)] for _ in range(n)]
+            comp[c][a][a] = p
+            got = mech._geodesic_rhs(Connection(p.dim, comp))(0.0, x + v)
+            want = v + [0.0] * n
+            want[n + c] = 0.0 - float(p.evaluate(x)) * v[a] * v[a]
+            assert [g.hex() for g in got] == [w.hex() for w in want]
 
 
 def _reference_geodesic(conn, x0, xdot0, h, steps):
@@ -143,17 +160,24 @@ def _reference_geodesic(conn, x0, xdot0, h, steps):
 
 def test_geodesic_trajectory_is_bitwise_the_array_reference():
     # time-dependent omega: several Gamma entries per c, Gamma depends on t
-    conn, _, _, _ = _rotating_frame_connection()
-    table = mech._connection_table(conn)
-    assert len(table) > len({c for c, _, _, _ in table})
-    assert any(i == 0 for *_, terms in table for _, powers in terms for i, _ in powers)
+    rotating, _, _, _ = _rotating_frame_connection()
+    entries = [
+        (c, a, b)
+        for c in range(4) for a in range(4) for b in range(4)
+        if not rotating[c, a, b].is_zero()
+    ]
+    assert len(entries) > len({c for c, _, _ in entries})
+    assert any(rotating[c, a, b].depends_on(0) for c, a, b in entries)
     args = ([0.0, 1.0, 0.0, 0.3], [1.0, 0.1, -0.2, 0.0], 1e-2, 300)
-    got = mech.integrate_geodesic(conn, *args)["trajectory"]
-    assert np.array_equal(got, _reference_geodesic(conn, *args))
+    # then the connections of `ncsym geodesic --model free|harmonic`
+    for conn in (rotating, flat_structure(3).connection, _harmonic_connection(w2=Fraction(1))):
+        got = mech.integrate_geodesic(conn, *args)["trajectory"]
+        assert np.array_equal(got, _reference_geodesic(conn, *args))
 
 
 def test_rk4_accepts_list_and_array_right_hand_sides():
     def as_array(_t, y):
+        y = np.asarray(y)
         return np.concatenate([y[3:], -y[:3] / (1.0 + y[:3] @ y[:3])])
 
     y0 = [1.0, 0.2, -0.3, 0.0, 0.7, 0.1]
