@@ -32,22 +32,25 @@ def _seed(args) -> int:
     return args.seed
 
 
-# The family options each family reads; any other one given is rejected.
-_FAMILY_OPTIONS = {
-    "cgal": {"deg_t"},
-    "cgal-z": {"z", "deg_t"},
-    "sch": {"z"},
-    "cnc": {"deg_t"},
-    "cmil": {"branch"},
-    "cga": {"z"},
-    "alt": {"N"},
+# Each family in --family order: the options it reads (any other one given is
+# rejected) and whether it has structure constants (bracket-table's choices).
+_FAMILIES = {
+    "cgal": (("deg_t",), False),
+    "cgal-z": (("z", "deg_t"), False),
+    "gal": ((), True),
+    "sch": (("z",), True),
+    "sch-expanded": ((), True),
+    "cnc": (("deg_t",), False),
+    "cmil": (("branch",), True),
+    "cga": (("z",), True),
+    "alt": (("N",), True),
 }
 
 
 def _solve_basis(args) -> tuple:
     """(AlgebraBasis, StructureConstants or None) for a family request."""
     family = args.family
-    reads = _FAMILY_OPTIONS.get(family, set())
+    reads, closed = _FAMILIES[family]
     for option in ("z", "deg_t", "branch", "N"):
         if getattr(args, option, None) is not None and option not in reads:
             flag = "--" + option.replace("_", "-")
@@ -59,29 +62,27 @@ def _solve_basis(args) -> tuple:
     z = None if args.z is None else solver.parse_z(args.z)
     deg_t = 2 if getattr(args, "deg_t", None) is None else args.deg_t
     if family == "cgal":
-        return solver.solve_cgal(d, deg_t), None
-    if family == "cgal-z":
+        basis = solver.solve_cgal(d, deg_t)
+    elif family == "cgal-z":
         if z is None:
             raise ValueError("--z required for cgal-z")
-        return solver.solve_cgal_z(d, z, deg_t), None
-    if family == "gal":
+        basis = solver.solve_cgal_z(d, z, deg_t)
+    elif family == "gal":
         basis = solver.solve_gal(d)
     elif family == "sch-expanded":
         basis = solver.solve_sch_expanded(d)
     elif family == "sch":
         basis = solver.restrict_sch_z(solver.solve_sch_expanded(d), z or Fraction(2))
     elif family == "cnc":
-        return solver._cnc_basis(d, deg_t), None
+        basis = solver._cnc_basis(d, deg_t)
     elif family == "cmil":
         basis, = solver._cmil_branches(d, [args.branch or "c1"])
     elif family == "cga":
         c1, = solver._cmil_branches(d, ["c1"])
         basis = solver.restrict_cmil_z(c1, z or Fraction(1))
-    elif family == "alt":
-        basis = solver.alt_subalgebra(d, 1 if args.N is None else args.N)
     else:
-        raise ValueError(f"unknown family {family}")
-    return basis, solver.structure_constants(basis)
+        basis = solver.alt_subalgebra(d, 1 if args.N is None else args.N)
+    return basis, solver.structure_constants(basis) if closed else None
 
 
 def cmd_solve(args) -> int:
@@ -340,8 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("solve", help="solve a symmetry family")
-    p.add_argument("--family", required=True,
-                   choices=["cgal", "cgal-z", "gal", "sch", "sch-expanded", "cnc", "cmil", "cga", "alt"])
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--z", default=None, help="dynamical exponent 'p/q' or 'inf'")
     p.add_argument("--deg-t", type=int, default=None, dest="deg_t", help="time degree (default 2)")
@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bracket-table", help="structure constants of a closed family")
     p.add_argument("--family", required=True,
-                   choices=["gal", "sch", "sch-expanded", "cmil", "cga", "alt"])
+                   choices=[family for family, (_, closed) in _FAMILIES.items() if closed])
     p.add_argument("--d", type=int, default=3)
     p.add_argument("--z", default=None)
     p.add_argument("--branch", choices=["c1", "c2"], default=None, help="cmil branch (default c1)")

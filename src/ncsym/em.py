@@ -80,7 +80,9 @@ def divergence(F: TwoForm, nc: NCStructure) -> OneForm:
                     continue
                 term = F[b, c].differentiate(a)
                 for k in range(n):
-                    term = term - conn[k, a, b] * F[k, c] - conn[k, a, c] * F[b, k]
+                    for G, Fk in ((conn[k, a, b], F[k, c]), (conn[k, a, c], F[b, k])):
+                        if not G.is_zero():  # every entry is zero on the flat chart
+                            term = term - G * Fk
                 val = val + g * term
         comps.append(val)
     return OneForm(d, comps)

@@ -442,14 +442,17 @@ def fluid_charges(theta: Field, rho: Field, d: int, box, t: float,
     return out
 
 
-def random_points(d: int, n: int, seed: int, t_range=(0.1, 0.9), x_range=(-1.0, 1.0),
-                  predicate=None) -> np.ndarray:
+T_RANGE = (0.1, 0.9)  # random_points draws t from T_RANGE
+X_RANGE = (-1.0, 1.0)  # and each x^A from X_RANGE
+
+
+def random_points(d: int, n: int, seed: int, predicate=None) -> np.ndarray:
     """Deterministic sample points (t, x) for residual evaluation."""
     rng = np.random.default_rng(seed)
     pts = []
     while len(pts) < n:
-        t = rng.uniform(*t_range)
-        x = rng.uniform(*x_range, size=d)
+        t = rng.uniform(*T_RANGE)
+        x = rng.uniform(*X_RANGE, size=d)
         cand = np.concatenate([[t], x])
         if predicate is None or predicate(cand):
             pts.append(cand)

@@ -13,6 +13,7 @@ renormalization.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
 import math
@@ -24,6 +25,8 @@ from .lie import Connection
 from .poly import Poly
 
 EPS_UNIT = 1e-12
+FD_STEP = 1e-6  # central-difference step of massive_noether_residual's dJ
+CHART_STEP = 1e-5  # and of the presymplectic residuals' chart derivatives
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +83,8 @@ def rk4(rhs, y0, h, steps):
     ``rhs(t, y)`` receives the state as a list of floats and returns any
     length-n sequence.  Steps run in the unrolled kernel for len(y0), each
     component rounding exactly as the elementwise array form.  Returns the
-    (steps+1, len(y0)) trajectory array; a non-finite state is a
-    ``ValueError`` naming its first step.
+    (steps+1, len(y0)) trajectory array; a non-finite state, or an
+    ``OverflowError`` in ``rhs``, is a ``ValueError`` naming its first step.
     """
     if not (math.isfinite(h) and h > 0):
         raise ValueError(f"step size must be finite and positive, got {h}")
@@ -92,7 +95,9 @@ def rk4(rhs, y0, h, steps):
     y0 = np.array(y0, dtype=float)
     out = np.empty((steps + 1, y0.size))
     out[0] = y0
-    _rk4_kernel(y0.size)(rhs, out, y0.tolist(), h, steps)
+    out[1:] = np.nan  # rows an OverflowError in rhs (x ** e) leaves unwritten
+    with contextlib.suppress(OverflowError):
+        _rk4_kernel(y0.size)(rhs, out, y0.tolist(), h, steps)
     if not np.isfinite(out).all():
         step = int(np.argmin(np.isfinite(out).all(axis=1)))
         raise ValueError(f"RK4 state is not finite at step {step} (step size {h})")
@@ -309,9 +314,7 @@ def _central_difference(f, n: int, mu: int, h: float) -> float:
     return (f(cp) - f(cm)) / (2 * h)
 
 
-def massive_noether_residual(
-    params: SchParams, m: float, s: float, points, fd_step: float = 1e-6
-) -> float:
+def massive_noether_residual(params: SchParams, m: float, s: float, points) -> float:
     """max over points and chart directions of |sigma(lift, W) + dJ(W)|,
     with dJ by central finite differences."""
     worst = 0.0
@@ -325,7 +328,7 @@ def massive_noether_residual(
             return massive_noether_charge(params, chart.state(c, chart.direction(c)), m, s)
 
         for mu in range(chart.n):
-            dj = _central_difference(charge_at, chart.n, mu, fd_step)
+            dj = _central_difference(charge_at, chart.n, mu, FD_STEP)
             resid = abs(sigma_massive(state, lift, chart.frame(origin, mu), m, s) + dj)
             worst = max(worst, resid)
     return worst
@@ -533,7 +536,7 @@ def sigma_photon(state: PhotonState, W1, W2, k: float, s: float) -> float:
 # -- chart-based residual of the symmetry condition ------------------------
 
 
-def _presymplectic_residual(sigma, lift, states, h: float) -> float:
+def _presymplectic_residual(sigma, lift, states) -> float:
     """max |d_mu alpha_nu - d_nu alpha_mu| over chart pairs at the given
     states, alpha(W) = sigma(st, lift(st), W); zero for symmetries since
     the model form is closed."""
@@ -547,27 +550,24 @@ def _presymplectic_residual(sigma, lift, states, h: float) -> float:
 
         for mu in range(chart.n):
             for nu in range(mu + 1, chart.n):
-                d_mu_alpha_nu = _central_difference(lambda c: alpha(c, nu), chart.n, mu, h)
-                d_nu_alpha_mu = _central_difference(lambda c: alpha(c, mu), chart.n, nu, h)
+                d_mu_alpha_nu = _central_difference(lambda c: alpha(c, nu), chart.n, mu, CHART_STEP)
+                d_nu_alpha_mu = _central_difference(lambda c: alpha(c, mu), chart.n, nu, CHART_STEP)
                 worst = max(worst, abs(d_mu_alpha_nu - d_nu_alpha_mu))
     return worst
 
 
-def presymplectic_residual_photon(lift, states, k: float, s: float, h: float = 1e-5) -> float:
+def presymplectic_residual_photon(lift, states, k: float, s: float) -> float:
     """max |d(i_Z sigma)| entries over chart pairs at the given states;
     zero for symmetries since the model form is closed."""
-    return _presymplectic_residual(
-        lambda st, Z, W: sigma_photon(st, Z, W, k, s), lift, states, h
-    )
+    return _presymplectic_residual(lambda st, Z, W: sigma_photon(st, Z, W, k, s), lift, states)
 
 
-def presymplectic_residual_massive(params: SchParams, states, m: float, s: float, h: float = 1e-5) -> float:
+def presymplectic_residual_massive(params: SchParams, states, m: float, s: float) -> float:
     """Same check for the massive model and its lifted generators."""
     return _presymplectic_residual(
         lambda st, Z, W: sigma_massive(st, Z, W, m, s),
         lambda st: massive_lift(params, st),
         states,
-        h,
     )
 
 
@@ -599,14 +599,12 @@ def inverse_square_trajectory(m: float, c: float, x0, v0, h: float, steps: int):
     trajectory and the (E, D, K) series."""
 
     def rhs(_t, y):
-        y = np.asarray(y)
-        x = y[:3]
-        v = y[3:]
-        r2 = float(x @ x)
+        q1, q2, q3, u1, u2, u3 = y
+        r2 = q1 * q1 + q2 * q2 + q3 * q3
         if r2 < R_MIN**2:
             raise ValueError("trajectory entered the r_min ball")
-        acc = (2.0 * c / (m * r2 * r2)) * x
-        return np.concatenate([v, acc]).tolist()
+        a = 2.0 * c / (m * r2 * r2)
+        return [u1, u2, u3, a * q1, a * q2, a * q3]
 
     traj = rk4(rhs, [*x0, *v0], h, steps)
     times = h * np.arange(steps + 1)

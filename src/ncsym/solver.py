@@ -20,6 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
 from . import linalg
@@ -613,35 +614,55 @@ def acceleration(d: int, A: int) -> VectorField:
     return translation(d, A, 2).scale(-_HALF)
 
 
-def _rotations(d: int, k: int = 0) -> list[tuple[str, VectorField]]:
-    return [
-        (f"omega[{A},{B}]", rotation(d, A, B, k))
-        for A in range(1, d + 1)
-        for B in range(A + 1, d + 1)
-    ]
+def _xi(d: int, k: int, z) -> VectorField:
+    """xi_k = t^k d_t + (k/z) t^(k-1) x.d: grade k, dilation weight 1/z,
+    which is 0 at z = inf and for z = None (families without an exponent)."""
+    X = time_translation(d, k)
+    if z not in (None, INF) and k:
+        X = X + space_dilation(d, k - 1).scale(Fraction(k) / z)
+    return X
 
 
-def _translations(d: int, k: int = 0, name: str = "eta") -> list[tuple[str, VectorField]]:
-    return [(f"{name}[{A}]", translation(d, A, k)) for A in range(1, d + 1)]
+# Graded generator templates: (d, k, z) -> the (label, field) pairs of grade k.
+_TEMPLATES = {
+    "omega": lambda d, k, z: [
+        (f"omega[{A},{B}]", rotation(d, A, B, k)) for A, B in combinations(range(1, d + 1), 2)
+    ],
+    "eta": lambda d, k, z: [(f"eta[{A}]", translation(d, A, k)) for A in range(1, d + 1)],
+    "kappa": lambda d, k, z: [
+        (f"kappa[{A}]", quadratic_expansion(d, A, k)) for A in range(1, d + 1)
+    ],
+    "chi": lambda d, k, z: [("chi", space_dilation(d, k))],
+    "dil": lambda d, k, z: [("dil", space_dilation(d, k))],
+    "xi": lambda d, k, z: [("xi", _xi(d, k, z))],
+}
+
+# The infinite families, each a tuple of template names graded in turn.
+_GRADED_FAMILIES = {
+    "cgal": ("omega", "eta", "kappa", "chi", "xi"),
+    "cgal_z": ("omega", "eta", "xi"),
+    "cnc": ("omega", "dil", "eta", "xi"),
+}
+
+
+def _graded(names: Sequence[str], d: int, nt: int, z=None) -> list[tuple[str, VectorField]]:
+    """Each named template at grades 0..nt in turn; grade k >= 1 labels gain *t^k."""
+    out = []
+    for name in names:
+        for k in range(nt + 1):
+            suffix = f"*t^{k}" if k else ""
+            out += [(label + suffix, X) for label, X in _TEMPLATES[name](d, k, z)]
+    return out
 
 
 def _head(d: int, accelerations: bool = False) -> list[tuple[str, VectorField]]:
     """The head every finite algebra's list starts with: rotations, the
     accelerations alpha when asked for, boosts beta and translations gamma."""
-    named = _rotations(d)
+    named = _TEMPLATES["omega"](d, 0, None)
     if accelerations:
         named += [(f"alpha[{A}]", acceleration(d, A)) for A in range(1, d + 1)]
-    return named + _translations(d, 1, "beta") + _translations(d, 0, "gamma")
-
-
-def _graded(nt: int, named_at: Callable[[int], list]) -> list[tuple[str, VectorField]]:
-    """Generators graded by powers of t: named_at(k) lists the (name, field)
-    pairs of grade k, whose labels gain the suffix *t^k for k >= 1."""
-    out = []
-    for k in range(nt + 1):
-        suffix = f"*t^{k}" if k else ""
-        out += [(name + suffix, X) for name, X in named_at(k)]
-    return out
+    named += [(f"beta[{A}]", translation(d, A, 1)) for A in range(1, d + 1)]
+    return named + [(f"gamma[{A}]", translation(d, A)) for A in range(1, d + 1)]
 
 
 def _conformal_pair(X: VectorField) -> tuple[Poly, Poly] | None:
@@ -693,22 +714,9 @@ def _solve_conformal(d: int, nt: int, z) -> AlgebraBasis:
         out = res_conformal(X)
         return out if z is None else out + res_exponent(X, z)
 
-    def xi(k: int) -> VectorField:
-        X = time_translation(d, k)
-        if z not in (None, INF) and k >= 1:
-            X = X + space_dilation(d, k - 1).scale(Fraction(k) / z)
-        return X
-
+    family = "cgal" if z is None else "cgal_z"
     raw = solve_system(d, op, nt_time=nt, nt_space=nt)
-    named = _graded(nt, lambda k: _rotations(d, k))
-    named += _graded(nt, lambda k: _translations(d, k))
-    if z is None:
-        named += _graded(
-            nt, lambda k: [(f"kappa[{A}]", quadratic_expansion(d, A, k)) for A in range(1, d + 1)]
-        )
-        named += _graded(nt, lambda k: [("chi", space_dilation(d, k))])
-    named += _graded(nt, lambda k: [("xi", xi(k))])
-    return _presented("cgal" if z is None else "cgal_z", d, raw, named, z=z)
+    return _presented(family, d, raw, _graded(_GRADED_FAMILIES[family], d, nt, z), z=z)
 
 
 def solve_cgal(d: int, nt: int) -> AlgebraBasis:
@@ -744,27 +752,24 @@ def solve_sch_expanded(d: int) -> AlgebraBasis:
 
 
 # The two sliced families, keyed by the finite algebra each holds: the
-# families of the bases it slices, the exponent and expansion generator of
-# that algebra, and the family prefix of the other slices.
+# families of the bases it slices, the exponent of that algebra, and the
+# family prefix of the other slices.
 _SLICES = {
-    "sch": (("sch_expanded", "cmil_c2"), Fraction(2), sch_expansion, "sch"),
-    "cga": (("cmil_c1",), Fraction(1), cga_expansion, "cmil"),
+    "sch": (("sch_expanded", "cmil_c2"), Fraction(2), "sch"),
+    "cga": (("cmil_c1",), Fraction(1), "cmil"),
 }
 
 
 def _slice_named(kind: str, d: int, z) -> tuple[str, list[tuple[str, VectorField]]]:
     """Family name and generator list of the z-slice of the timelike
     algebra (kind 'sch') or of the acceleration branch (kind 'cga'): the
-    head, the expansion kappa at the special exponent, the dilation lambda
-    of weight z (the time dilation mu at z = inf), then epsilon."""
-    _, special, expansion, prefix = _SLICES[kind]
+    head, the expansion kappa = (z/2) xi_2 at the special exponent, the
+    dilation lambda = z xi_1 (mu = xi_1 at z = inf), then epsilon."""
+    _, special, prefix = _SLICES[kind]
     named = _head(d, accelerations=kind == "cga")
     if z == special:
-        named.append(("kappa", expansion(d)))
-    if z == INF:
-        named.append(("mu", time_dilation(d)))
-    else:
-        named.append(("lambda", time_dilation(d).scale(z) + space_dilation(d)))
+        named.append(("kappa", _xi(d, 2, z).scale(z / 2)))
+    named.append(("mu", _xi(d, 1, z)) if z == INF else ("lambda", _xi(d, 1, z).scale(z)))
     named.append(("epsilon", time_translation(d)))
     if z == special:
         return kind, named
@@ -897,11 +902,7 @@ def _cnc_basis(d: int, nt: int) -> AlgebraBasis:
     _check_dimension(d)
     _check_time_degree(nt)
     raw = solve_system(d, res_lightlike_projective, nt_time=nt, nt_space=nt)
-    named = _graded(nt, lambda k: _rotations(d, k))
-    named += _graded(nt, lambda k: [("dil", space_dilation(d, k))])
-    named += _graded(nt, lambda k: _translations(d, k))
-    named += _graded(nt, lambda k: [("xi", time_translation(d, k))])
-    return _presented("cnc", d, raw, named)
+    return _presented("cnc", d, raw, _graded(_GRADED_FAMILIES["cnc"], d, nt))
 
 
 def solve_cnc_flat(d: int, nt: int):
@@ -1089,12 +1090,8 @@ def alt_candidate(d: int, N: int, z) -> list[tuple[str, VectorField]]:
     with dilation weight 1/z, constant rotations, translations of time
     degree <= N.  Closed under brackets iff z = 2/N."""
     z = _check_z(z)
-    zinv = Fraction(0) if z == INF else 1 / z
-    named = _rotations(d) + _graded(N, lambda k: _translations(d, k))
-    named.append(("kappa", time_translation(d, 2).scale(_HALF) + space_dilation(d, 1).scale(zinv)))
-    named.append(("mu", time_dilation(d) + space_dilation(d).scale(zinv)))
-    named.append(("epsilon", time_translation(d)))
-    return named
+    tail = [("kappa", _xi(d, 2, z).scale(_HALF)), ("mu", _xi(d, 1, z)), ("epsilon", _xi(d, 0, z))]
+    return _TEMPLATES["omega"](d, 0, None) + _graded(("eta",), d, N, z) + tail
 
 
 def alt_subalgebra(d: int, N: int) -> AlgebraBasis:
@@ -1125,11 +1122,9 @@ def alt_obstruction_coefficient(d: int, N: int, z) -> Fraction:
     """Top-degree coefficient obstructing closure: the bracket of the
     expansion generator with a degree-N translation has a t^(N+1)
     translation part with coefficient (N/2 - 1/z)."""
-    z = _check_z(z)
-    zinv = Fraction(0) if z == INF else 1 / z
-    K = time_translation(d, 2).scale(_HALF) + space_dilation(d, 1).scale(zinv)
-    eta = translation(d, 1, N)
-    br = lie_bracket(K, eta)
+    named = alt_candidate(d, N, z)
+    top = [X for name, X in named if name.partition("*")[0] == "eta[1]"][-1]
+    br = lie_bracket(dict(named)["kappa"], top)
     exp = tuple([N + 1] + [0] * d)
     return br[1].terms.get(exp, Fraction(0))
 

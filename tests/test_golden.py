@@ -74,6 +74,18 @@ GOLDEN = [
      "90af0bb0fddfe611c9d1c494b8afef677c6c3437a79fd6f9e98ae3ac7c25b25e"),
     ("solve --family alt --N 2 --d 3",
      "e3137903443650003391295594b043e22f08c0dc226b7829c3c4416af02d7075"),
+    ("solve --family cgal --d 2 --deg-t 5",
+     "cdc4e6f7977fe67ab395b0b79cca1c6df407dd2407705564c98f12b877e2c004"),
+    ("solve --family cgal-z --z 3/2 --d 2 --deg-t 5",
+     "7d70d177c7a471a55f909dd6793fdf4b48005c45f1485e7df9728c6edfbe79da"),
+    ("solve --family cgal-z --z inf --d 3 --deg-t 4",
+     "8a2955d2051fadb31609773c26b974974dccd5c614026eb3eb97363d1edb42a2"),
+    ("solve --family cnc --d 2 --deg-t 5",
+     "bbb23c89c3b05d3ba60d9d1e65e08ef57f12c2244ba3d7201fa8a9db0d69abcb"),
+    ("solve --family alt --N 4 --d 2",
+     "c8cd976c823270da841241308a58426a5081b043e06f38e2d996c5e29aef6e06"),
+    ("solve --family cga --z 3/2 --d 2",
+     "9df44aa3833a1050832e9b787f758d7b593c329c12d085963dc24904836c523a"),
     ("bracket-table --family gal --d 3",
      "95c8f4b842b6aa0e07cd4747afe5b0ec942f17422ad21a011884b8eef0762682"),
     ("bracket-table --family sch --d 3",

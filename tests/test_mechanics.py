@@ -188,6 +188,15 @@ def test_rk4_accepts_list_and_array_right_hand_sides():
         mech.rk4(lambda t, y: [0.0], y0, 1e-2, 1)
 
 
+def test_float_overflow_in_the_right_hand_side_is_a_non_finite_state():
+    # x1 ** 3 raises OverflowError once x1 passes ~1e103, where x1 * x1 * x1
+    # would give inf; rk4 reports both alike
+    z = Poly.zero(1)
+    comp = [[[z, z], [z, z]], [[Poly.monomial(1, (0, 3)), z], [z, z]]]
+    with pytest.raises(ValueError, match="not finite at step 1 "):
+        mech.integrate_geodesic(Connection(1, comp), [0.0, 1.0], [1.0, 0.0], 1e100, 5)
+
+
 def test_rk4_rejects_steps_above_cap_before_allocating(monkeypatch):
     def no_allocation(*args, **kwargs):
         raise AssertionError("trajectory array allocated")

@@ -72,6 +72,25 @@ def test_cgal_generators_solve_their_system(rng):
         assert all(p.is_zero() for p in solver.res_conformal(X))
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_graded_templates_solve_their_system_above_the_truncation(d):
+    # grades past MAX_TIME_DEGREE, which no solve reaches
+    nt = solver.MAX_TIME_DEGREE + 2
+    systems = [("cgal", None, solver.res_conformal), ("cnc", None, solver.res_lightlike_projective)]
+    for z in (Fraction(1), Fraction(3, 2), Fraction(2), INF):
+        op = lambda X, z=z: solver.res_conformal(X) + solver.res_exponent(X, z)
+        systems.append(("cgal_z", z, op))
+    for family, z, op in systems:
+        named = solver._graded(solver._GRADED_FAMILIES[family], d, nt, z)
+        assert not solver._residual_rows([X for _, X in named], op), (family, z)
+    # at d = 3 a grade holds 11 cgal and 8 cnc generators, the slice dimensions
+    if d == 3:
+        for family, per_grade in (("cgal", 11), ("cnc", 8)):
+            names = solver._GRADED_FAMILIES[family]
+            assert len(solver._graded(names, d, 0)) == per_grade
+            assert len(solver._graded(names, d, nt)) == per_grade * (nt + 1)
+
+
 def test_cgal_z_dimensions_and_factors():
     b = solve_cgal_z(3, Fraction(2), 2)
     assert b.dim == 21
