@@ -12,8 +12,6 @@ All residuals here are exact polynomial identities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .geometry import NCStructure
 from .lie import (
     OneForm,
@@ -25,10 +23,12 @@ from .lie import (
 from .poly import Poly
 
 
-@dataclass(frozen=True)
 class EMField:
-    F: TwoForm
-    J: OneForm
+    __slots__ = ("F", "J")
+
+    def __init__(self, F: TwoForm, J: OneForm):
+        self.F = F
+        self.J = J
 
     @property
     def dim(self) -> int:
@@ -100,14 +100,26 @@ def is_solution(em: EMField, nc: NCStructure) -> bool:
     return dF.is_zero() and div_res.is_zero()
 
 
+def require_source_free(em: EMField, nc: NCStructure) -> None:
+    """The precondition of a symmetry check (ValueError otherwise); a
+    caller moving one field by many generators checks it once."""
+    if not em.J.is_zero() or not is_solution(em, nc):
+        raise ValueError("symmetry check expects a source-free solution")
+
+
 def symmetry_check(X: VectorField, em: EMField, nc: NCStructure):
     """Does the Lie-transported field still solve the source-free system?
 
     Exact: computes L_X F and re-runs the residuals on it.  Returns
     (passed, dF residual, divergence residual).
     """
-    if not em.J.is_zero() or not is_solution(em, nc):
-        raise ValueError("symmetry check expects a source-free solution")
+    require_source_free(em, nc)
+    return moved_field_residual(X, em, nc)
+
+
+def moved_field_residual(X: VectorField, em: EMField, nc: NCStructure):
+    """symmetry_check without its precondition, for a field that has
+    already passed require_source_free."""
     moved = lie_derive_two_form(X, em.F)
     dF = exterior_derivative(moved)
     div = divergence(moved, nc)

@@ -14,7 +14,6 @@ and covers every system exercised downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .lie import (
@@ -29,20 +28,20 @@ from .lie import (
 from .poly import Poly
 
 
-@dataclass(frozen=True)
 class GalileiStructure:
-    dim: int
-    gamma: SymTensor2Up
-    theta: OneForm
+    __slots__ = ("dim", "gamma", "theta")
 
-    def __post_init__(self):
-        n = self.dim + 1
+    def __init__(self, dim: int, gamma: SymTensor2Up, theta: OneForm):
+        n = dim + 1
         for a in range(n):
-            total = Poly.zero(self.dim)
+            total = Poly.zero(dim)
             for b in range(n):
-                total = total + self.gamma[a, b] * self.theta[b]
+                total = total + gamma[a, b] * theta[b]
             if not total.is_zero():
                 raise ValueError("gamma theta != 0: not a Galilei structure")
+        self.dim = dim
+        self.gamma = gamma
+        self.theta = theta
 
     def is_flat_chart(self) -> bool:
         d = self.dim
@@ -55,15 +54,15 @@ class GalileiStructure:
         return self.theta[0] == one and all(self.theta[a].is_zero() for a in range(1, d + 1))
 
 
-@dataclass(frozen=True)
 class Observer:
     """Unit vector field: theta(U) = 1, i.e. U^0 = 1 on the flat chart."""
 
-    U: VectorField
+    __slots__ = ("U",)
 
-    def __post_init__(self):
-        if self.U[0] != Poly.const(self.U.dim, 1):
+    def __init__(self, U: VectorField):
+        if U[0] != Poly.const(U.dim, 1):
             raise ValueError("observer is not unit: theta(U) must equal 1")
+        self.U = U
 
     @property
     def dim(self) -> int:
@@ -87,20 +86,20 @@ def covariant_derivative_theta(G: Connection, theta: OneForm, a: int, b: int) ->
     return val
 
 
-@dataclass(frozen=True)
 class NCStructure:
-    base: GalileiStructure
-    connection: Connection
+    __slots__ = ("base", "connection")
 
-    def __post_init__(self):
-        d = self.base.dim
+    def __init__(self, base: GalileiStructure, connection: Connection):
+        d = base.dim
         for c in range(d + 1):
             for a in range(d + 1):
                 for b in range(d + 1):
-                    if not covariant_derivative_gamma(self.connection, self.base.gamma, c, a, b).is_zero():
+                    if not covariant_derivative_gamma(connection, base.gamma, c, a, b).is_zero():
                         raise ValueError("connection does not parallel-transport gamma")
-                    if not covariant_derivative_theta(self.connection, self.base.theta, a, b).is_zero():
+                    if not covariant_derivative_theta(connection, base.theta, a, b).is_zero():
                         raise ValueError("connection does not parallel-transport theta")
+        self.base = base
+        self.connection = connection
 
     @property
     def dim(self) -> int:

@@ -7,7 +7,6 @@ T_(ab) = (T_ab + T_ba)/2.  Everything is exact polynomial arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add
 
@@ -21,12 +20,10 @@ def _check_same_dim(*dims: int) -> int:
     return d
 
 
-@dataclass(frozen=True)
 class VectorField:
     """X = X^0 d_t + X^A d_A with polynomial components."""
 
-    dim: int
-    components: tuple
+    __slots__ = ("dim", "components")
 
     def __init__(self, dim: int, components):
         comps = tuple(components)
@@ -34,8 +31,16 @@ class VectorField:
             raise ValueError(f"need {dim + 1} components, got {len(comps)}")
         if any(c.dim != dim for c in comps):
             raise ValueError("component dimension mismatch")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "components", comps)
+        self.dim = dim
+        self.components = comps
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dim == other.dim and self.components == other.components
+
+    def __hash__(self):
+        return hash((self.dim, self.components))
 
     @classmethod
     def zero(cls, dim: int) -> "VectorField":
@@ -74,17 +79,23 @@ class VectorField:
         return cls(d, [Poly.from_obj(d, c) for c in obj["components"]])
 
 
-@dataclass(frozen=True)
 class OneForm:
-    dim: int
-    components: tuple
+    __slots__ = ("dim", "components")
 
     def __init__(self, dim: int, components):
         comps = tuple(components)
         if len(comps) != dim + 1:
             raise ValueError(f"need {dim + 1} components")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "components", comps)
+        self.dim = dim
+        self.components = comps
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dim == other.dim and self.components == other.components
+
+    def __hash__(self):
+        return hash((self.dim, self.components))
 
     @classmethod
     def zero(cls, dim: int) -> "OneForm":
@@ -550,7 +561,6 @@ def lie_derive_gamma_theta_power(X: VectorField, gamma: SymTensor2Up, theta: One
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class CotangentLift:
     """Lift X~ = X^a d_a - p_b (dX^b/dx^a) d/dp_a.
 
@@ -558,8 +568,11 @@ class CotangentLift:
     i.e. -d_a X^b; momentum components are linear in p by construction.
     """
 
-    base: VectorField
-    momentum: tuple
+    __slots__ = ("base", "momentum")
+
+    def __init__(self, base: VectorField, momentum: tuple):
+        self.base = base
+        self.momentum = momentum
 
 
 def canonical_lift(X: VectorField) -> CotangentLift:

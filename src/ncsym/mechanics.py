@@ -18,11 +18,14 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .lie import Connection
 from .poly import Poly
+
+if TYPE_CHECKING:
+    from .lie import Connection
 
 EPS_UNIT = 1e-12
 FD_STEP = 1e-6  # central-difference step of massive_noether_residual's dJ
@@ -502,17 +505,18 @@ def photon_lift(k: float, omega_polys, eta, xi):
     """Canonical-lift tangent of a conformal generator with time-dependent
     rotation omega(t), translation eta(t) and reparametrization xi(t):
     returns state -> (dt, dx, dE, du)."""
+    omega_dot = [[p.differentiate(0) for p in row] for row in omega_polys]
+    eta_dot = [p.differentiate(0) for p in eta]
+    xi_dot = xi.differentiate(0)
 
     def lift(state: PhotonState):
         t = state.t
         om = np.array([[_poly_eval_t(omega_polys[a][b], t) for b in range(3)] for a in range(3)])
-        om_p = np.array(
-            [[_poly_eval_t(omega_polys[a][b].differentiate(0), t) for b in range(3)] for a in range(3)]
-        )
+        om_p = np.array([[_poly_eval_t(omega_dot[a][b], t) for b in range(3)] for a in range(3)])
         eta_t = np.array([_poly_eval_t(p, t) for p in eta])
-        eta_p = np.array([_poly_eval_t(p.differentiate(0), t) for p in eta])
+        eta_p = np.array([_poly_eval_t(p, t) for p in eta_dot])
         xi_t = _poly_eval_t(xi, t)
-        xi_p = _poly_eval_t(xi.differentiate(0), t)
+        xi_p = _poly_eval_t(xi_dot, t)
         dt = xi_t
         dx = om @ state.x + eta_t
         dE = k * (float(state.u @ (om_p @ state.x)) + float(eta_p @ state.u)) - xi_p * state.E

@@ -18,13 +18,11 @@ against the raw nullspace, so dimensions always come from the solver.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import linalg
-from .geometry import Observer, constant_observer, rest_observer
 from .lie import (
     TwoForm,
     VectorField,
@@ -36,6 +34,9 @@ from .lie import (
     lie_bracket,
 )
 from .poly import Poly, poly_divmod_t
+
+if TYPE_CHECKING:
+    from .geometry import Observer
 
 INF = "inf"
 
@@ -345,7 +346,9 @@ def restrict_span(
     into a derivative table, so it must be linear with constant
     coefficients (TypeError otherwise)."""
     rows = _residual_rows(fields, residual_op)
-    kernel = linalg.Echelon(rows.values()).nullspace(len(fields))
+    # sparsest rows first: less fill-in, and the reduced echelon form
+    # (so the nullspace) does not depend on the order
+    kernel = linalg.Echelon(sorted(rows.values(), key=len)).nullspace(len(fields))
     vectors = [_field_vector(X) for X in fields]
     out = []
     for coeffs in kernel:
@@ -390,13 +393,16 @@ def expand_in_basis(basis: Sequence[VectorField], X: VectorField):
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class AlgebraBasis:
-    family: str
-    d: int
-    generators: list[VectorField]
-    labels: list[str]
-    z: object = None  # Fraction, "inf" or None
+    __slots__ = ("family", "d", "generators", "labels", "z")
+
+    def __init__(self, family: str, d: int, generators: list[VectorField], labels: list[str],
+                 z=None):
+        self.family = family
+        self.d = d
+        self.generators = generators
+        self.labels = labels
+        self.z = z  # Fraction, "inf" or None
 
     @property
     def dim(self) -> int:
@@ -431,10 +437,12 @@ class NotClosedError(Exception):
         self.residual = residual
 
 
-@dataclass
 class StructureConstants:
-    n: int
-    c: list  # dense [i][j][k] Fractions
+    __slots__ = ("n", "c")
+
+    def __init__(self, n: int, c: list):
+        self.n = n
+        self.c = c  # dense [i][j][k] Fractions
 
     def antisymmetry_ok(self) -> bool:
         return all(
@@ -475,12 +483,14 @@ class StructureConstants:
         return out
 
 
-@dataclass
 class ClosureReport:
-    closed: bool
-    # (i, j, residual field): the bracket of generators i, j reduced
-    # against the span, nonzero exactly when the bracket leaves it
-    witness: tuple | None = None
+    __slots__ = ("closed", "witness")
+
+    def __init__(self, closed: bool, witness: tuple | None = None):
+        self.closed = closed
+        # (i, j, residual field): the bracket of generators i, j reduced
+        # against the span, nonzero exactly when the bracket leaves it
+        self.witness = witness
 
 
 def _bracket_expansions(fields: Sequence[VectorField]):
@@ -836,10 +846,12 @@ def cnc_system_residuals(
     return out
 
 
-@dataclass
 class GaugeWitness:
-    observer: Observer
-    coriolis: TwoForm
+    __slots__ = ("observer", "coriolis")
+
+    def __init__(self, observer: Observer, coriolis: TwoForm):
+        self.observer = observer
+        self.coriolis = coriolis
 
 
 def lightlike_gauge_witness(X: VectorField) -> GaugeWitness | None:
@@ -849,6 +861,8 @@ def lightlike_gauge_witness(X: VectorField) -> GaugeWitness | None:
     such polynomial pair exists; time-dependent rotation parts never
     admit one, since the mixed equation forces (f+g) F_AB = -2 omega'_AB
     while f + g = 0 kills the right-hand side."""
+    from .geometry import Observer
+
     d = X.dim
     fg_pair = _conformal_pair(X)
     if fg_pair is None:
@@ -975,6 +989,8 @@ def _cmil_branches(
 ) -> list[AlgebraBasis]:
     """The requested closed branches of the flat NC-Milne system, each
     'c1' or 'c2', cut out of one raw space; only c1 depends on the ether."""
+    from .geometry import rest_observer
+
     _check_dimension(d)
     if ether is None:
         ether = rest_observer(d)
@@ -995,7 +1011,7 @@ def _cmil_branches(
         sch = solve_sch_expanded(d)
         if not span_equal(restrict_span(raw, _res_c2_slice), sch.generators):
             raise AssertionError("second branch must coincide with the timelike algebra")
-        out.append(replace(sch, family="cmil_c2"))
+        out.append(AlgebraBasis("cmil_c2", sch.d, sch.generators, sch.labels, sch.z))
     return out
 
 
@@ -1016,6 +1032,8 @@ def solve_cmil_flat(d: int, ether: Observer | None = None):
 def cmil_generator_ether(X: VectorField) -> Observer | None:
     """Constant ether making the full NC-Milne system hold for X alone,
     or None (accelerations need the expansion generator alongside)."""
+    from .geometry import constant_observer, rest_observer
+
     d = X.dim
     pair = _conformal_pair(X)
     if pair is None:

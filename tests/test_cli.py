@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -250,6 +251,18 @@ def _loaded_modules(args):
         (["fluid-check"], EXACT),
         (["noether", "--model", "photon"], EXACT),
         (["geodesic", "--steps", "10"], EXACT),
+        # the exact commands define no dataclass, only cmil's observer code
+        # needs geometry, and noether's Connection is an annotation only
+        (["solve", "--family", "gal", "--d", "2"], ("dataclasses", "ncsym.geometry", "csv")),
+        (["solve", "--family", "cmil", "--d", "2"], ("dataclasses", "csv")),
+        (["bracket-table", "--family", "sch", "--d", "2"], ("dataclasses", "csv")),
+        (["rep-check", "--rep", "sch", "--d", "2"], ("dataclasses", "ncsym.geometry", "csv")),
+        (["em-check"], ("dataclasses", "csv")),
+        (["noether", "--model", "photon"], ("ncsym.lie", "csv")),
+        (["noether", "--model", "massive"], ("ncsym.lie", "csv")),
+        (["fluid-check"], ("csv",)),
+        (["geodesic", "--steps", "10", "--out", os.devnull], ("csv",)),
+        (["selftest"], ("csv",)),
     ],
 )
 def test_subcommand_loads_only_the_modules_it_uses(args, absent):

@@ -10,6 +10,7 @@ from ncsym.em import (
     field_from_EB,
     field_residual,
     is_solution,
+    require_source_free,
     sourcefree_library,
     symmetry_check,
 )
@@ -135,6 +136,11 @@ def test_symmetry_check_rejects_sources():
     assert not is_solution(f, D3)
     with pytest.raises(ValueError):
         symmetry_check(rotation(3, 1, 2), f, D3)
+    with pytest.raises(ValueError):
+        require_source_free(f, D3)
+    sourced = EMField(F=sourcefree_library()[0].F, J=OneForm(3, [ONE, Z3, Z3, Z3]))
+    with pytest.raises(ValueError):
+        require_source_free(sourced, D3)
 
 
 def test_eb_roundtrip():

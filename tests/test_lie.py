@@ -258,6 +258,22 @@ def test_dimension_mismatch_raises():
         lie_bracket(time_translation(2), time_translation(3))
 
 
+def test_vector_fields_and_one_forms_are_values():
+    d = 2
+    comps = [Poly.t(d), Poly.x(d, 1), Poly.zero(d)]
+    X, Y = VectorField(d, comps), VectorField(d, list(comps))
+    assert X == Y and hash(X) == hash(Y) and len({X, Y}) == 1
+    assert X != X.scale(2) and X != OneForm(d, comps)
+    assert OneForm(d, comps) == OneForm(d, tuple(comps))
+    assert hash(OneForm(d, comps)) == hash(OneForm(d, tuple(comps)))
+    with pytest.raises(ValueError):
+        VectorField(d, comps[:2])
+    with pytest.raises(ValueError):
+        VectorField(d, [Poly.t(3)] * 3)
+    with pytest.raises(ValueError):
+        OneForm(d, comps[:2])
+
+
 # -- the tensor Lie-derivative adapters against hand-written formulas -------
 
 

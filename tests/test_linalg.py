@@ -91,6 +91,18 @@ def test_reduce_expands_a_combination_in_an_independent_basis(case, data):
     assert [coeffs.get(i, Fraction(0)) for i in range(len(basis))] == weights
 
 
+@PROPERTY
+@given(matrices(max_rows=6), st.data())
+def test_echelon_form_and_nullspace_do_not_depend_on_row_order(case, data):
+    rows, ncols = case
+    shuffled = data.draw(st.permutations(rows))
+    a = Echelon(sparse(r) for r in rows)
+    b = Echelon(sparse(r) for r in shuffled)
+    assert {p: row for p, (row, _) in a.rows.items()} == {p: row for p, (row, _) in b.rows.items()}
+    assert a.rank == b.rank
+    assert a.nullspace(ncols) == b.nullspace(ncols)
+
+
 def fields(rows) -> list[VectorField]:
     """One vector field per row, the row's entries on t^j d_t."""
     d = 2
