@@ -224,12 +224,7 @@ def self_similar_free(a: float, rho0: float, d: int):
 def gaussian_packet(b: Sequence[float], sigma: float, rho0: float = 1.0):
     """Uniformly translating Gaussian density on the uniform flow."""
     b = np.asarray(b, float)
-
-    def theta(t, *xs):
-        acc = t * (-0.5 * float(b @ b))
-        for bi, xi in zip(b, xs):
-            acc = acc + xi * bi
-        return acc
+    theta = uniform_flow(b)[0]
 
     def rho(t, *xs):
         q2 = None

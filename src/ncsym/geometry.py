@@ -315,22 +315,3 @@ def newtonian_connection(d: int, V: Poly) -> NCStructure:
     base = flat_galilei(d)
     A = OneForm(d, [-V] + [Poly.zero(d)] * d)
     return connection_from_observer(base, rest_observer(d), exterior_derivative_one_form(A))
-
-
-def structure_to_obj(nc: NCStructure) -> dict:
-    return {
-        "dim": nc.dim,
-        "gamma": nc.base.gamma.to_obj(),
-        "theta": nc.base.theta.to_obj(),
-        "connection": nc.connection.to_obj(),
-    }
-
-
-def structure_from_obj(obj: dict) -> NCStructure:
-    from .lie import SymTensor2Up
-
-    d = obj["dim"]
-    base = GalileiStructure(
-        d, SymTensor2Up.from_obj(obj["gamma"]), OneForm.from_obj(obj["theta"])
-    )
-    return NCStructure(base, Connection.from_obj(obj["connection"]))

@@ -122,14 +122,6 @@ class OneForm:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.components)
 
-    def to_obj(self) -> dict:
-        return {"dim": self.dim, "components": [c.to_obj() for c in self.components]}
-
-    @classmethod
-    def from_obj(cls, obj) -> "OneForm":
-        d = obj["dim"]
-        return cls(d, [Poly.from_obj(d, c) for c in obj["components"]])
-
 
 class SymTensor2Up:
     """Twice-contravariant symmetric tensor (gamma and its Lie derivatives)."""
@@ -163,14 +155,6 @@ class SymTensor2Up:
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for row in self.comp for v in row)
-
-    def to_obj(self) -> dict:
-        return {"dim": self.dim, "components": [[p.to_obj() for p in row] for row in self.comp]}
-
-    @classmethod
-    def from_obj(cls, obj) -> "SymTensor2Up":
-        d = obj["dim"]
-        return cls(d, [[Poly.from_obj(d, p) for p in row] for row in obj["components"]])
 
 
 class TwoForm:
@@ -230,24 +214,6 @@ class TwoForm:
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for row in self.comp for v in row)
-
-    def to_obj(self) -> dict:
-        return {
-            "dim": self.dim,
-            "upper": [
-                {"index": [a, b], "value": self.comp[a][b].to_obj()}
-                for a in range(self.dim + 1)
-                for b in range(a + 1, self.dim + 1)
-                if not self.comp[a][b].is_zero()
-            ],
-        }
-
-    @classmethod
-    def from_obj(cls, obj) -> "TwoForm":
-        d = obj["dim"]
-        return cls.from_upper(
-            d, {tuple(e["index"]): Poly.from_obj(d, e["value"]) for e in obj["upper"]}
-        )
 
 
 class ThreeForm:
@@ -319,29 +285,6 @@ class Connection:
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for m in self.comp for r in m for v in r)
-
-    def to_obj(self) -> dict:
-        return {
-            "dim": self.dim,
-            "entries": [
-                {"index": [c, a, b], "value": self.comp[c][a][b].to_obj()}
-                for c in range(self.dim + 1)
-                for a in range(self.dim + 1)
-                for b in range(a, self.dim + 1)
-                if not self.comp[c][a][b].is_zero()
-            ],
-        }
-
-    @classmethod
-    def from_obj(cls, obj) -> "Connection":
-        d = obj["dim"]
-        comp = [[[Poly.zero(d) for _ in range(d + 1)] for _ in range(d + 1)] for _ in range(d + 1)]
-        for e in obj["entries"]:
-            c, a, b = e["index"]
-            val = Poly.from_obj(d, e["value"])
-            comp[c][a][b] = val
-            comp[c][b][a] = val
-        return cls(d, comp)
 
 
 # ---------------------------------------------------------------------------

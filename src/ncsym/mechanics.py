@@ -351,11 +351,23 @@ def poisson_brackets(m: float, s: float, n_points: int = 20, seed: int = 0) -> d
     """Bracket table of the charge functions on the space of motions.
 
     Coordinates (q, p, sphere tangent); the symplectic matrix is
-    inverted numerically at each sample point and Hamiltonian vector
-    fields are defined by Omega(X_F, .) = -dF, so {F, G} = Omega(X_F, X_G).
+    constant in this chart and inverted numerically once, and Hamiltonian
+    vector fields are defined by Omega(X_F, .) = -dF, so
+    {F, G} = Omega(X_F, X_G).
     """
     if m <= 0:
         raise ValueError("mass must be positive")
+    if s == 0:
+        raise ValueError("spin sector needs s != 0 for a symplectic sphere")
+    if n_points < 1:
+        raise ValueError("n_points must be at least 1")
+    omega = np.zeros((8, 8))
+    for A in range(3):
+        omega[A, 3 + A] = -1.0
+        omega[3 + A, A] = 1.0
+    omega[6, 7] = -s
+    omega[7, 6] = s
+    omega_inv = np.linalg.inv(omega)
     rng = np.random.default_rng(seed)
 
     def gradients(q, p, u, e1, e2):
@@ -397,15 +409,6 @@ def poisson_brackets(m: float, s: float, n_points: int = 20, seed: int = 0) -> d
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
         e1, e2 = _sphere_frame(u)
-        omega = np.zeros((8, 8))
-        for A in range(3):
-            omega[A, 3 + A] = -1.0
-            omega[3 + A, A] = 1.0
-        omega[6, 7] = -s
-        omega[7, 6] = s
-        if s == 0:
-            raise ValueError("spin sector needs s != 0 for a symplectic sphere")
-        omega_inv = np.linalg.inv(omega)
         grads = gradients(q, p, u, e1, e2)
 
         def bracket(F, G):

@@ -308,9 +308,3 @@ def poly_divmod_t(num: Poly, den: Poly) -> tuple["Poly", "Poly"]:
         quot = quot + q
         rem = rem - q * den
     return quot, rem
-
-
-def poly_div_t(num: Poly, den: Poly) -> Poly | None:
-    """Exact quotient num/den for polynomials in t alone; None if not divisible."""
-    quot, rem = poly_divmod_t(num, den)
-    return quot if rem.is_zero() else None

@@ -380,14 +380,6 @@ def span_contains(basis: Sequence[VectorField], fields: Sequence[VectorField]) -
     return _contains(_span(basis), fields)
 
 
-def expand_in_basis(basis: Sequence[VectorField], X: VectorField):
-    """Rational coefficients of X in the basis, or None if outside the span."""
-    coeffs, remainder = _span(basis).reduce(_field_vector(X))
-    if remainder:
-        return None
-    return [coeffs.get(i, Fraction(0)) for i in range(len(basis))]
-
-
 # ---------------------------------------------------------------------------
 # algebra containers
 # ---------------------------------------------------------------------------
@@ -588,10 +580,6 @@ def quadratic_expansion(d: int, A: int, k: int = 0) -> VectorField:
     return VectorField(d, comps)
 
 
-def time_dilation(d: int) -> VectorField:
-    return time_translation(d, 1)
-
-
 def sch_dilation(d: int) -> VectorField:
     """2t d_t + x.d: dilates time twice as much as space."""
     return time_translation(d, 1).scale(2) + space_dilation(d)
@@ -755,7 +743,7 @@ def solve_sch_expanded(d: int) -> AlgebraBasis:
     raw = solve_system(d, res_timelike_projective, nt_time=3, nt_space=3)
     named = _head(d)
     named.append(("kappa", sch_expansion(d)))
-    named.append(("mu", time_dilation(d)))
+    named.append(("mu", time_translation(d, 1)))
     named.append(("lambda", space_dilation(d)))
     named.append(("epsilon", time_translation(d)))
     return _presented("sch_expanded", d, raw, named)
@@ -988,23 +976,20 @@ def _cmil_branches(
     d: int, branches: Sequence[str], ether: Observer | None = None
 ) -> list[AlgebraBasis]:
     """The requested closed branches of the flat NC-Milne system, each
-    'c1' or 'c2', cut out of one raw space; only c1 depends on the ether."""
-    from .geometry import rest_observer
-
+    'c1' or 'c2', cut out of one raw space; only c1 depends on the ether,
+    and no ether means the rest observer, whose kappa has no tail."""
     _check_dimension(d)
-    if ether is None:
-        ether = rest_observer(d)
-    if not ether.is_constant():
+    if ether is not None and not ether.is_constant():
         raise ValueError("ether must have constant components")
     raw = cmil_raw_space(d)
     out = []
     for branch in branches:
         if branch == "c1":
-            u = [ether.U[A].constant_value() for A in range(1, d + 1)]
+            u = None if ether is None else [ether.U[A].constant_value() for A in range(1, d + 1)]
             named = _head(d, accelerations=True)
             named.append(("kappa", cga_expansion(d, u)))
             named.append(("lambda", space_dilation(d)))
-            named.append(("mu", time_dilation(d)))
+            named.append(("mu", time_translation(d, 1)))
             named.append(("epsilon", time_translation(d)))
             out.append(_presented("cmil_c1", d, restrict_span(raw, _res_c1_slice), named))
             continue

@@ -251,10 +251,10 @@ def _loaded_modules(args):
         (["fluid-check"], EXACT),
         (["noether", "--model", "photon"], EXACT),
         (["geodesic", "--steps", "10"], EXACT),
-        # the exact commands define no dataclass, only cmil's observer code
+        # the exact commands define no dataclass, only an ether passed in
         # needs geometry, and noether's Connection is an annotation only
         (["solve", "--family", "gal", "--d", "2"], ("dataclasses", "ncsym.geometry", "csv")),
-        (["solve", "--family", "cmil", "--d", "2"], ("dataclasses", "csv")),
+        (["solve", "--family", "cmil", "--d", "2"], ("dataclasses", "ncsym.geometry", "csv")),
         (["bracket-table", "--family", "sch", "--d", "2"], ("dataclasses", "csv")),
         (["rep-check", "--rep", "sch", "--d", "2"], ("dataclasses", "ncsym.geometry", "csv")),
         (["em-check"], ("dataclasses", "csv")),
@@ -263,6 +263,7 @@ def _loaded_modules(args):
         (["fluid-check"], ("csv",)),
         (["geodesic", "--steps", "10", "--out", os.devnull], ("csv",)),
         (["selftest"], ("csv",)),
+        (["bracket-table", "--family", "cga", "--d", "2"], ("dataclasses", "ncsym.geometry", "csv")),
     ],
 )
 def test_subcommand_loads_only_the_modules_it_uses(args, absent):

@@ -357,21 +357,6 @@ def test_observer_must_be_unit():
         Observer(VectorField(d, [Poly.const(d, 2), Poly.zero(d), Poly.zero(d)]))
 
 
-def test_structure_serialization_roundtrip():
-    from ncsym.geometry import structure_from_obj, structure_to_obj
-
-    d = 3
-    V = Poly.x(d, 1) * Poly.x(d, 2) + Poly.t(d) * Poly.x(d, 3)
-    nc = newtonian_connection(d, V)
-    back = structure_from_obj(structure_to_obj(nc))
-    assert back.dim == nc.dim
-    for c in range(4):
-        for a in range(4):
-            for b in range(4):
-                assert back.connection[c, a, b] == nc.connection[c, a, b]
-    assert back.base.gamma.comp == nc.base.gamma.comp
-
-
 def test_variation_formula_matches_lie_transport_timelike():
     # dual route: the four-term variation at a generator's (f, g) must
     # equal the Lie derivative of the flat connection along it

@@ -4,7 +4,9 @@ Each digest is of the stdout of ``ncsym.cli.main`` run in process on the
 command's arguments.  A change to the solver that alters a single byte of
 a report (a generator's coefficients, the label order, the structure
 constants) fails here, and so does a change to the RK4 integrator that
-moves a geodesic's final state or its ``--out`` CSV by one bit.
+moves a geodesic's final state or its ``--out`` CSV by one bit, or a
+change to a seeded numeric suite (``selftest``, ``fluid-check``,
+``noether``) that moves one printed residual.
 """
 
 import hashlib
@@ -114,6 +116,16 @@ GOLDEN = [
      "bea07c373bd601333604cd040e9118ccee2094db4f25b54ed7b58e0112f507d4"),
     ("geodesic --model free --steps 20000",
      "fe405609652dc2dfab79261cbb15449c5a3cf679c3b73fbdcecf5fac84b5ae83"),
+    ("selftest",
+     "b3ae5603d9ab38dc8a8adb2323488d21ede6f24299fdea9960fe79a214edc48c"),
+    ("fluid-check --seed 0",
+     "dfae177d0a6f3b64d8c768c986030f23afcce526ae94f77a4442e5193b074b93"),
+    ("fluid-check --negative-control --seed 0",
+     "dfae177d0a6f3b64d8c768c986030f23afcce526ae94f77a4442e5193b074b93"),
+    ("noether --model massive --seed 0",
+     "4b54a516d6090145f9a5e1f2d51c6b024943d27d6907cb1dd3f73a21b27ff349"),
+    ("noether --model photon --seed 0",
+     "d48d7cd8e332d77fbbc54352ed3896754963c128fe9b597b14dde3591d205252"),
 ]
 
 GEODESIC_CSV = "0c65df96e8dc00cf20fd48231069f751109614054d1fa19c247b95d991909668"

@@ -377,6 +377,10 @@ def test_poisson_spin_sector_consistent_sign():
 def test_poisson_requires_spin():
     with pytest.raises(ValueError):
         mech.poisson_brackets(m=1.0, s=0.0, n_points=1, seed=0)
+    # rejected before any draw
+    for s, n_points in [(0.0, 0), (0.0, -3), (0.5, 0), (0.5, -3)]:
+        with pytest.raises(ValueError):
+            mech.poisson_brackets(m=1.0, s=s, n_points=n_points, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ncsym.poly import Poly, poly_div_t, poly_divmod_t
+from ncsym.poly import Poly, poly_divmod_t
 
 from conftest import random_poly
 
@@ -101,8 +101,10 @@ def test_divmod_t():
     q, r = poly_divmod_t(num, den)
     assert q * den + r == num
     assert r.degree_in(0) < den.degree_in(0)
-    assert poly_div_t(t * t - Poly.const(d, 1), t - Poly.const(d, 1)) == t + Poly.const(d, 1)
-    assert poly_div_t(t * t + Poly.const(d, 1), t) is None
+    assert poly_divmod_t(t * t - Poly.const(d, 1), t - Poly.const(d, 1)) == (
+        t + Poly.const(d, 1), Poly.zero(d)
+    )
+    assert poly_divmod_t(t * t + Poly.const(d, 1), t) == (t, Poly.const(d, 1))
 
 
 def test_dimension_mismatch_rejected():

@@ -9,7 +9,6 @@ from ncsym.poly import Poly
 from ncsym.solver import (
     INF,
     NotClosedError,
-    acceleration,
     alt_closure_scan,
     alt_obstruction_coefficient,
     alt_subalgebra,
@@ -20,7 +19,6 @@ from ncsym.solver import (
     cmil_raw_space,
     cnc_system_residuals,
     bracket_closure_grow,
-    expand_in_basis,
     parse_z,
     restrict_cmil_z,
     restrict_cnc_z,
@@ -38,7 +36,6 @@ from ncsym.solver import (
     span_contains,
     span_equal,
     structure_constants,
-    time_dilation,
     time_translation,
     translation,
 )
@@ -205,7 +202,7 @@ def test_sch_restrictions():
 def test_sch_inf_keeps_time_dilation():
     b = restrict_sch_z(solve_sch_expanded(3), INF)
     assert "mu" in b.labels
-    assert span_contains(b.generators, [time_dilation(3)])
+    assert span_contains(b.generators, [time_translation(3, 1)])
     assert not span_contains(b.generators, [space_dilation(3)])
 
 
@@ -538,7 +535,7 @@ def test_alt_candidate_at_infinite_exponent():
     # 1/z = 0: the expansion and mu carry no space dilation
     assert alt_obstruction_coefficient(2, 1, INF) == Fraction(1, 2)
     assert alt_closure_scan(2, 1, [INF, "2"]) == {"inf": False, "2": True}
-    assert dict(solver.alt_candidate(2, 1, INF))["mu"] == time_dilation(2)
+    assert dict(solver.alt_candidate(2, 1, INF))["mu"] == time_translation(2, 1)
 
 
 def test_alt_closure_certificate():
@@ -561,14 +558,6 @@ def test_report_roundtrip():
     assert len(rep["generators"]) == 12
     got = VectorField.from_obj(rep["generators"][0])
     assert got == sch.generators[0]
-
-
-def test_expand_in_basis():
-    sch = solve_sch(3)
-    combo = sch.generators[0] + sch.generators[5].scale(Fraction(3, 2))
-    coeffs = expand_in_basis(sch.generators, combo)
-    assert coeffs[0] == 1 and coeffs[5] == Fraction(3, 2)
-    assert expand_in_basis(sch.generators, quad := acceleration(3, 1)) is None
 
 
 def test_dimension_formulas_hold_at_d4():
