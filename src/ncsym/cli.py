@@ -5,15 +5,20 @@ Exit codes: 0 success / verification pass, 1 usage or domain error,
 Output is byte-stable for fixed inputs and seed: canonical generator
 ordering and sorted JSON keys throughout.  Each subcommand imports only
 the modules it uses, so ``--help``, ``solve``, ``bracket-table``,
-``rep-check`` and ``em-check`` start without numpy.
+``rep-check``, ``em-check`` and ``geodesic`` without ``--out`` start
+without numpy.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
+
+# No numpy product here exceeds 8x8: a BLAS thread pool would only burn CPU.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 
 def _write_json(payload: dict, out: str | None) -> None:
@@ -115,10 +120,8 @@ def cmd_rep_check(args) -> int:
 
 
 def cmd_geodesic(args) -> int:
-    import numpy as np
-
-    from . import mechanics
     from .geometry import flat_structure, newtonian_connection
+    from .integrate import integrate_geodesic
     from .poly import Poly
 
     d = 3
@@ -133,9 +136,14 @@ def cmd_geodesic(args) -> int:
         raise ValueError("geodesic model must be free or harmonic")
     x0 = [0.0, 1.0, 0.0, 0.0]
     v0 = [1.0, 0.0, 0.5, 0.0]
-    res = mechanics.integrate_geodesic(conn, x0, v0, args.h, args.steps)
-    traj = res["trajectory"]
+    res = integrate_geodesic(conn, x0, v0, args.h, args.steps)
+    n = 2 * (d + 1)
     if args.out:
+        import numpy as np
+
+        from . import mechanics
+
+        traj = np.frombuffer(res["trajectory"]).reshape(-1, n)
         rows = len(traj)
         spin = np.broadcast_to([0.0, 0.0, 1.0], (rows, 3))
         ch = mechanics.massive_charges(
@@ -166,7 +174,7 @@ def cmd_geodesic(args) -> int:
             "steps": args.steps,
             "h": args.h,
             "tdot_class": res["tdot_class"],
-            "final": [float(v) for v in traj[-1]],
+            "final": res["trajectory"][-n:].tolist(),
         },
         None,
     )

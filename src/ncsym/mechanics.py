@@ -1,146 +1,26 @@
-"""Presymplectic particle models: geodesics, charges, Poisson brackets.
+"""Presymplectic particle models: charges, Poisson brackets, central potentials.
 
-Numeric layer (float64).  Trajectories use fixed-step RK4 with
-compensated state accumulation so that conserved-quantity drift over
-10^4 steps stays at round-off level.  Right-hand sides take the state
-as a list of floats; the RK4 step (per state length) and the geodesic
-right-hand side (per connection) run as generated straight-line source
-whose only literals are integers.  Differential forms are evaluated
-as bilinear pairings at points, never stored symbolically; the spin
-sphere is handled as an embedded unit vector with per-step
+Numeric layer (float64).  Trajectories come from ``integrate.rk4``,
+whose compensated state accumulation keeps conserved-quantity drift
+over 10^4 steps at round-off level; its flat trajectory is viewed here
+as a (steps+1, n) array without a copy.  Differential forms are
+evaluated as bilinear pairings at points, never stored symbolically;
+the spin sphere is handled as an embedded unit vector with per-step
 renormalization.
 """
 
 from __future__ import annotations
 
-import contextlib
-import functools
-import itertools
-import math
 from dataclasses import dataclass, fields, replace
-from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .integrate import rk4
 from .poly import Poly
-
-if TYPE_CHECKING:
-    from .lie import Connection
 
 EPS_UNIT = 1e-12
 FD_STEP = 1e-6  # central-difference step of massive_noether_residual's dJ
 CHART_STEP = 1e-5  # and of the presymplectic residuals' chart derivatives
-
-
-# ---------------------------------------------------------------------------
-# integrators
-# ---------------------------------------------------------------------------
-
-
-# Largest accepted RK4 step count, checked before the trajectory array is
-# allocated: (MAX_STEPS + 1) rows are 64 MB for the 8-component geodesic
-# state.  The documented runs use 10^4 to 2 * 10^4 steps.
-MAX_STEPS = 10**6
-
-
-def _names(fmt: str, n: int) -> str:
-    return ", ".join(fmt.format(j) for j in range(n))
-
-
-@functools.lru_cache(maxsize=None)
-def _rk4_kernel(n: int):
-    """The RK4 loop for states of length n, unrolled into locals y0..y{n-1}
-    (state) and c0..c{n-1} (Kahan carry), one statement per component.
-    The source holds only identifiers and integer literals; the float
-    constants are bound by name."""
-    y = _names("y{}", n)
-    src = [
-        "def kernel(rhs, out, state, h, steps):",
-        f"    [{y}] = state",
-        f"    [{_names('c{}', n)}] = [{_names('ZERO', n)}]",
-        "    hh = HALF * h",
-        "    h6 = h / SIX",
-        "    t = ZERO",
-        "    for i in range(1, steps + 1):",
-        f"        [{_names('p{}', n)}] = rhs(t, [{y}])",
-        f"        [{_names('q{}', n)}] = rhs(t + hh, [{_names('y{0} + hh * p{0}', n)}])",
-        f"        [{_names('r{}', n)}] = rhs(t + hh, [{_names('y{0} + hh * q{0}', n)}])",
-        f"        [{_names('s{}', n)}] = rhs(t + h, [{_names('y{0} + h * r{0}', n)}])",
-    ]
-    for j in range(n):
-        src += [
-            f"        add = h6 * (p{j} + TWO * q{j} + TWO * r{j} + s{j}) + c{j}",
-            f"        b = y{j} + add",
-            f"        c{j} = add - (b - y{j})",
-            f"        y{j} = b",
-        ]
-    src += ["        t = i * h", f"        out[i] = [{y}]"]
-    env = {"ZERO": 0.0, "HALF": 0.5, "TWO": 2.0, "SIX": 6.0}
-    exec("\n".join(src), env)
-    return env["kernel"]
-
-
-def rk4(rhs, y0, h, steps):
-    """Fixed-step RK4 with Kahan-compensated accumulation of the state.
-
-    ``rhs(t, y)`` receives the state as a list of floats and returns any
-    length-n sequence.  Steps run in the unrolled kernel for len(y0), each
-    component rounding exactly as the elementwise array form.  Returns the
-    (steps+1, len(y0)) trajectory array; a non-finite state, or an
-    ``OverflowError`` in ``rhs``, is a ``ValueError`` naming its first step.
-    """
-    if not (math.isfinite(h) and h > 0):
-        raise ValueError(f"step size must be finite and positive, got {h}")
-    if steps < 0:
-        raise ValueError(f"number of steps must be >= 0, got {steps}")
-    if steps > MAX_STEPS:
-        raise ValueError(f"number of steps must be <= {MAX_STEPS}, got {steps}")
-    y0 = np.array(y0, dtype=float)
-    out = np.empty((steps + 1, y0.size))
-    out[0] = y0
-    out[1:] = np.nan  # rows an OverflowError in rhs (x ** e) leaves unwritten
-    with contextlib.suppress(OverflowError):
-        _rk4_kernel(y0.size)(rhs, out, y0.tolist(), h, steps)
-    if not np.isfinite(out).all():
-        step = int(np.argmin(np.isfinite(out).all(axis=1)))
-        raise ValueError(f"RK4 state is not finite at step {step} (step size {h})")
-    return out
-
-
-def _geodesic_rhs(conn: Connection):
-    """(x, v) -> (v, -Gamma^c_ab(x) v^a v^b) as straight-line code, one
-    statement per nonzero Gamma^c_ab in (c, a, b) order, each summed from
-    0.0 in ``Poly.evaluate``'s term order and subtracted from its
-    accumulator, so it rounds exactly as that method at float points.
-    Coefficients are bound by name, leaving only integer literals."""
-    n = conn.dim + 1
-    x, v, g = _names("x{}", n), _names("v{}", n), _names("g{}", n)
-    env = {"ZERO": 0.0}
-    src = ["def rhs(_t, y):", f"    [{x}, {v}] = y", f"    [{g}] = [{_names('ZERO', n)}]"]
-    for c, a, b in itertools.product(range(n), repeat=3):
-        total = ["ZERO"]
-        for exp, coef in conn[c, a, b].terms.items():
-            name = f"k{len(env)}"
-            env[name] = float(coef)
-            powers = [f"x{i} ** {e}" if e > 1 else f"x{i}" for i, e in enumerate(exp) if e]
-            total.append(" * ".join([name, *powers]))
-        if len(total) > 1:
-            src.append(f"    g{c} -= ({' + '.join(total)}) * v{a} * v{b}")
-    src.append(f"    return [{v}, {g}]")
-    exec("\n".join(src), env)
-    return env["rhs"]
-
-
-def integrate_geodesic(conn: Connection, x0, xdot0, h, steps):
-    """Affinely parametrized geodesics of a polynomial connection.
-
-    State is (x^0..x^d, xdot^0..xdot^d); returns the trajectory and the
-    time-velocity class ('timelike' for xdot^0 != 0, else 'lightlike',
-    preserved exactly when the connection has no time components).
-    """
-    traj = rk4(_geodesic_rhs(conn), [*x0, *xdot0], h, steps)
-    tclass = "timelike" if abs(traj[0, conn.dim + 1]) > 0 else "lightlike"
-    return {"trajectory": traj, "tdot_class": tclass, "dim": conn.dim, "h": h}
 
 
 # ---------------------------------------------------------------------------
@@ -369,17 +249,18 @@ def poisson_brackets(m: float, s: float, n_points: int = 20, seed: int = 0) -> d
     omega[7, 6] = s
     omega_inv = np.linalg.inv(omega)
     rng = np.random.default_rng(seed)
+    constant = {}  # the P and G gradients do not depend on the point
+    for A in range(3):
+        g = np.zeros(8)
+        g[3 + A] = 1.0
+        constant[f"P{A}"] = g
+        g = np.zeros(8)
+        g[A] = m
+        constant[f"G{A}"] = g
 
-    def gradients(q, p, u, e1, e2):
+    def gradients(q, p, e1, e2):
         """charge -> gradient in chart basis (dq, dp, dth1, dth2)."""
-        out = {}
-        for A in range(3):
-            g = np.zeros(8)
-            g[3 + A] = 1.0
-            out[f"P{A}"] = g
-            g = np.zeros(8)
-            g[A] = m
-            out[f"G{A}"] = g
+        out = dict(constant)
         Mq = _eps_matrix_q(p)
         Mp = -_eps_matrix_q(q)
         for A in range(3):
@@ -409,7 +290,7 @@ def poisson_brackets(m: float, s: float, n_points: int = 20, seed: int = 0) -> d
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
         e1, e2 = _sphere_frame(u)
-        grads = gradients(q, p, u, e1, e2)
+        grads = gradients(q, p, e1, e2)
 
         def bracket(F, G):
             xf = omega_inv @ (-grads[F])
@@ -613,7 +494,7 @@ def inverse_square_trajectory(m: float, c: float, x0, v0, h: float, steps: int):
         a = 2.0 * c / (m * r2 * r2)
         return [u1, u2, u3, a * q1, a * q2, a * q3]
 
-    traj = rk4(rhs, [*x0, *v0], h, steps)
+    traj = np.frombuffer(rk4(rhs, [*x0, *v0], h, steps)).reshape(-1, 6)
     times = h * np.arange(steps + 1)
     xs = traj[:, :3]
     vs = traj[:, 3:]
@@ -629,7 +510,7 @@ def harmonic_trajectory(m: float, k: float, x0, v0, h: float, steps: int):
     def rhs(_t, y):
         return y[3:] + [w * q for q in y[:3]]
 
-    traj = rk4(rhs, [*x0, *v0], h, steps)
+    traj = np.frombuffer(rk4(rhs, [*x0, *v0], h, steps)).reshape(-1, 6)
     times = h * np.arange(steps + 1)
     xs = traj[:, :3]
     vs = traj[:, 3:]

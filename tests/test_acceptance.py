@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from ncsym import em, fluids, mechanics as mech, representations as reps, solver
+from ncsym import em, fluids, integrate, mechanics as mech, representations as reps, solver
 from ncsym.geometry import flat_structure, rest_observer
 from ncsym.lie import Connection, TwoForm
 from ncsym.poly import Poly
@@ -123,10 +123,10 @@ def test_criterion_5_massive_mechanics():
     started = time.monotonic()
     ok = True
     # free particle: all six charges below 1e-12 drift over 10^4 steps
-    res = mech.integrate_geodesic(
+    res = integrate.integrate_geodesic(
         Connection.zero(3), [0.0, 0.1, -0.2, 0.05], [1.0, 0.12, 0.07, -0.09], 1e-3, 10000
     )
-    traj = res["trajectory"]
+    traj = np.frombuffer(res["trajectory"]).reshape(-1, 8)
     m, s = 1.7, 0.4
     u = np.array([0.0, 0.6, 0.8])
     ref = None

@@ -4,9 +4,10 @@ import subprocess
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from ncsym import mechanics
+from ncsym import integrate, mechanics
 from ncsym.cli import main
 from ncsym.geometry import newtonian_connection
 from ncsym.poly import Poly
@@ -96,9 +97,8 @@ def test_geodesic_csv_matches_per_row_charges(tmp_path):
     for A in range(1, 4):
         V = V + Poly.x(3, A) * Poly.x(3, A) * Fraction(1, 2)
     conn = newtonian_connection(3, V).connection
-    traj = mechanics.integrate_geodesic(conn, [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.5, 0.0], h, steps)[
-        "trajectory"
-    ]
+    res = integrate.integrate_geodesic(conn, [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.5, 0.0], h, steps)
+    traj = np.frombuffer(res["trajectory"]).reshape(-1, 8)
     expected = []
     for i, row in enumerate(traj):
         state = mechanics.MassiveState(row[0], row[1:4], row[5:8], [0.0, 0.0, 1.0])
@@ -156,7 +156,7 @@ def test_console_entry_point():
         ["solve", "--family", "cgal-z", "--z", "1", "--deg-t", str(MAX_TIME_DEGREE + 1)],
         ["solve", "--family", "cnc", "--deg-t", str(MAX_TIME_DEGREE + 1)],
         ["solve", "--family", "alt", "--N", str(MAX_N + 1)],
-        ["geodesic", "--steps", str(mechanics.MAX_STEPS + 1)],
+        ["geodesic", "--steps", str(integrate.MAX_STEPS + 1)],
         ["solve", "--family", "sch", "--z", "1/0"],
         ["noether", "--model", "massive", "--seed", "-1"],
         ["fluid-check", "--seed", "-5"],
@@ -264,12 +264,38 @@ def _loaded_modules(args):
         (["geodesic", "--steps", "10", "--out", os.devnull], ("csv",)),
         (["selftest"], ("csv",)),
         (["bracket-table", "--family", "cga", "--d", "2"], ("dataclasses", "ncsym.geometry", "csv")),
+        # the integrator is stdlib-only: numpy arrays pay off only for --out
+        (["geodesic", "--steps", "10"], ("numpy", "ncsym.mechanics", "dataclasses")),
     ],
 )
 def test_subcommand_loads_only_the_modules_it_uses(args, absent):
     code, loaded = _loaded_modules(args)
     assert code == 0
     assert not loaded & set(absent)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+@pytest.mark.parametrize("blas, threads", [(None, "1"), ("2", "2")])
+def test_cli_runs_one_blas_thread_unless_set(blas, threads):
+    # numpy's OpenBLAS starts a worker per core at import; the CLI asks for
+    # none before any subcommand imports numpy, and keeps a value already set
+    script = (
+        "import os\n"
+        "from ncsym.cli import main\n"
+        "code = main(['noether', '--model', 'photon'])\n"
+        "print()\n"
+        "print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+        "raise SystemExit(code)\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    if blas is not None:
+        env["OPENBLAS_NUM_THREADS"] = blas
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0
+    tasks, value = proc.stdout.splitlines()[-1].split()
+    if blas is None:
+        assert tasks == "1"
+    assert value == threads
 
 
 @pytest.mark.parametrize("args, expected", [(["--help"], 0), (["solve", "--family", "nope"], 1)])

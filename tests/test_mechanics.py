@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ncsym import mechanics as mech
+from ncsym import integrate, mechanics as mech
 from ncsym.geometry import (
     connection_from_observer,
     flat_galilei,
@@ -15,6 +15,11 @@ from ncsym.geometry import (
 )
 from ncsym.lie import Connection, OneForm, exterior_derivative_one_form
 from ncsym.poly import Poly
+
+
+def _rows(res):
+    """(steps+1, 2(d+1)) array view of a geodesic's flat trajectory."""
+    return np.frombuffer(res["trajectory"]).reshape(-1, 2 * (res["dim"] + 1))
 
 
 def _harmonic_connection(d=3, w2=Fraction(4)):
@@ -30,8 +35,8 @@ def _harmonic_connection(d=3, w2=Fraction(4)):
 
 
 def test_free_geodesic_is_straight():
-    res = mech.integrate_geodesic(Connection.zero(3), [0.0, 1.0, -1.0, 0.0], [1.0, 0.2, 0.4, -0.1], 1e-2, 500)
-    traj = res["trajectory"]
+    res = integrate.integrate_geodesic(Connection.zero(3), [0.0, 1.0, -1.0, 0.0], [1.0, 0.2, 0.4, -0.1], 1e-2, 500)
+    traj = _rows(res)
     taus = 1e-2 * np.arange(501)
     expect = np.array([1.0, -1.0, 0.0]) + np.outer(taus, [0.2, 0.4, -0.1])
     assert np.max(np.abs(traj[:, 1:4] - expect)) < 1e-12
@@ -41,8 +46,8 @@ def test_free_geodesic_is_straight():
 def test_harmonic_period():
     conn = _harmonic_connection()
     h, steps = 1e-3, 10000
-    res = mech.integrate_geodesic(conn, [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.5, 0.0], h, steps)
-    traj = res["trajectory"]
+    res = integrate.integrate_geodesic(conn, [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.5, 0.0], h, steps)
+    traj = _rows(res)
     times = traj[:, 0]
     assert np.max(np.abs(times - h * np.arange(steps + 1))) < 1e-9
     exact1 = np.cos(2.0 * times)
@@ -70,8 +75,8 @@ def test_rotating_frame_agrees_with_second_order_form():
     # of xdd = -grad V + omegadot x x + 2 omega x xd
     conn, k, w0, w1 = _rotating_frame_connection()
     h, steps = 1e-3, 2000
-    res = mech.integrate_geodesic(conn, [0.0, 1.0, 0.0, 0.3], [1.0, 0.1, -0.2, 0.0], h, steps)
-    geo = res["trajectory"]
+    res = integrate.integrate_geodesic(conn, [0.0, 1.0, 0.0, 0.3], [1.0, 0.1, -0.2, 0.0], h, steps)
+    geo = _rows(res)
 
     def omega_vec(t):
         # dual vector of the matrix with omega_12 = w0 + w1 t
@@ -85,7 +90,7 @@ def test_rotating_frame_agrees_with_second_order_form():
         acc = -float(k) * x + np.cross(wdot, x) + 2.0 * np.cross(wv, v)
         return np.concatenate([v, acc])
 
-    direct = mech.rk4(rhs, [1.0, 0.0, 0.3, 0.1, -0.2, 0.0], h, steps)
+    direct = np.frombuffer(integrate.rk4(rhs, [1.0, 0.0, 0.3, 0.1, -0.2, 0.0], h, steps)).reshape(-1, 6)
     gap = np.abs(geo[:, 1:4] - direct[:, :3])
     assert np.max(gap) < 1e-9 * steps
     # per-step agreement: the bound scales with the step index
@@ -116,7 +121,7 @@ def test_term_table_evaluates_bitwise_like_poly(case):
         for a in range(n):
             comp = [[[Poly.zero(p.dim)] * n for _ in range(n)] for _ in range(n)]
             comp[c][a][a] = p
-            got = mech._geodesic_rhs(Connection(p.dim, comp))(0.0, x + v)
+            got = integrate._geodesic_rhs(Connection(p.dim, comp))(0.0, x + v)
             want = v + [0.0] * n
             want[n + c] = 0.0 - float(p.evaluate(x)) * v[a] * v[a]
             assert [g.hex() for g in got] == [w.hex() for w in want]
@@ -171,7 +176,7 @@ def test_geodesic_trajectory_is_bitwise_the_array_reference():
     args = ([0.0, 1.0, 0.0, 0.3], [1.0, 0.1, -0.2, 0.0], 1e-2, 300)
     # then the connections of `ncsym geodesic --model free|harmonic`
     for conn in (rotating, flat_structure(3).connection, _harmonic_connection(w2=Fraction(1))):
-        got = mech.integrate_geodesic(conn, *args)["trajectory"]
+        got = _rows(integrate.integrate_geodesic(conn, *args))
         assert np.array_equal(got, _reference_geodesic(conn, *args))
 
 
@@ -181,11 +186,11 @@ def test_rk4_accepts_list_and_array_right_hand_sides():
         return np.concatenate([y[3:], -y[:3] / (1.0 + y[:3] @ y[:3])])
 
     y0 = [1.0, 0.2, -0.3, 0.0, 0.7, 0.1]
-    a = mech.rk4(as_array, y0, 1e-2, 100)
-    b = mech.rk4(lambda t, y: as_array(t, y).tolist(), y0, 1e-2, 100)
+    a = integrate.rk4(as_array, y0, 1e-2, 100)
+    b = integrate.rk4(lambda t, y: as_array(t, y).tolist(), y0, 1e-2, 100)
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
-        mech.rk4(lambda t, y: [0.0], y0, 1e-2, 1)
+        integrate.rk4(lambda t, y: [0.0], y0, 1e-2, 1)
 
 
 def test_float_overflow_in_the_right_hand_side_is_a_non_finite_state():
@@ -194,25 +199,35 @@ def test_float_overflow_in_the_right_hand_side_is_a_non_finite_state():
     z = Poly.zero(1)
     comp = [[[z, z], [z, z]], [[Poly.monomial(1, (0, 3)), z], [z, z]]]
     with pytest.raises(ValueError, match="not finite at step 1 "):
-        mech.integrate_geodesic(Connection(1, comp), [0.0, 1.0], [1.0, 0.0], 1e100, 5)
+        integrate.integrate_geodesic(Connection(1, comp), [0.0, 1.0], [1.0, 0.0], 1e100, 5)
 
 
 def test_rk4_rejects_steps_above_cap_before_allocating(monkeypatch):
-    def no_allocation(*args, **kwargs):
-        raise AssertionError("trajectory array allocated")
+    def no_kernel(n):
+        raise AssertionError("integration started")
 
     def no_call(t, y):
         raise AssertionError("right-hand side called")
 
-    monkeypatch.setattr(np, "empty", no_allocation)
+    monkeypatch.setattr(integrate, "_rk4_kernel", no_kernel)
     with pytest.raises(ValueError, match="steps"):
-        mech.rk4(no_call, [0.0, 1.0], 1e-3, mech.MAX_STEPS + 1)
+        integrate.rk4(no_call, [0.0, 1.0], 1e-3, integrate.MAX_STEPS + 1)
+
+
+def test_trajectory_is_eight_bytes_per_value():
+    # a flat row-major double array, not rows of Python floats
+    steps, y0 = 50, [1.0, 0.2, -0.3, 0.0, 0.7, 0.1]
+    traj = integrate.rk4(lambda t, y: y[3:] + [-q for q in y[:3]], y0, 1e-2, steps)
+    assert len(traj) == (steps + 1) * len(y0)
+    assert memoryview(traj).format == "d"
+    assert memoryview(traj).nbytes == 8 * len(traj)
+    assert traj[: len(y0)].tolist() == y0
 
 
 def test_geodesic_lightlike_class_preserved():
-    res = mech.integrate_geodesic(Connection.zero(3), [0.5, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], 1e-2, 100)
+    res = integrate.integrate_geodesic(Connection.zero(3), [0.5, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0], 1e-2, 100)
     assert res["tdot_class"] == "lightlike"
-    assert np.max(np.abs(res["trajectory"][:, 4])) == 0.0
+    assert np.max(np.abs(_rows(res)[:, 4])) == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +262,9 @@ def test_free_flow_conserves_all_charges():
 
 
 def test_free_rk4_charge_drift_below_1e12():
-    res = mech.integrate_geodesic(Connection.zero(3), [0.0, 0.1, -0.2, 0.05],
+    res = integrate.integrate_geodesic(Connection.zero(3), [0.0, 0.1, -0.2, 0.05],
                                   [1.0, 0.12, 0.07, -0.09], 1e-3, 10000)
-    traj = res["trajectory"]
+    traj = _rows(res)
     # no time components in the connection: tdot stays exactly 1
     assert np.all(traj[:, 4] == 1.0)
     m, s = 1.7, 0.4
@@ -374,6 +389,15 @@ def test_poisson_spin_sector_consistent_sign():
     assert abs(lo - rep["jj_sign"]) < 1e-9 and abs(hi - rep["jj_sign"]) < 1e-9
 
 
+def test_poisson_brackets_table_is_pinned():
+    # recorded before the constant P and G gradients moved out of the loop
+    rep = mech.poisson_brackets(1.0, 0.5, n_points=20, seed=0)
+    unit, zero = (1.0, 1.0), (0.0, 0.0)
+    tables = {f"{{P{A},G{B}}}": unit if A == B else zero for A in range(3) for B in range(3)}
+    tables["{J0,J1}/J2"] = (-1.0000000000000002, -0.9999999999999942)
+    assert rep == {"m": 1.0, "s": 0.5, "tables": tables, "jj_sign": -1.0}
+
+
 def test_poisson_requires_spin():
     with pytest.raises(ValueError):
         mech.poisson_brackets(m=1.0, s=0.0, n_points=1, seed=0)
@@ -405,8 +429,8 @@ def test_photon_unit_direction_required():
 
 def test_photon_flow_matches_lightlike_geodesic():
     st = mech.PhotonState(0.5, np.array([0.1, 0.2, 0.0]), 1.0, np.array([0.0, 0.6, 0.8]))
-    res = mech.integrate_geodesic(Connection.zero(3), [st.t, *st.x], [0.0, *st.u], 1e-2, 100)
-    traj = res["trajectory"]
+    res = integrate.integrate_geodesic(Connection.zero(3), [st.t, *st.x], [0.0, *st.u], 1e-2, 100)
+    traj = _rows(res)
     assert res["tdot_class"] == "lightlike"
     end = mech.photon_flow(st, 1.0)
     assert np.allclose(traj[-1][1:4], end.x, atol=1e-12)
@@ -568,8 +592,8 @@ def test_rk4_order_on_harmonic():
 
     def max_err(h):
         steps = int(round(2.0 / h))
-        res = mech.integrate_geodesic(conn, [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.5, 0.0], h, steps)
-        traj = res["trajectory"]
+        res = integrate.integrate_geodesic(conn, [0.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.5, 0.0], h, steps)
+        traj = _rows(res)
         return np.max(np.abs(traj[:, 1] - np.cos(2.0 * traj[:, 0])))
 
     exponent = math.log2(max_err(2e-3) / max_err(1e-3))
