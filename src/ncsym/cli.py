@@ -5,8 +5,8 @@ Exit codes: 0 success / verification pass, 1 usage or domain error,
 Output is byte-stable for fixed inputs and seed: canonical generator
 ordering and sorted JSON keys throughout.  Each subcommand imports only
 the modules it uses, so ``--help``, ``solve``, ``bracket-table``,
-``rep-check``, ``em-check`` and ``geodesic`` without ``--out`` start
-without numpy.
+``rep-check``, ``em-check``, ``selftest`` and ``geodesic`` without
+``--out`` start without numpy.
 """
 
 from __future__ import annotations
@@ -289,14 +289,12 @@ def cmd_em_check(args) -> int:
 
 
 def cmd_selftest(args) -> int:
-    # The exact modules before numpy: compiling them from source on top of a
-    # resident numpy raises the process's peak RSS.
-    from . import em, representations, solver
+    import math
+    import random
+
+    from . import em, fluids, representations, solver
     from .geometry import flat_structure
-
-    import numpy as np
-
-    from . import fluids, mechanics
+    from .integrate import inverse_square_trajectory
 
     checks = []
 
@@ -317,15 +315,15 @@ def cmd_selftest(args) -> int:
     record("sch rep faithful + consistent", rep["faithful"] and not rep["mismatches"])
     rep = representations.verify_representation("cga", 3)
     record("cga rep faithful + consistent", rep["faithful"] and not rep["mismatches"])
-    out = mechanics.inverse_square_trajectory(
-        1.0, -1.0, [1.0, 0.0, 0.0], [0.0, float(np.sqrt(2.0)), 0.0], 1e-3, 2000
-    )
-    drift = float(np.max(np.abs(out["D"] - out["D"][0])))
+    D = inverse_square_trajectory(
+        1.0, -1.0, [1.0, 0.0, 0.0], [0.0, math.sqrt(2.0), 0.0], 1e-3, 2000
+    )["D"]
+    drift = max(abs(value - D[0]) for value in D)
     record("inverse-square dilation charge drift < 1e-6", drift < 1e-6)
     theta, rho = fluids.self_similar_free(1.0, 2.0, 3)
-    res = fluids.fluid_residual(
-        theta, rho, fluids.ZERO_POTENTIAL, fluids.random_points(3, 50, seed=0)
-    )
+    draw = random.Random(0).uniform
+    pts = [[draw(*fluids.T_RANGE)] + [draw(*fluids.X_RANGE) for _ in range(3)] for _ in range(50)]
+    res = fluids.fluid_residual(theta, rho, fluids.ZERO_POTENTIAL, pts)
     record("self-similar fluid residuals < 1e-10", max(res.values()) < 1e-10)
     nc = flat_structure(3)
     lib = em.sourcefree_library()[:2]

@@ -6,61 +6,62 @@ automatic differentiation of analytic solutions rather than from a
 discretized solver: the claims being tested are transformation
 identities, and a PDE solver would only add unrelated discretization
 error.  Charges use tensor-product Gauss-Legendre quadrature of fixed
-order per axis on a caller-supplied box.
+order per axis on a caller-supplied box.  A jet evaluates at one point
+on floats or at a batch of points on numpy arrays; numpy is imported
+only by the functions that batch, so the float path runs without it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from fractions import Fraction
 from typing import Callable, Sequence
-
-import numpy as np
 
 
 class Jet2:
     """Second-order jet: value, gradient and Hessian over n variables.
 
-    Values are numpy arrays (batched over evaluation points); gradient
-    has shape (n,) + batch and the Hessian (n, n) + batch.  Arithmetic
-    follows the usual truncated-Taylor rules, i.e. nested dual numbers
-    collapsed to second order.
+    Every entry is a number: a float at one point, or a numpy array
+    batched over evaluation points, where a float stands for the same
+    value at every point.  ``grad`` is a list of n entries and ``hess``
+    n lists of n.  Arithmetic follows the usual truncated-Taylor rules,
+    i.e. nested dual numbers collapsed to second order, with the same
+    float operations in the same order at every entry whatever its type.
     """
 
     __slots__ = ("val", "grad", "hess", "n")
 
-    def __init__(self, val, grad, hess, n):
-        self.val = np.asarray(val, float)
-        self.grad = np.asarray(grad, float)
-        self.hess = np.asarray(hess, float)
-        self.n = n
+    def __init__(self, val, grad, hess):
+        self.val = val
+        self.grad = grad
+        self.hess = hess
+        self.n = len(grad)
 
     @classmethod
     def variable(cls, index: int, value, n: int) -> "Jet2":
-        value = np.asarray(value, float)
-        grad = np.zeros((n,) + value.shape)
+        grad = [0.0] * n
         grad[index] = 1.0
-        hess = np.zeros((n, n) + value.shape)
-        return cls(value, grad, hess, n)
+        return cls(value, grad, [[0.0] * n for _ in range(n)])
 
     @classmethod
-    def constant(cls, value, n: int, batch_shape=()) -> "Jet2":
-        value = np.broadcast_to(np.asarray(value, float), batch_shape).copy()
-        return cls(value, np.zeros((n,) + batch_shape), np.zeros((n, n) + batch_shape), n)
+    def constant(cls, value, n: int) -> "Jet2":
+        return cls(float(value), [0.0] * n, [[0.0] * n for _ in range(n)])
 
     def _lift(self, other) -> "Jet2":
         if isinstance(other, Jet2):
             return other
-        return Jet2.constant(other, self.n, self.val.shape)
+        return Jet2.constant(other, self.n)
 
     def __add__(self, other):
         o = self._lift(other)
-        return Jet2(self.val + o.val, self.grad + o.grad, self.hess + o.hess, self.n)
+        grad = [g + og for g, og in zip(self.grad, o.grad)]
+        hess = [[h + oh for h, oh in zip(row, orow)] for row, orow in zip(self.hess, o.hess)]
+        return Jet2(self.val + o.val, grad, hess)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.val, -self.grad, -self.hess, self.n)
+        return Jet2(-self.val, [-g for g in self.grad], [[-h for h in row] for row in self.hess])
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -70,15 +71,13 @@ class Jet2:
 
     def __mul__(self, other):
         o = self._lift(other)
-        val = self.val * o.val
-        grad = self.grad * o.val + self.val * o.grad
-        hess = (
-            self.hess * o.val
-            + self.val * o.hess
-            + self.grad[:, None] * o.grad[None, :]
-            + o.grad[:, None] * self.grad[None, :]
-        )
-        return Jet2(val, grad, hess, self.n)
+        sv, sg, ov, og = self.val, self.grad, o.val, o.grad
+        grad = [g * ov + sv * h for g, h in zip(sg, og)]
+        hess = [
+            [h * ov + sv * oh + gi * ogj + ogi * gj for h, oh, gj, ogj in zip(row, orow, sg, og)]
+            for row, orow, gi, ogi in zip(self.hess, o.hess, sg, og)
+        ]
+        return Jet2(sv * ov, grad, hess)
 
     __rmul__ = __mul__
 
@@ -91,42 +90,59 @@ class Jet2:
 
     def _reciprocal(self):
         inv = 1.0 / self.val
-        grad = -self.grad * inv**2
-        hess = -self.hess * inv**2 + 2.0 * self.grad[:, None] * self.grad[None, :] * inv**3
-        return Jet2(inv, grad, hess, self.n)
+        inv2, inv3 = inv**2, inv**3
+        grad = [-g * inv2 for g in self.grad]
+        hess = [
+            [-h * inv2 + 2.0 * gi * gj * inv3 for h, gj in zip(row, self.grad)]
+            for row, gi in zip(self.hess, self.grad)
+        ]
+        return Jet2(inv, grad, hess)
 
     def __pow__(self, e):
         if isinstance(e, int) and e >= 0:
-            out = Jet2.constant(1.0, self.n, self.val.shape)
+            out = Jet2.constant(1.0, self.n)
             for _ in range(e):
                 out = out * self
             return out
-        v = self.val**e
-        dv = e * self.val ** (e - 1)
-        ddv = e * (e - 1) * self.val ** (e - 2)
+        # math.pow raises ValueError where a float ** would turn complex
+        power = math.pow if isinstance(self.val, float) else pow
+        v = power(self.val, e)
+        dv = e * power(self.val, e - 1)
+        ddv = e * (e - 1) * power(self.val, e - 2)
         return self._chain(v, dv, ddv)
 
     def exp(self):
-        v = np.exp(self.val)
+        if isinstance(self.val, float):
+            v = math.exp(self.val)
+        else:
+            import numpy as np
+
+            v = np.exp(self.val)
         return self._chain(v, v, v)
 
     def _chain(self, v, dv, ddv):
-        grad = dv * self.grad
-        hess = dv * self.hess + ddv * self.grad[:, None] * self.grad[None, :]
-        return Jet2(v, grad, hess, self.n)
+        grad = [dv * g for g in self.grad]
+        hess = [
+            [dv * h + ddv * gi * gj for h, gj in zip(row, self.grad)]
+            for row, gi in zip(self.hess, self.grad)
+        ]
+        return Jet2(v, grad, hess)
 
 
 Field = Callable[..., Jet2]  # field(t, x1..xd) over jets
 
 
-def seed_points(points: np.ndarray) -> list[Jet2]:
-    """Identity jets of the coordinates for a (npts, d+1) array of points."""
+def seed_points(points) -> list[Jet2]:
+    """Identity jets of the coordinates, batched over the rows of an
+    (npts, d+1) array of points."""
+    import numpy as np
+
     points = np.atleast_2d(np.asarray(points, float))
     n = points.shape[1]
     return [Jet2.variable(i, points[:, i], n) for i in range(n)]
 
 
-def eval_field(field: Field, points: np.ndarray) -> Jet2:
+def eval_field(field: Field, points) -> Jet2:
     return field(*seed_points(points))
 
 
@@ -135,17 +151,36 @@ def eval_field(field: Field, points: np.ndarray) -> Jet2:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Potential:
+class _Record:
+    """Equality and hashing by the values of the ``__slots__`` fields."""
+
+    __slots__ = ()
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+
+class Potential(_Record):
     """Pressure potential V(rho): 'zero', polytropic c rho^g, or c/rho."""
 
-    kind: str
-    c: float = 0.0
-    gamma: float = 0.0
+    __slots__ = ("kind", "c", "gamma")
+
+    def __init__(self, kind: str, c: float = 0.0, gamma: float = 0.0):
+        self.kind = kind
+        self.c = c
+        self.gamma = gamma
 
     def value(self, rho: Jet2) -> Jet2:
         if self.kind == "zero":
-            return Jet2.constant(0.0, rho.n, rho.val.shape)
+            return Jet2.constant(0.0, rho.n)
         if self.kind == "polytropic":
             return rho**self.gamma * self.c
         if self.kind == "chaplygin":
@@ -154,7 +189,7 @@ class Potential:
 
     def enthalpy(self, rho: Jet2) -> Jet2:
         if self.kind == "zero":
-            return Jet2.constant(0.0, rho.n, rho.val.shape)
+            return Jet2.constant(0.0, rho.n)
         if self.kind == "polytropic":
             return rho ** (self.gamma - 1.0) * (self.c * self.gamma)
         if self.kind == "chaplygin":
@@ -165,24 +200,41 @@ class Potential:
 ZERO_POTENTIAL = Potential("zero")
 
 
-def fluid_residual(theta: Field, rho: Field, V: Potential, points: np.ndarray) -> dict:
-    """Max abs residuals of the continuity and Bernoulli equations."""
-    points = np.atleast_2d(np.asarray(points, float))
-    d = points.shape[1] - 1
-    jt = eval_field(theta, points)
-    jr = eval_field(rho, points)
+def _residuals(theta: Field, rho: Field, V: Potential, coords: list[Jet2]) -> tuple:
+    """Continuity and Bernoulli residual entries at the coordinate jets."""
+    d = len(coords) - 1
+    jt = theta(*coords)
+    jr = rho(*coords)
     # continuity: d_t rho + grad rho . grad theta + rho * laplacian theta
     cont = jr.grad[0] + sum(jr.grad[A] * jt.grad[A] for A in range(1, d + 1))
     cont = cont + jr.val * sum(jt.hess[A][A] for A in range(1, d + 1))
     # Bernoulli: d_t theta + 1/2 |grad theta|^2 + V'(rho)
     bern = jt.grad[0] + 0.5 * sum(jt.grad[A] ** 2 for A in range(1, d + 1))
     bern = bern + V.enthalpy(jr).val
-    if not (np.all(np.isfinite(cont)) and np.all(np.isfinite(bern))):
+    return cont, bern
+
+
+def fluid_residual(theta: Field, rho: Field, V: Potential, points) -> dict:
+    """Max abs residuals of the continuity and Bernoulli equations, at an
+    (npts, d+1) array of points on batched jets, or at a sequence of
+    float rows on float jets, one point at a time and without numpy."""
+    if isinstance(points, (list, tuple)):
+        try:
+            pairs = [
+                _residuals(theta, rho, V,
+                           [Jet2.variable(i, float(x), len(row)) for i, x in enumerate(row)])
+                for row in points
+            ]
+        except (ZeroDivisionError, OverflowError) as exc:  # float 1/0, exp, **
+            raise ValueError("field evaluated outside its domain") from exc
+        cont, bern = zip(*pairs)
+    else:
+        import numpy as np
+
+        cont, bern = (np.ravel(r).tolist() for r in _residuals(theta, rho, V, seed_points(points)))
+    if not all(map(math.isfinite, [*cont, *bern])):
         raise ValueError("field evaluated outside its domain")
-    return {
-        "continuity": float(np.max(np.abs(cont))),
-        "bernoulli": float(np.max(np.abs(bern))),
-    }
+    return {"continuity": float(max(map(abs, cont))), "bernoulli": float(max(map(abs, bern)))}
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +244,8 @@ def fluid_residual(theta: Field, rho: Field, V: Potential, points: np.ndarray) -
 
 def uniform_flow(b: Sequence[float], rho0: float = 1.0):
     """theta = b.x - |b|^2 t / 2, rho = rho0: residual-free for V = 0."""
+    import numpy as np
+
     b = np.asarray(b, float)
 
     def theta(t, *xs):
@@ -201,7 +255,7 @@ def uniform_flow(b: Sequence[float], rho0: float = 1.0):
         return acc
 
     def rho(t, *xs):
-        return Jet2.constant(rho0, t.n, t.val.shape)
+        return Jet2.constant(rho0, t.n)
 
     return theta, rho
 
@@ -223,6 +277,8 @@ def self_similar_free(a: float, rho0: float, d: int):
 
 def gaussian_packet(b: Sequence[float], sigma: float, rho0: float = 1.0):
     """Uniformly translating Gaussian density on the uniform flow."""
+    import numpy as np
+
     b = np.asarray(b, float)
     theta = uniform_flow(b)[0]
 
@@ -244,7 +300,7 @@ def chaplygin_rest(c: float, rho0: float, t0: float = 0.0):
         return (t - t0) * (c / rho0**2)
 
     def rho(t, *xs):
-        return Jet2.constant(rho0, t.n, t.val.shape)
+        return Jet2.constant(rho0, t.n)
 
     return theta, rho
 
@@ -254,18 +310,26 @@ def chaplygin_rest(c: float, rho0: float, t0: float = 0.0):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FluidTransform:
-    kind: str  # BOOST, Z_DILATION, EXPANSION, ACCELERATION, TIME_DILATION
-    b: tuple = ()
-    lam: float = 1.0
-    z: float = 2.0
-    kappa: float = 0.0
-    a: tuple = ()
+class FluidTransform(_Record):
+    """kind is BOOST, Z_DILATION, EXPANSION, ACCELERATION or TIME_DILATION;
+    each reads only its own parameters."""
+
+    __slots__ = ("kind", "b", "lam", "z", "kappa", "a")
+
+    def __init__(self, kind: str, b: tuple = (), lam: float = 1.0, z: float = 2.0,
+                 kappa: float = 0.0, a: tuple = ()):
+        self.kind = kind
+        self.b = b
+        self.lam = lam
+        self.z = z
+        self.kappa = kappa
+        self.a = a
 
 
 def apply_transform(T: FluidTransform, theta: Field, rho: Field, d: int):
     """Transformed field closures (exact composition, no approximation)."""
+    import numpy as np
+
     if T.kind == "BOOST":
         b = np.asarray(T.b, float)
 
@@ -392,6 +456,8 @@ def z_of_gamma(gamma: Fraction, d: int):
 
 def gauss_legendre_mesh(box: Sequence[tuple], order: int = 16):
     """Tensor-product nodes and weights over a box [(lo, hi)] * d."""
+    import numpy as np
+
     nodes_1d, weights_1d = np.polynomial.legendre.leggauss(order)
     axes, weights = [], []
     for lo, hi in box:
@@ -408,6 +474,8 @@ def gauss_legendre_mesh(box: Sequence[tuple], order: int = 16):
 def fluid_charges(theta: Field, rho: Field, d: int, box, t: float,
                   V: Potential = ZERO_POTENTIAL, order: int = 16) -> dict:
     """Integrated charge set at time t over the given spatial box."""
+    import numpy as np
+
     pts, w = gauss_legendre_mesh(box, order)
     points = np.concatenate([np.full((pts.shape[0], 1), float(t)), pts], axis=1)
     jt = eval_field(theta, points)
@@ -415,7 +483,8 @@ def fluid_charges(theta: Field, rho: Field, d: int, box, t: float,
     if not np.all(np.isfinite(jr.val)) or not np.all(np.isfinite(jt.val)):
         raise ValueError("non-finite integrand samples")
     rho_v = jr.val
-    grad_theta = np.stack([jt.grad[A] for A in range(1, d + 1)], axis=0)
+    # a float entry is the same at every node
+    grad_theta = np.stack([np.broadcast_to(jt.grad[A], w.shape) for A in range(1, d + 1)], axis=0)
     x = pts.T
     M = float(np.sum(w * rho_v))
     P = np.array([float(np.sum(w * rho_v * grad_theta[A])) for A in range(d)])
@@ -441,8 +510,11 @@ T_RANGE = (0.1, 0.9)  # random_points draws t from T_RANGE
 X_RANGE = (-1.0, 1.0)  # and each x^A from X_RANGE
 
 
-def random_points(d: int, n: int, seed: int, predicate=None) -> np.ndarray:
-    """Deterministic sample points (t, x) for residual evaluation."""
+def random_points(d: int, n: int, seed: int, predicate=None):
+    """Deterministic sample points (t, x) for residual evaluation, as an
+    (n, d+1) array."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     pts = []
     while len(pts) < n:

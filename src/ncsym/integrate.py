@@ -1,11 +1,13 @@
-"""Fixed-step RK4 and the geodesics of a polynomial connection.
+"""Fixed-step RK4, the geodesics of a polynomial connection, and runs in
+central potentials with their charge series.
 
-Standard library only, so ``ncsym geodesic`` without ``--out`` starts
-without numpy.  The RK4 step (per state length) and the geodesic
-right-hand side (per connection) run as generated straight-line source
-whose only literals are integers.  A trajectory is a flat row-major
+Standard library only, so ``ncsym geodesic`` without ``--out`` and
+``ncsym selftest`` start without numpy.  The RK4 step (per state length)
+and the geodesic right-hand side (per connection) run as generated
+straight-line source whose only literals are integers.  A trajectory is a flat row-major
 ``array('d')``: 8 bytes per value, row i at ``[i * n:(i + 1) * n]``;
 ``np.frombuffer(traj).reshape(-1, n)`` is a zero-copy array view of it.
+A charge series is a flat ``array('d')`` with one value per row.
 """
 
 from __future__ import annotations
@@ -125,3 +127,61 @@ def integrate_geodesic(conn: Connection, x0, xdot0, h, steps):
     traj = rk4(_geodesic_rhs(conn), [*x0, *xdot0], h, steps)
     tclass = "timelike" if abs(traj[conn.dim + 1]) > 0 else "lightlike"
     return {"trajectory": traj, "tdot_class": tclass, "dim": conn.dim, "h": h}
+
+
+# ---------------------------------------------------------------------------
+# central-potential runs
+# ---------------------------------------------------------------------------
+
+R_MIN = 1e-3
+
+
+def jacobi_charges(traj, h: float, m: float, potential) -> dict:
+    """(t, E, D, K) series of a flat trajectory of rows (x^1..x^3,
+    v^1..v^3), row i at time i h, in a central potential U = potential(r2)
+    of r2 = |x|^2: the energy, the dilation charge p.x - 2Et, and the
+    expansion charge m x^2/2 - t D - E t^2, each a flat ``array('d')``.
+    Conserved when U = c/|x|^2."""
+    out = {key: array("d") for key in "tEDK"}
+    values = iter(traj)
+    for i, (q1, q2, q3, u1, u2, u3) in enumerate(zip(*[values] * 6)):
+        t = h * i
+        r2 = q1 * q1 + q2 * q2 + q3 * q3
+        E = 0.5 * m * (u1 * u1 + u2 * u2 + u3 * u3) + potential(r2)
+        D = m * (u1 * q1 + u2 * q2 + u3 * q3) - 2.0 * E * t
+        K = 0.5 * m * r2 - t * D - E * t * t
+        for key, value in zip("tEDK", (t, E, D, K)):
+            out[key].append(value)
+    return out
+
+
+def inverse_square_trajectory(m: float, c: float, x0, v0, h: float, steps: int):
+    """RK4 run in U = c/|x|^2; guards the r_min ball; returns the flat
+    state trajectory (rows of 6) and the (t, E, D, K) series."""
+
+    def potential(r2):
+        if r2 < R_MIN**2:
+            raise ValueError("trajectory entered the r_min ball")
+        return c / r2
+
+    def rhs(_t, y):
+        q1, q2, q3, u1, u2, u3 = y
+        r2 = q1 * q1 + q2 * q2 + q3 * q3
+        if r2 < R_MIN**2:
+            raise ValueError("trajectory entered the r_min ball")
+        a = 2.0 * c / (m * r2 * r2)
+        return [u1, u2, u3, a * q1, a * q2, a * q3]
+
+    traj = rk4(rhs, [*x0, *v0], h, steps)
+    return {"trajectory": traj, **jacobi_charges(traj, h, m, potential)}
+
+
+def harmonic_trajectory(m: float, k: float, x0, v0, h: float, steps: int):
+    """Same series for U = 1/2 k |x|^2 (degree +2 control: D must drift)."""
+    w = -(k / m)
+
+    def rhs(_t, y):
+        return y[3:] + [w * q for q in y[:3]]
+
+    traj = rk4(rhs, [*x0, *v0], h, steps)
+    return {"trajectory": traj, **jacobi_charges(traj, h, m, lambda r2: 0.5 * k * r2)}

@@ -1,12 +1,11 @@
-"""Presymplectic particle models: charges, Poisson brackets, central potentials.
+"""Presymplectic particle models: charges, Poisson brackets, Noether and
+symmetry residuals.
 
-Numeric layer (float64).  Trajectories come from ``integrate.rk4``,
-whose compensated state accumulation keeps conserved-quantity drift
-over 10^4 steps at round-off level; its flat trajectory is viewed here
-as a (steps+1, n) array without a copy.  Differential forms are
-evaluated as bilinear pairings at points, never stored symbolically;
-the spin sphere is handled as an embedded unit vector with per-step
-renormalization.
+Numeric layer (float64, numpy).  Trajectories, including the
+central-potential runs, come from the stdlib-only ``integrate``.
+Differential forms are evaluated as bilinear pairings at points, never
+stored symbolically; the spin sphere is handled as an embedded unit
+vector with per-step renormalization.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .integrate import rk4
 from .poly import Poly
 
 EPS_UNIT = 1e-12
@@ -457,63 +455,3 @@ def presymplectic_residual_massive(params: SchParams, states, m: float, s: float
         lambda st: massive_lift(params, st),
         states,
     )
-
-
-# ---------------------------------------------------------------------------
-# central-potential runs
-# ---------------------------------------------------------------------------
-
-R_MIN = 1e-3
-
-
-def jacobi_charges(times, xs, vs, m: float, c: float) -> dict:
-    """(E, D, K) series of a trajectory in the potential U = c/|x|^2:
-    the energy, the dilation charge p.x - 2Et, and the expansion charge
-    m x^2/2 - t D - E t^2."""
-    times = np.asarray(times, float)
-    xs = np.asarray(xs, float)
-    vs = np.asarray(vs, float)
-    r2 = np.sum(xs * xs, axis=1)
-    if np.min(r2) < R_MIN**2:
-        raise ValueError("trajectory entered the r_min ball")
-    E = 0.5 * m * np.sum(vs * vs, axis=1) + c / r2
-    D = m * np.sum(vs * xs, axis=1) - 2.0 * E * times
-    K = 0.5 * m * r2 - times * D - E * times * times
-    return {"E": E, "D": D, "K": K}
-
-
-def inverse_square_trajectory(m: float, c: float, x0, v0, h: float, steps: int):
-    """RK4 run in U = c/|x|^2; guards the r_min ball; returns the state
-    trajectory and the (E, D, K) series."""
-
-    def rhs(_t, y):
-        q1, q2, q3, u1, u2, u3 = y
-        r2 = q1 * q1 + q2 * q2 + q3 * q3
-        if r2 < R_MIN**2:
-            raise ValueError("trajectory entered the r_min ball")
-        a = 2.0 * c / (m * r2 * r2)
-        return [u1, u2, u3, a * q1, a * q2, a * q3]
-
-    traj = np.frombuffer(rk4(rhs, [*x0, *v0], h, steps)).reshape(-1, 6)
-    times = h * np.arange(steps + 1)
-    xs = traj[:, :3]
-    vs = traj[:, 3:]
-    out = {"t": times, "x": xs, "v": vs}
-    out.update(jacobi_charges(times, xs, vs, m, c))
-    return out
-
-
-def harmonic_trajectory(m: float, k: float, x0, v0, h: float, steps: int):
-    """Same series for U = 1/2 k |x|^2 (degree +2 control: D must drift)."""
-    w = -(k / m)
-
-    def rhs(_t, y):
-        return y[3:] + [w * q for q in y[:3]]
-
-    traj = np.frombuffer(rk4(rhs, [*x0, *v0], h, steps)).reshape(-1, 6)
-    times = h * np.arange(steps + 1)
-    xs = traj[:, :3]
-    vs = traj[:, 3:]
-    E = 0.5 * m * np.sum(vs * vs, axis=1) + 0.5 * k * np.sum(xs * xs, axis=1)
-    D = m * np.sum(vs * xs, axis=1) - 2.0 * E * times
-    return {"t": times, "x": xs, "v": vs, "E": E, "D": D}

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ncsym import integrate, mechanics
+from ncsym import fluids, integrate, mechanics
 from ncsym.cli import main
 from ncsym.geometry import newtonian_connection
 from ncsym.poly import Poly
@@ -188,6 +188,37 @@ def test_selftest_passes_every_check(capsys):
     assert all(line.startswith("PASS  ") for line in lines)
 
 
+def _self_similar_with_density_exponent_d_minus_1(real):
+    return lambda a, rho0, d: real(a, rho0, d - 1)
+
+
+def _rk4_with_scaled_force(real):
+    def run(rhs, y0, h, steps):
+        def scaled(t, y):
+            dy = rhs(t, y)
+            return [*dy[:3], *(1.5 * a for a in dy[3:])]
+
+        return real(scaled, y0, h, steps)
+
+    return run
+
+
+@pytest.mark.parametrize(
+    "module, name, broken, label",
+    [
+        (fluids, "self_similar_free", _self_similar_with_density_exponent_d_minus_1,
+         "self-similar fluid residuals < 1e-10"),
+        (integrate, "rk4", _rk4_with_scaled_force, "inverse-square dilation charge drift < 1e-6"),
+    ],
+)
+def test_selftest_numeric_rows_can_fail(module, name, broken, label, monkeypatch, capsys):
+    monkeypatch.setattr(module, name, broken(getattr(module, name)))
+    assert run_cli(["selftest"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 10
+    assert [line for line in lines if not line.startswith("PASS  ")] == [f"FAIL  {label}"]
+
+
 def test_unread_family_option_error_names_the_flag(capsys):
     assert run_cli(["solve", "--family", "gal", "--d", "2", "--branch", "c2"]) == 1
     assert capsys.readouterr().err == "error: --branch is not an option of --family gal\n"
@@ -266,6 +297,8 @@ def _loaded_modules(args):
         (["bracket-table", "--family", "cga", "--d", "2"], ("dataclasses", "ncsym.geometry", "csv")),
         # the integrator is stdlib-only: numpy arrays pay off only for --out
         (["geodesic", "--steps", "10"], ("numpy", "ncsym.mechanics", "dataclasses")),
+        # selftest prints no number: its runs and samples need no numpy
+        (["selftest"], ("numpy", "ncsym.mechanics", "dataclasses")),
     ],
 )
 def test_subcommand_loads_only_the_modules_it_uses(args, absent):

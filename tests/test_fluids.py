@@ -1,7 +1,9 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from ncsym.fluids import (
     FluidTransform,
@@ -66,6 +68,177 @@ def test_jet_exp_and_pow():
     expect = np.exp((0.3**2 + 1.0) / 2.0)
     assert jet.val[0] == pytest.approx(expect)
     assert jet.grad[1][0] == pytest.approx(expect * 0.3)
+
+
+class _ArrayJet2:
+    """The jet with every entry a numpy array of the batch shape: the
+    reference that the number-agnostic Jet2 must reproduce bit for bit."""
+
+    __slots__ = ("val", "grad", "hess", "n")
+
+    def __init__(self, val, grad, hess, n):
+        self.val = np.asarray(val, float)
+        self.grad = np.asarray(grad, float)
+        self.hess = np.asarray(hess, float)
+        self.n = n
+
+    @classmethod
+    def variable(cls, index, value, n):
+        value = np.asarray(value, float)
+        grad = np.zeros((n,) + value.shape)
+        grad[index] = 1.0
+        return cls(value, grad, np.zeros((n, n) + value.shape), n)
+
+    @classmethod
+    def constant(cls, value, n, batch_shape=()):
+        value = np.broadcast_to(np.asarray(value, float), batch_shape).copy()
+        return cls(value, np.zeros((n,) + batch_shape), np.zeros((n, n) + batch_shape), n)
+
+    def _lift(self, other):
+        if isinstance(other, _ArrayJet2):
+            return other
+        return _ArrayJet2.constant(other, self.n, self.val.shape)
+
+    def __add__(self, other):
+        o = self._lift(other)
+        return _ArrayJet2(self.val + o.val, self.grad + o.grad, self.hess + o.hess, self.n)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _ArrayJet2(-self.val, -self.grad, -self.hess, self.n)
+
+    def __sub__(self, other):
+        return self + (-self._lift(other))
+
+    def __rsub__(self, other):
+        return self._lift(other) + (-self)
+
+    def __mul__(self, other):
+        o = self._lift(other)
+        val = self.val * o.val
+        grad = self.grad * o.val + self.val * o.grad
+        hess = (
+            self.hess * o.val
+            + self.val * o.hess
+            + self.grad[:, None] * o.grad[None, :]
+            + o.grad[:, None] * self.grad[None, :]
+        )
+        return _ArrayJet2(val, grad, hess, self.n)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        return self * self._lift(other)._reciprocal()
+
+    def __rtruediv__(self, other):
+        return self._lift(other) * self._reciprocal()
+
+    def _reciprocal(self):
+        inv = 1.0 / self.val
+        grad = -self.grad * inv**2
+        hess = -self.hess * inv**2 + 2.0 * self.grad[:, None] * self.grad[None, :] * inv**3
+        return _ArrayJet2(inv, grad, hess, self.n)
+
+    def __pow__(self, e):
+        if isinstance(e, int) and e >= 0:
+            out = _ArrayJet2.constant(1.0, self.n, self.val.shape)
+            for _ in range(e):
+                out = out * self
+            return out
+        v = self.val**e
+        dv = e * self.val ** (e - 1)
+        ddv = e * (e - 1) * self.val ** (e - 2)
+        return self._chain(v, dv, ddv)
+
+    def exp(self):
+        v = np.exp(self.val)
+        return self._chain(v, v, v)
+
+    def _chain(self, v, dv, ddv):
+        grad = dv * self.grad
+        hess = dv * self.hess + ddv * self.grad[:, None] * self.grad[None, :]
+        return _ArrayJet2(v, grad, hess, self.n)
+
+
+# Expression trees whose leaves are float constants and linear forms
+# ("x", (c0, c1, c2)) = c0 t + c1 x + c2 y, so that products mix every
+# gradient component.  Denominators and the bases of negative and float
+# powers are kept >= 1/2, and exp arguments in [-3, 3].  No jet is raised
+# to the power 0: that gives the constant jet 1, whose float entries stand
+# for the whole batch, and exp or a power of a float takes libm's rounding,
+# not numpy's.
+_COEF = st.floats(-2.0, 2.0, allow_nan=False, allow_infinity=False)
+_LEAVES = st.one_of(st.tuples(st.just("x"), st.tuples(_COEF, _COEF, _COEF)), _COEF)
+
+
+def _node(children):
+    return st.one_of(
+        st.tuples(st.sampled_from("+-*/"), children, children),
+        st.tuples(st.just("**"), children, st.one_of(
+            st.sampled_from([-2, -1, 1, 2, 3, 4]),
+            st.sampled_from([0.5, -0.5, 1.5, -1.0, 2.0, 1.0 / 3.0]))),
+        st.tuples(st.just("exp"), children),
+    )
+
+
+_TREES = st.recursive(_LEAVES, _node, max_leaves=12)
+
+
+def _evaluate(tree, coords):
+    """The tree on coordinate jets; a subtree without leaves is a float."""
+    if isinstance(tree, float):
+        return tree
+    if tree[0] == "x":
+        t, x, y = coords
+        c0, c1, c2 = tree[1]
+        return t * c0 + x * c1 + y * c2
+    if tree[0] == "exp":
+        a = _evaluate(tree[1], coords)
+        assume(np.all(np.abs(getattr(a, "val", a)) <= 3.0))
+        return a.exp() if hasattr(a, "exp") else math.exp(a)
+    op, a, b = tree[0], _evaluate(tree[1], coords), tree[2]
+    if op == "**":
+        positive = isinstance(b, float) or b < 0
+        return (a * a + 0.5) ** b if positive else a**b
+    b = _evaluate(b, coords)
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        return a * b
+    return a / (b * b + 0.5)
+
+
+def _entries(jet):
+    return [jet.val, *jet.grad, *(h for row in jet.hess for h in row)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    _TREES,
+    st.lists(st.tuples(st.floats(0.1, 0.9), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+             min_size=1, max_size=16),
+)
+def test_jet_entries_match_the_array_jet(tree, rows):
+    points = np.array(rows)
+    ref = _evaluate(tree, [_ArrayJet2.variable(i, points[:, i], 3) for i in range(3)])
+    assume(isinstance(ref, _ArrayJet2))
+    want = _entries(ref)
+    assume(all(np.all(np.isfinite(w)) for w in want))
+    got = _entries(_evaluate(tree, [Jet2.variable(i, points[:, i], 3) for i in range(3)]))
+    for g, w in zip(got, want, strict=True):
+        assert np.array_equal(np.broadcast_to(g, w.shape), w)
+    # One float jet per point.  numpy's exp and power differ from libm's by
+    # an ulp for some arguments, and an entry whose terms cancel magnifies
+    # that, hence the floor at 1e-13 of the jet's largest entry.
+    for r, row in enumerate(rows):
+        one = _entries(_evaluate(tree, [Jet2.variable(i, float(x), 3) for i, x in enumerate(row)]))
+        floor = 1e-13 * max(abs(w[r]) for w in want)
+        for g, w in zip(one, want, strict=True):
+            assert isinstance(g, float)
+            assert math.isclose(g, w[r], rel_tol=1e-14, abs_tol=floor)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +341,19 @@ def test_free_symmetry_closure_at_solution_level():
     assert max(res.values()) > 0.05
 
 
+def test_potential_and_transform_compare_by_value():
+    V = Potential("polytropic", c=0.5, gamma=2.0)
+    assert V == Potential("polytropic", 0.5, 2.0) and hash(V) == hash(Potential("polytropic", 0.5, 2.0))
+    assert V != Potential("polytropic", c=0.5, gamma=3.0)
+    assert ZERO_POTENTIAL == Potential("zero", 0.0, 0.0)
+    T = FluidTransform("BOOST", b=(0.7, 0.1, -0.4))
+    assert T == FluidTransform("BOOST", (0.7, 0.1, -0.4), 1.0, 2.0, 0.0, ())
+    assert hash(T) == hash(FluidTransform("BOOST", b=(0.7, 0.1, -0.4)))
+    assert T != FluidTransform("BOOST", b=(0.7, 0.1, 0.4))
+    assert FluidTransform("zero") != Potential("zero")
+    assert len({T, FluidTransform("BOOST", b=(0.7, 0.1, -0.4)), V}) == 2
+
+
 # ---------------------------------------------------------------------------
 # polytropic exponent relations
 # ---------------------------------------------------------------------------
@@ -204,7 +390,7 @@ def test_z_dilation_polytropic_consistency_scan():
             return t * (-enth)
 
         def rho(t, *xs):
-            return Jet2.constant(rho0, t.n, t.val.shape)
+            return Jet2.constant(rho0, t.n)
 
         base = fluid_residual(theta, rho, V, pts)
         assert max(base.values()) < 1e-12
@@ -258,7 +444,7 @@ def test_charges_static_bump():
         return (s * (-1.0)).exp()
 
     def theta(t, x, y, z):
-        return Jet2.constant(0.0, t.n, t.val.shape)
+        return Jet2.constant(0.0, t.n)
 
     V = Potential("polytropic", c=0.5, gamma=2.0)
     box = [(-5.0, 5.0)] * 3
@@ -318,7 +504,7 @@ def test_charges_reject_nonfinite_samples():
     d = 2
 
     def theta(t, x, y):
-        return Jet2.constant(0.0, t.n, t.val.shape)
+        return Jet2.constant(0.0, t.n)
 
     def rho(t, x, y):
         # blows up to inf at the outer quadrature nodes

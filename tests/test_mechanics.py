@@ -533,11 +533,36 @@ def test_photon_presymplectic_residuals():
 # ---------------------------------------------------------------------------
 
 
+def _series(out):
+    """The x rows and the t, E, D, K series of a central-potential run, as
+    array views."""
+    traj = np.frombuffer(out["trajectory"]).reshape(-1, 6)
+    return traj[:, :3], {key: np.frombuffer(out[key]) for key in "tEDK"}
+
+
+@pytest.mark.parametrize("m, c", [(1.0, -1.0), (1.7, 0.3)])
+def test_charge_series_round_as_the_array_form(m, c):
+    # the series as numpy computes them from the stacked rows, bit for bit
+    h, steps = 2e-3, 1500
+    out = integrate.inverse_square_trajectory(m, c, [0.4, -0.5, 0.9], [0.3, -0.2, 0.7], h, steps)
+    traj = np.frombuffer(out["trajectory"]).reshape(-1, 6)
+    xs, vs = traj[:, :3], traj[:, 3:]
+    t = h * np.arange(steps + 1)
+    r2 = np.sum(xs * xs, axis=1)
+    E = 0.5 * m * np.sum(vs * vs, axis=1) + c / r2
+    D = m * np.sum(vs * xs, axis=1) - 2.0 * E * t
+    K = 0.5 * m * r2 - t * D - E * t * t
+    for key, want in zip("tEDK", (t, E, D, K)):
+        assert np.array_equal(np.frombuffer(out[key]), want), key
+
+
 def test_jacobi_charges_circular_orbit():
     m, c = 1.0, -1.0
     v = math.sqrt(2.0)
-    out = mech.inverse_square_trajectory(m, c, [1.0, 0.0, 0.0], [0.0, v, 0.0], 1e-3, 10000)
-    assert np.min(np.sqrt(np.sum(out["x"] ** 2, axis=1))) >= 0.5
+    x, out = _series(integrate.inverse_square_trajectory(
+        m, c, [1.0, 0.0, 0.0], [0.0, v, 0.0], 1e-3, 10000
+    ))
+    assert np.min(np.sqrt(np.sum(x ** 2, axis=1))) >= 0.5
     assert np.max(np.abs(out["E"] - out["E"][0])) < 1e-9
     assert np.max(np.abs(out["D"] - out["D"][0])) < 1e-6
     assert np.max(np.abs(out["K"] - out["K"][0])) < 1e-6
@@ -547,9 +572,11 @@ def test_virial_identity_inverse_square():
     # d^2/dt^2 (m x^2 / 2) equals 2E when the potential has degree -2;
     # measured by central differences of the radius series
     m, c = 1.0, -1.0
-    out = mech.inverse_square_trajectory(m, c, [1.2, 0.0, 0.0], [0.1, 1.3, 0.0], 1e-3, 4000)
+    x, out = _series(integrate.inverse_square_trajectory(
+        m, c, [1.2, 0.0, 0.0], [0.1, 1.3, 0.0], 1e-3, 4000
+    ))
     h = 1e-3
-    half_mr2 = 0.5 * m * np.sum(out["x"] ** 2, axis=1)
+    half_mr2 = 0.5 * m * np.sum(x ** 2, axis=1)
     second = (half_mr2[2:] - 2.0 * half_mr2[1:-1] + half_mr2[:-2]) / h**2
     expect = 2.0 * out["E"][1:-1]
     assert np.max(np.abs(second - expect)) < 1e-5
@@ -558,9 +585,11 @@ def test_virial_identity_inverse_square():
 def test_virial_identity_detects_other_degrees():
     # for the harmonic potential (degree +2) the same combination misses
     # by -(k+2) U != 0
-    out = mech.harmonic_trajectory(1.0, 2.0, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3, 4000)
+    x, out = _series(integrate.harmonic_trajectory(
+        1.0, 2.0, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3, 4000
+    ))
     h = 1e-3
-    half_mr2 = 0.5 * np.sum(out["x"] ** 2, axis=1)
+    half_mr2 = 0.5 * np.sum(x ** 2, axis=1)
     second = (half_mr2[2:] - 2.0 * half_mr2[1:-1] + half_mr2[:-2]) / h**2
     expect = 2.0 * out["E"][1:-1]
     assert np.max(np.abs(second - expect)) > 0.5
@@ -569,7 +598,9 @@ def test_virial_identity_detects_other_degrees():
 def test_jacobi_free_case_closed_form():
     # with no potential, D = p.x - 2 E t reduces to p.x0 for all t
     m = 1.0
-    out = mech.inverse_square_trajectory(m, 0.0, [1.0, 0.5, 0.0], [0.3, -0.2, 0.1], 1e-3, 2000)
+    _, out = _series(integrate.inverse_square_trajectory(
+        m, 0.0, [1.0, 0.5, 0.0], [0.3, -0.2, 0.1], 1e-3, 2000
+    ))
     p0 = m * np.array([0.3, -0.2, 0.1])
     expect = float(p0 @ np.array([1.0, 0.5, 0.0]))
     assert np.max(np.abs(out["D"] - expect)) < 1e-10
@@ -579,11 +610,13 @@ def test_jacobi_rmin_guard():
     # weak coupling keeps the run ballistic, so the path crosses the
     # guarded ball and the integrator must refuse
     with pytest.raises(ValueError):
-        mech.inverse_square_trajectory(1.0, -1e-10, [0.01, 0.0, 0.0], [-1.0, 0.0, 0.0], 1e-3, 100)
+        integrate.inverse_square_trajectory(1.0, -1e-10, [0.01, 0.0, 0.0], [-1.0, 0.0, 0.0], 1e-3, 100)
 
 
 def test_harmonic_dilation_charge_drifts():
-    out = mech.harmonic_trajectory(1.0, 2.0, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3, 10000)
+    _, out = _series(integrate.harmonic_trajectory(
+        1.0, 2.0, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 1e-3, 10000
+    ))
     assert np.max(np.abs(out["D"] - out["D"][0])) > 1e-2
 
 
