@@ -48,7 +48,3 @@ def __getattr__(name: str):
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     globals()[name] = value
     return value
-
-
-def __dir__():
-    return sorted({*globals(), *__all__})

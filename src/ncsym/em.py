@@ -55,15 +55,6 @@ def field_from_EB(E, B) -> EMField:
     return EMField(F=TwoForm.from_upper(d, upper), J=OneForm.zero(d))
 
 
-def eb_components(F: TwoForm):
-    """(E, B) view of a d = 3 two-form."""
-    if F.dim != 3:
-        raise ValueError("component view is for d = 3")
-    E = [F[1, 0], F[2, 0], F[3, 0]]
-    B = [F[2, 3], F[3, 1], F[1, 2]]
-    return E, B
-
-
 def divergence(F: TwoForm, nc: NCStructure) -> OneForm:
     """div F_c = gamma^ab nabla_a F_bc for the structure's connection."""
     d = nc.dim
@@ -124,32 +115,6 @@ def moved_field_residual(X: VectorField, em: EMField, nc: NCStructure):
     dF = exterior_derivative(moved)
     div = divergence(moved, nc)
     return (dF.is_zero() and div.is_zero()), dF, div
-
-
-def component_residuals_d3(em: EMField, nc: NCStructure) -> dict:
-    """Textbook-form residual view at d = 3 on the flat structure:
-    divB, Faraday (curl E + dB/dt), Gauss (div E - rho), Ampere
-    (curl B + j; no displacement current enters)."""
-    if em.dim != 3:
-        raise ValueError("component view is for d = 3")
-    E, B = eb_components(em.F)
-    d = 3
-
-    def curl(v):
-        return [
-            v[2].differentiate(2) - v[1].differentiate(3),
-            v[0].differentiate(3) - v[2].differentiate(1),
-            v[1].differentiate(1) - v[0].differentiate(2),
-        ]
-
-    div_b = B[0].differentiate(1) + B[1].differentiate(2) + B[2].differentiate(3)
-    curl_e = curl(E)
-    faraday = [curl_e[A] + B[A].differentiate(0) for A in range(3)]
-    div_e = E[0].differentiate(1) + E[1].differentiate(2) + E[2].differentiate(3)
-    gauss = div_e - em.J[0]
-    curl_b = curl(B)
-    ampere = [curl_b[A] + em.J[A + 1] for A in range(3)]
-    return {"div_B": div_b, "faraday": faraday, "gauss": gauss, "ampere": ampere}
 
 
 def sourcefree_library() -> list[EMField]:

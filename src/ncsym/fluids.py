@@ -85,9 +85,6 @@ class Jet2:
         o = self._lift(other)
         return self * o._reciprocal()
 
-    def __rtruediv__(self, other):
-        return self._lift(other) * self._reciprocal()
-
     def _reciprocal(self):
         inv = 1.0 / self.val
         inv2, inv3 = inv**2, inv**3
@@ -151,24 +148,7 @@ def eval_field(field: Field, points) -> Jet2:
 # ---------------------------------------------------------------------------
 
 
-class _Record:
-    """Equality and hashing by the values of the ``__slots__`` fields."""
-
-    __slots__ = ()
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-
-class Potential(_Record):
+class Potential:
     """Pressure potential V(rho): 'zero', polytropic c rho^g, or c/rho."""
 
     __slots__ = ("kind", "c", "gamma")
@@ -310,7 +290,7 @@ def chaplygin_rest(c: float, rho0: float, t0: float = 0.0):
 # ---------------------------------------------------------------------------
 
 
-class FluidTransform(_Record):
+class FluidTransform:
     """kind is BOOST, Z_DILATION, EXPANSION, ACCELERATION or TIME_DILATION;
     each reads only its own parameters."""
 
@@ -438,15 +418,6 @@ def polytropic_exponent(z: Fraction, d: int) -> Fraction:
     if z == d + 2:
         raise ValueError("pole: z = d + 2")
     return Fraction(d + z, d + 2 - z)
-
-
-def z_of_gamma(gamma: Fraction, d: int):
-    """z = (gamma(d+2)-d)/(gamma+1); gamma = -1 is the inverse-density
-    (time-dilation) case and has no finite exponent."""
-    gamma = Fraction(gamma)
-    if gamma == -1:
-        return "chaplygin"
-    return Fraction(gamma * (d + 2) - d, gamma + 1)
 
 
 # ---------------------------------------------------------------------------

@@ -64,13 +64,6 @@ class Observer:
             raise ValueError("observer is not unit: theta(U) must equal 1")
         self.U = U
 
-    @property
-    def dim(self) -> int:
-        return self.U.dim
-
-    def is_constant(self) -> bool:
-        return all(self.U[a].is_constant() for a in range(self.dim + 1))
-
 
 def covariant_derivative_gamma(G: Connection, gamma: SymTensor2Up, c: int, a: int, b: int) -> Poly:
     val = gamma[a, b].differentiate(c)

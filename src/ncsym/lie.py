@@ -42,10 +42,6 @@ class VectorField:
     def __hash__(self):
         return hash((self.dim, self.components))
 
-    @classmethod
-    def zero(cls, dim: int) -> "VectorField":
-        return cls(dim, [Poly.zero(dim)] * (dim + 1))
-
     def __getitem__(self, a: int) -> Poly:
         return self.components[a]
 
@@ -60,9 +56,6 @@ class VectorField:
     def scale(self, c) -> "VectorField":
         return VectorField(self.dim, [comp * c for comp in self.components])
 
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
     def apply(self, func: Poly) -> Poly:
         """Directional derivative X(func) = X^a d_a func."""
         out = Poly.zero(self.dim)
@@ -72,11 +65,6 @@ class VectorField:
 
     def to_obj(self) -> dict:
         return {"dim": self.dim, "components": [c.to_obj() for c in self.components]}
-
-    @classmethod
-    def from_obj(cls, obj) -> "VectorField":
-        d = obj["dim"]
-        return cls(d, [Poly.from_obj(d, c) for c in obj["components"]])
 
 
 class OneForm:
@@ -110,9 +98,6 @@ class OneForm:
     def __sub__(self, other: "OneForm") -> "OneForm":
         return OneForm(self.dim, [a - b for a, b in zip(self.components, other.components)])
 
-    def scale(self, c) -> "OneForm":
-        return OneForm(self.dim, [comp * c for comp in self.components])
-
     def pair(self, X: VectorField) -> Poly:
         out = Poly.zero(self.dim)
         for a in range(self.dim + 1):
@@ -144,17 +129,11 @@ class SymTensor2Up:
         a, b = ab
         return self.comp[a][b]
 
-    def scale(self, c) -> "SymTensor2Up":
-        return SymTensor2Up(self.dim, [[v * c for v in row] for row in self.comp])
-
     def __sub__(self, other: "SymTensor2Up") -> "SymTensor2Up":
         return SymTensor2Up(
             self.dim,
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.comp, other.comp)],
         )
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for row in self.comp for v in row)
 
 
 class TwoForm:
@@ -209,12 +188,6 @@ class TwoForm:
             [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.comp, other.comp)],
         )
 
-    def scale(self, c) -> "TwoForm":
-        return TwoForm(self.dim, [[v * c for v in row] for row in self.comp])
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for row in self.comp for v in row)
-
 
 class ThreeForm:
     """Rank-3 fully antisymmetric tensor, stored on sorted index triples."""
@@ -224,23 +197,6 @@ class ThreeForm:
     def __init__(self, dim: int, comp: dict):
         self.dim = dim
         self.comp = dict(comp)
-
-    def __getitem__(self, abc):
-        a, b, c = abc
-        if len({a, b, c}) < 3:
-            return Poly.zero(self.dim)
-        order = sorted([a, b, c])
-        val = self.comp.get(tuple(order), Poly.zero(self.dim))
-        perm = (a, b, c)
-        # parity of the permutation taking sorted order to (a, b, c)
-        sign = 1
-        seq = list(perm)
-        for i in range(3):
-            for j in range(2 - i):
-                if seq[j] > seq[j + 1]:
-                    seq[j], seq[j + 1] = seq[j + 1], seq[j]
-                    sign = -sign
-        return val if sign == 1 else -val
 
     def is_zero(self) -> bool:
         return all(v.is_zero() for v in self.comp.values())
@@ -282,9 +238,6 @@ class Connection:
             [[[self.comp[c][a][b] - other.comp[c][a][b] for b in range(n)] for a in range(n)]
              for c in range(n)],
         )
-
-    def is_zero(self) -> bool:
-        return all(v.is_zero() for m in self.comp for r in m for v in r)
 
 
 # ---------------------------------------------------------------------------
@@ -525,24 +478,3 @@ def canonical_lift(X: VectorField) -> CotangentLift:
     )
     return CotangentLift(base=X, momentum=mom)
 
-
-def lift_derivative_of_null_shell(X: VectorField, gamma: SymTensor2Up) -> SymTensor2Up:
-    """Coefficient matrix R^{ab} of p_a p_b in X~(gamma^{ab} p_a p_b).
-
-    The lift is tangent to the shell {gamma^{ab} p_a p_b = const} iff the
-    result vanishes; independently, R equals L_X gamma.
-    """
-    d = _check_same_dim(X.dim, gamma.dim)
-    lift = canonical_lift(X)
-    n = d + 1
-    out = [[Poly.zero(d) for _ in range(n)] for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            val = X.apply(gamma[a, b])
-            # p-part: dQ/dp_a = 2 gamma^{ab} p_b, contracted with dp_a/ds
-            for k in range(n):
-                val = val + lift.momentum[k][a] * gamma[k, b]
-                val = val + lift.momentum[k][b] * gamma[a, k]
-            out[a][b] = val
-            out[b][a] = val
-    return SymTensor2Up(d, out)

@@ -59,11 +59,8 @@ class Poly:
                         clean[exp] = c
                     elif exp in clean:
                         del clean[exp]
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "terms", clean)
-
-    def __setattr__(self, name, value):  # pragma: no cover - guard rail
-        raise AttributeError("Poly is immutable")
+        self.dim = dim
+        self.terms = clean
 
     # -- constructors -------------------------------------------------
 
@@ -143,14 +140,14 @@ class Poly:
             else:
                 terms.pop(exp, None)
         out = Poly(self.dim)
-        object.__setattr__(out, "terms", terms)
+        out.terms = terms
         return out
 
     __radd__ = __add__
 
     def __neg__(self) -> "Poly":
         out = Poly(self.dim)
-        object.__setattr__(out, "terms", {e: -c for e, c in self.terms.items()})
+        out.terms = {e: -c for e, c in self.terms.items()}
         return out
 
     def __sub__(self, other) -> "Poly":
@@ -165,7 +162,7 @@ class Poly:
             if not c:
                 return Poly(self.dim)
             out = Poly(self.dim)
-            object.__setattr__(out, "terms", {e: k * c for e, k in self.terms.items()})
+            out.terms = {e: k * c for e, k in self.terms.items()}
             return out
         if other.dim != self.dim:
             raise ValueError("dimension mismatch")
@@ -179,7 +176,7 @@ class Poly:
                 else:
                     terms.pop(exp, None)
         out = Poly(self.dim)
-        object.__setattr__(out, "terms", terms)
+        out.terms = terms
         return out
 
     __rmul__ = __mul__
@@ -223,7 +220,7 @@ class Poly:
             else:
                 terms.pop(new, None)
         out = Poly(self.dim)
-        object.__setattr__(out, "terms", terms)
+        out.terms = terms
         return out
 
     def evaluate(self, point: Sequence) -> Union[Fraction, float]:
@@ -263,10 +260,6 @@ class Poly:
                 for exp, c in self.sorted_terms()
             ]
         }
-
-    @classmethod
-    def from_obj(cls, dim: int, obj: Mapping) -> "Poly":
-        return cls(dim, {tuple(t["exp"]): Fraction(t["coef"]) for t in obj["terms"]})
 
     # -- display ------------------------------------------------------
 

@@ -68,7 +68,7 @@ def parse_z(text: str):
     """Dynamical exponent from 'p/q' or 'inf'; never a float."""
     if text == INF:
         return INF
-    if not re.fullmatch(r"-?\d+(/\d+)?", text):
+    if not re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text):
         raise ValueError(f"dynamical exponent must be 'p/q' or 'inf', got {text!r}")
     try:
         z = Fraction(text)
@@ -580,19 +580,9 @@ def quadratic_expansion(d: int, A: int, k: int = 0) -> VectorField:
     return VectorField(d, comps)
 
 
-def sch_dilation(d: int) -> VectorField:
-    """2t d_t + x.d: dilates time twice as much as space."""
-    return time_translation(d, 1).scale(2) + space_dilation(d)
-
-
 def sch_expansion(d: int) -> VectorField:
     """t^2 d_t + t x.d."""
     return time_translation(d, 2) + space_dilation(d, 1)
-
-
-def cga_dilation(d: int) -> VectorField:
-    """t d_t + x.d: space and time at the same rate."""
-    return time_translation(d, 1) + space_dilation(d)
 
 
 def cga_expansion(d: int, ether_velocity=None) -> VectorField:
@@ -979,7 +969,7 @@ def _cmil_branches(
     'c1' or 'c2', cut out of one raw space; only c1 depends on the ether,
     and no ether means the rest observer, whose kappa has no tail."""
     _check_dimension(d)
-    if ether is not None and not ether.is_constant():
+    if ether is not None and not all(p.is_constant() for p in ether.U.components):
         raise ValueError("ether must have constant components")
     raw = cmil_raw_space(d)
     out = []

@@ -22,3 +22,15 @@ def random_poly(rng, dim, max_degree=3, terms=4, coeff_range=5):
         den = rng.randint(1, 3)
         out[tuple(exp)] = Fraction(num, den)
     return Poly(dim, out)
+
+
+def vanishes(tensor) -> bool:
+    """Every polynomial entry of a vector field or tensor is zero."""
+    def entries(x):
+        if isinstance(x, Poly):
+            yield x
+        else:
+            for y in x:
+                yield from entries(y)
+
+    return all(p.is_zero() for p in entries(getattr(tensor, "comp", None) or tensor.components))

@@ -174,6 +174,7 @@ def test_console_entry_point():
         ["bracket-table", "--family", "gal", "--d", "2", "--z", "2"],
         ["solve", "--family", "sch", "--d", "2", "--z", ""],
         ["geodesic", "--model", "harmonic", "--steps", "10", "--h", "1e300"],
+        ["solve", "--family", "cga", "--d", "2", "--z", "\u0661"],  # ARABIC-INDIC DIGIT ONE
     ],
 )
 def test_bad_domain_input_is_a_domain_error(args, capsys):

@@ -22,7 +22,7 @@ from ncsym.geometry import (
 from ncsym.lie import Connection, OneForm, TwoForm, VectorField, exterior_derivative_one_form
 from ncsym.poly import Poly
 
-from conftest import random_poly
+from conftest import random_poly, vanishes
 
 
 def _rand_one_form(rng, d, deg=2):
@@ -46,7 +46,7 @@ def test_flat_structure_d3():
             expect = one if (a == b and a >= 1) else Poly.zero(3)
             assert nc.base.gamma[a, b] == expect
     assert nc.base.theta[0] == one
-    assert nc.connection.is_zero()
+    assert vanishes(nc.connection)
 
 
 def test_flat_structure_rejects_low_dimension():
@@ -107,7 +107,7 @@ def test_rotating_frame_connection_components():
 def test_connection_trivial_gauge():
     d = 3
     nc = connection_from_observer(flat_galilei(d), rest_observer(d), TwoForm.zero(d))
-    assert nc.connection.is_zero()
+    assert vanishes(nc.connection)
 
 
 def test_connection_rejects_open_two_form():
@@ -136,7 +136,7 @@ def test_milne_boost_identity():
     base = flat_galilei(d)
     U, F = rest_observer(d), TwoForm.zero(d)
     U2, F2 = milne_boost(base, U, F, OneForm.zero(d))
-    assert U2.U == U.U and F2.is_zero()
+    assert U2.U == U.U and vanishes(F2)
 
 
 def test_milne_boost_constant_boost():
@@ -145,7 +145,7 @@ def test_milne_boost_constant_boost():
     psi = OneForm(d, [Poly.zero(d), Poly.const(d, 2), Poly.const(d, -1), Poly.zero(d)])
     U2, F2 = milne_boost(base, rest_observer(d), TwoForm.zero(d), psi)
     assert U2.U[1] == Poly.const(d, 2) and U2.U[2] == Poly.const(d, -1)
-    assert F2.is_zero()
+    assert vanishes(F2)
     nc_a = connection_from_observer(base, rest_observer(d), TwoForm.zero(d))
     nc_b = connection_from_observer(base, U2, F2)
     assert _connections_equal(nc_a.connection, nc_b.connection)
@@ -187,19 +187,20 @@ def test_milne_infinitesimal_consistency(rng):
         assert U1.U[a] - U.U[a] == gamma_psi
         assert U2.U[a] - U.U[a] == gamma_psi * 2
     # linear part of the two-form change: (4 (F1 - F) - (F2 - F)) / 2
-    lin = (F1 - F).scale(Fraction(4)) - (F2 - F)
-    lin = lin.scale(Fraction(1, 2))
+    lin = [
+        [(f1 * 4 - f2 - f * 3) * Fraction(1, 2) for f, f1, f2 in zip(*rows)]
+        for rows in zip(F.comp, F1.comp, F2.comp)
+    ]
     pairing = psi.pair(U.U)
     phi = OneForm(d, [psi[a] - pairing * base.theta[a] for a in range(d + 1)])
-    expect = exterior_derivative_one_form(phi)
-    assert (lin - expect).is_zero()
+    assert lin == exterior_derivative_one_form(phi).comp
 
 
 def test_coriolis_examples():
     d = 3
     flat = flat_structure(d)
-    assert coriolis_from_observer(flat, rest_observer(d)).is_zero()
-    assert coriolis_from_observer(flat, constant_observer(d, [1, 2, 3])).is_zero()
+    assert vanishes(coriolis_from_observer(flat, rest_observer(d)))
+    assert vanishes(coriolis_from_observer(flat, constant_observer(d, [1, 2, 3])))
     U = Observer(VectorField(d, [Poly.const(d, 1), Poly.t(d), Poly.zero(d), Poly.zero(d)]))
     F = coriolis_from_observer(flat, U)
     assert F[0, 1] == Poly.const(d, 1)
@@ -214,7 +215,7 @@ def test_coriolis_round_trip(rng):
         F = _closed_two_form(rng, d)
         nc = connection_from_observer(base, U, F)
         back = coriolis_from_observer(nc, U)
-        assert (back - F).is_zero()
+        assert vanishes(back - F)
 
 
 def test_observer_cometric_conditions(rng):
@@ -230,7 +231,7 @@ def test_vary_connection_zero():
     d = 3
     base = flat_galilei(d)
     out = vary_connection(base, rest_observer(d), TwoForm.zero(d), Poly.zero(d), Poly.zero(d))
-    assert out.is_zero()
+    assert vanishes(out)
 
 
 def test_vary_connection_timelike_branch():
@@ -320,9 +321,9 @@ def test_vary_connection_reduces_to_lightlike_form_for_time_factors(rng):
             U = Observer(
                 VectorField(d, [Poly.const(d, 1)] + [random_poly(rng, d, 2, 3) for _ in range(d)])
             )
-            assert not U.is_constant()
+            assert not all(p.is_constant() for p in U.U.components)
             F = _closed_two_form(rng, d)
-            assert not F.is_zero()
+            assert not vanishes(F)
             f, g = _random_time_poly(rng, d), _random_time_poly(rng, d)
             out = vary_connection(base, U, F, f, g)
             assert _lightlike_form(base, U, F, f, g) == {
@@ -369,7 +370,7 @@ def test_variation_formula_matches_lie_transport_timelike():
     for X, (f, g) in zip(basis.generators, basis.factors):
         via_variation = vary_connection(base, rest_observer(d), TwoForm.zero(d), f, g)
         via_transport = lie_derive_connection(X, Connection.zero(d))
-        assert (via_variation - via_transport).is_zero()
+        assert vanishes(via_variation - via_transport)
 
 
 def test_variation_formula_matches_lie_transport_lightlike():
@@ -388,6 +389,6 @@ def test_variation_formula_matches_lie_transport_lightlike():
         f, g = conformal_factors(X, base.gamma, base.theta)
         via_variation = vary_connection(base, w.observer, w.coriolis, f, g)
         via_transport = lie_derive_connection(X, Connection.zero(d))
-        assert (via_variation - via_transport).is_zero()
+        assert vanishes(via_variation - via_transport)
         checked += 1
     assert checked >= 14
