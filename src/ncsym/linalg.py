@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 
 def _axpy(target: dict, a: Fraction, source: Mapping) -> None:
@@ -81,30 +81,26 @@ class Echelon:
         self.rows[p] = (row, combo)
         return True
 
-    def nullspace(self, ncols: int) -> list[tuple[Fraction, ...]]:
+    def nullspace(self, ncols: int) -> list[dict]:
         """Right nullspace of the added rows over keys 0..ncols-1, one
-        primitive vector per non-pivot column in increasing order."""
+        primitive sparse vector {column: coef} per non-pivot column in
+        increasing order."""
         free = {c: {c: Fraction(1)} for c in range(ncols) if c not in self.rows}
         for p, (row, _) in self.rows.items():
             for c, v in row.items():
                 if c != p:
                     free[c][p] = -v
-        zero = Fraction(0)
-        return [primitive([v.get(j, zero) for j in range(ncols)]) for v in free.values()]
+        return [primitive(v) for v in free.values()]
 
 
-def primitive(vector: Sequence[Fraction]) -> tuple[Fraction, ...]:
-    """Scale to coprime integers with positive leading entry."""
-    # only the nonzero entries are scaled: a nullspace vector is mostly zeros
+def primitive(vector: Mapping) -> dict:
+    """Scale a nonzero sparse vector to coprime integers, positive at its
+    smallest key, with the keys in increasing order."""
     denoms = 1
-    for v in vector:
-        if v:
-            denoms = denoms * v.denominator // gcd(denoms, v.denominator)
-    ints = [v.numerator * (denoms // v.denominator) if v else 0 for v in vector]
-    g = gcd(*ints)
-    zero = Fraction(0)
-    if g == 0:
-        return tuple(zero for _ in vector)
-    if next(v for v in ints if v) < 0:
+    for v in vector.values():
+        denoms = denoms * v.denominator // gcd(denoms, v.denominator)
+    ints = {k: v.numerator * (denoms // v.denominator) for k, v in sorted(vector.items())}
+    g = gcd(*ints.values())
+    if next(iter(ints.values())) < 0:
         g = -g
-    return tuple(Fraction(v // g) if v else zero for v in ints)
+    return {k: Fraction(v // g) for k, v in ints.items()}

@@ -1,12 +1,12 @@
 """Finite-dimensional matrix forms of the two projective families.
 
-The parameter-to-matrix maps below are verified (not assumed) to be
-bracket-consistent: for every basis pair the matrix commutator must
-equal the matrix of the vector-field bracket up to ONE global sign,
-the same across all pairs.  The maps come out as anti-homomorphisms
-(sign -1) for the bracket conventions used by the vector-field layer;
-the verifier records whichever sign it finds and reports any pair
-violating consistency.
+Each generator's matrix is read from a table of its nonzero entries and
+verified (not assumed) to be bracket-consistent: for every basis pair
+the matrix commutator must equal the matrix of the vector-field bracket
+up to ONE global sign, the same across all pairs.  The maps come out as
+anti-homomorphisms (sign -1) for the bracket conventions used by the
+vector-field layer; the verifier records whichever sign it finds and
+reports any pair violating consistency.
 """
 
 from __future__ import annotations
@@ -18,112 +18,53 @@ from .solver import _SLICES, _bracket_expansions, _check_dimension, _slice_named
 
 _HALF = Fraction(1, 2)
 
-
-def _zeros(n: int) -> list:
-    return [[Fraction(0)] * n for _ in range(n)]
-
-
-def _check_omega(d: int, omega) -> list:
-    om = [[Fraction(v) for v in row] for row in omega]
-    if len(om) != d or any(len(r) != d for r in om):
-        raise ValueError(f"rotation block must be {d}x{d}")
-    for A in range(d):
-        for B in range(d):
-            if om[A][B] != -om[B][A]:
-                raise ValueError("rotation block must be antisymmetric")
-    return om
-
-
-def _check_vector(d: int, v, name: str) -> list:
-    vec = [Fraction(x) for x in v]
-    if len(vec) != d:
-        raise ValueError(f"{name} must have length {d}")
-    return vec
-
-
-def rep_schrodinger(d: int, omega, beta, gamma, kappa, lam, eps) -> list:
-    """(d+2)-square matrix of a generator with the given parameters:
-    rows [omega, beta, gamma; 0, lam, eps; 0, -kappa, -lam]."""
-    om = _check_omega(d, omega)
-    be = _check_vector(d, beta, "beta")
-    ga = _check_vector(d, gamma, "gamma")
-    kappa, lam, eps = Fraction(kappa), Fraction(lam), Fraction(eps)
-    n = d + 2
-    Z = _zeros(n)
-    for A in range(d):
-        for B in range(d):
-            Z[A][B] = om[A][B]
-        Z[A][d] = be[A]
-        Z[A][d + 1] = ga[A]
-    Z[d][d] = lam
-    Z[d][d + 1] = eps
-    Z[d + 1][d] = -kappa
-    Z[d + 1][d + 1] = -lam
-    return Z
+# The nonzero entries {(row, column): value} of each generator's matrix,
+# keyed by the label without its index.  A row or column is "A" or "B",
+# the 0-based spatial indices of a label omega[A,B] or name[A], or an
+# offset from d.  The block layouts, with omega the antisymmetric
+# rotation block and spatial rows first, are
+#   sch, (d+2)-square:  [omega, beta, gamma;  0, lambda, epsilon;  0, -kappa, -lambda]
+#   cga, (d+3)-square:  [omega, -alpha/2, beta, gamma;  0, lambda, 2 epsilon, 0;
+#                        0, -kappa/2, 0, epsilon;  0, 0, -kappa, -lambda]
+# The sl(2) block of cga is fixed by bracket consistency with the vector
+# fields: the opposite sign of the -kappa/2 entry breaks the commutator
+# [expansion, time translation] exactly.
+_MATRICES = {
+    "sch": {
+        "omega": {("B", "A"): 1, ("A", "B"): -1},
+        "beta": {("A", 0): 1},
+        "gamma": {("A", 1): 1},
+        "kappa": {(1, 0): -1},
+        "lambda": {(0, 0): 1, (1, 1): -1},
+        "epsilon": {(0, 1): 1},
+    },
+    "cga": {
+        "omega": {("B", "A"): 1, ("A", "B"): -1},
+        "alpha": {("A", 0): -_HALF},
+        "beta": {("A", 1): 1},
+        "gamma": {("A", 2): 1},
+        "kappa": {(1, 0): -_HALF, (2, 1): -1},
+        "lambda": {(0, 0): 1, (2, 2): -1},
+        "epsilon": {(0, 1): 2, (1, 2): 1},
+    },
+}
 
 
-def rep_cga(d: int, omega, alpha, beta, gamma, kappa, lam, eps) -> list:
-    """(d+3)-square matrix of a generator with the given parameters.
+def _generator_matrix(kind: str, label: str, d: int) -> dict:
+    """Sparse matrix {(row, column): value} of the generator of algebra
+    kind ('sch' or 'cga') at dimension d with the given label."""
+    name, _, index = label.rstrip("]").partition("[")
+    spatial = dict(zip("AB", (int(i) - 1 for i in index.split(",")))) if index else {}
 
-    The lower-right 3x3 block is the sl(2) triple; its entries are fixed
-    by requiring bracket consistency with the vector-field basis, which
-    pins the kappa entry in the beta-row at -1/2 (the opposite choice
-    breaks the commutator [expansion, time translation] exactly).
-    """
-    om = _check_omega(d, omega)
-    al = _check_vector(d, alpha, "alpha")
-    be = _check_vector(d, beta, "beta")
-    ga = _check_vector(d, gamma, "gamma")
-    kappa, lam, eps = Fraction(kappa), Fraction(lam), Fraction(eps)
-    n = d + 3
-    Z = _zeros(n)
-    for A in range(d):
-        for B in range(d):
-            Z[A][B] = om[A][B]
-        Z[A][d] = -_HALF * al[A]
-        Z[A][d + 1] = be[A]
-        Z[A][d + 2] = ga[A]
-    Z[d][d] = lam
-    Z[d][d + 1] = 2 * eps
-    Z[d + 1][d] = -_HALF * kappa
-    Z[d + 1][d + 2] = eps
-    Z[d + 2][d + 1] = -kappa
-    Z[d + 2][d + 2] = -lam
-    return Z
+    def place(key):
+        return spatial[key] if isinstance(key, str) else d + key
+
+    return {(place(r), place(c)): Fraction(v) for (r, c), v in _MATRICES[kind][name].items()}
 
 
 # ---------------------------------------------------------------------------
 # verification on sparse matrices {(row, col): value}
 # ---------------------------------------------------------------------------
-
-
-# The matrix builder of each finite algebra and its vector parameters; the
-# algebra is the solver's slice at its own exponent.
-_REPS = {
-    "sch": (rep_schrodinger, ("beta", "gamma")),
-    "cga": (rep_cga, ("alpha", "beta", "gamma")),
-}
-
-# keyword of each scalar parameter whose generator label differs from it
-_KEYWORDS = {"lambda": "lam", "epsilon": "eps"}
-
-
-def _unit_parameters(label: str, d: int, vectors: tuple) -> dict:
-    """Builder keywords with only the parameter of one generator set to 1:
-    omega[A,B] sets the rotation block of x^A d_B - x^B d_A, a label
-    name[A] entry A of the vector parameter name, any other label its
-    scalar parameter."""
-    params = {key: [0] * d for key in vectors}
-    params.update(omega=[[0] * d for _ in range(d)], kappa=0, lam=0, eps=0)
-    name, _, index = label.rstrip("]").partition("[")
-    if name == "omega":
-        A, B = (int(i) - 1 for i in index.split(","))
-        params["omega"][B][A], params["omega"][A][B] = 1, -1
-    elif index:
-        params[name][int(index) - 1] = 1
-    else:
-        params[_KEYWORDS.get(name, name)] = 1
-    return params
 
 
 def _commutator(a: dict, b: dict) -> dict:
@@ -155,15 +96,13 @@ def verify_representation(kind: str, d: int) -> dict:
     against it.
     """
     _check_dimension(d)
-    if kind not in _REPS:
+    if kind not in _MATRICES:
         raise ValueError("kind must be 'sch' or 'cga'")
-    build, vectors = _REPS[kind]
-    labels, fields, mats = [], [], []
-    for label, X in _slice_named(kind, d, _SLICES[kind][1])[1]:
-        Z = build(d, **_unit_parameters(label, d, vectors))
-        labels.append(label)
-        fields.append(X)
-        mats.append({(r, c): v for r, row in enumerate(Z) for c, v in enumerate(row) if v})
+    # the algebra is the solver's slice at its own exponent
+    named = _slice_named(kind, d, _SLICES[kind][1])[1]
+    labels = [label for label, _ in named]
+    fields = [X for _, X in named]
+    mats = [_generator_matrix(kind, label, d) for label in labels]
 
     faithful = linalg.Echelon(mats).rank == len(mats)
 
@@ -190,7 +129,7 @@ def verify_representation(kind: str, d: int) -> dict:
             mismatches.append([labels[i], labels[j], "sign flips"])
     return {
         "rep": kind,
-        "size": len(Z),
+        "size": d + 3 if kind == "cga" else d + 2,
         "dim": len(mats),
         "sign": sign,
         "faithful": faithful,
@@ -213,53 +152,43 @@ def levi_check(sc, radical: set, rotation_indices: set, sl2_indices: set) -> dic
     so(d) relations on the rotation block and the dilation-graded
     relations on the (expansion, dilation, time translation) block.
     """
-    n = sc.n
     radical = set(radical)
-    complement = [i for i in range(n) if i not in radical]
+    complement = [i for i in range(sc.n) if i not in radical]
     report = {"ideal": True, "abelian": True, "quotient": True, "failures": []}
+    entries = [(i, j, k, v) for (i, j), row in sorted(sc.c.items()) for k, v in sorted(row.items())]
 
-    for i in radical:
-        for j in range(n):
-            for k in complement:
-                if sc.c[i][j][k]:
-                    report["ideal"] = False
-                    report["failures"].append(["not_an_ideal", i, j, k])
-    for i in radical:
-        for j in radical:
-            for k in range(n):
-                if sc.c[i][j][k]:
-                    report["abelian"] = False
-                    report["failures"].append(["not_abelian", i, j, k])
+    for i, j, k, _ in entries:
+        if i in radical and k not in radical:
+            report["ideal"] = False
+            report["failures"].append(["not_an_ideal", i, j, k])
+    for i, j, k, _ in entries:
+        if i in radical and j in radical:
+            report["abelian"] = False
+            report["failures"].append(["not_abelian", i, j, k])
     if not report["ideal"]:
         return report
 
     # quotient structure constants on the complement
     pos = {idx: a for a, idx in enumerate(complement)}
-    q = {}
-    for i in complement:
-        for j in complement:
-            for k in complement:
-                v = sc.c[i][j][k]
-                if v:
-                    q[(pos[i], pos[j], pos[k])] = v
+    q = {
+        (pos[i], pos[j], pos[k]): v
+        for i, j, k, v in entries
+        if i in pos and j in pos and k in pos
+    }
     rot = sorted(pos[i] for i in rotation_indices)
     sl2 = sorted(pos[i] for i in sl2_indices)
 
     # the two factors must commute in the quotient
-    for i in rot:
-        for j in sl2:
-            for k in range(len(complement)):
-                if q.get((i, j, k)):
-                    report["quotient"] = False
-                    report["failures"].append(["factors_do_not_commute", i, j, k])
+    for i, j, k in q:
+        if i in rot and j in sl2:
+            report["quotient"] = False
+            report["failures"].append(["factors_do_not_commute", i, j, k])
     # rotations close on rotations, sl2 closes on sl2
     for block, other in ((rot, sl2), (sl2, rot)):
-        for i in block:
-            for j in block:
-                for k in other:
-                    if q.get((i, j, k)):
-                        report["quotient"] = False
-                        report["failures"].append(["block_not_closed", i, j, k])
+        for i, j, k in q:
+            if i in block and j in block and k in other:
+                report["quotient"] = False
+                report["failures"].append(["block_not_closed", i, j, k])
     # sl(2) grading: with basis (expansion K, dilation D, translation H),
     # ad(D) has eigenvalues (+c, 0, -c) and [K, H] is proportional to D.
     if len(sl2) != 3:

@@ -353,9 +353,8 @@ def restrict_span(
     out = []
     for coeffs in kernel:
         combination: dict = {}
-        for c, vector in zip(coeffs, vectors):
-            if c:
-                linalg._axpy(combination, c, vector)
+        for j, c in coeffs.items():
+            linalg._axpy(combination, c, vectors[j])
         out.append(_vector_field(fields[0].dim, combination))
     return out
 
@@ -432,47 +431,37 @@ class NotClosedError(Exception):
 class StructureConstants:
     __slots__ = ("n", "c")
 
-    def __init__(self, n: int, c: list):
+    def __init__(self, n: int, c: dict):
         self.n = n
-        self.c = c  # dense [i][j][k] Fractions
+        # {(i, j): {k: coef}}: the nonzero coefficients of [X_i, X_j], one
+        # entry per nonzero bracket in each order
+        self.c = c
 
     def antisymmetry_ok(self) -> bool:
         return all(
-            self.c[i][j][k] == -self.c[j][i][k]
-            for i in range(self.n)
-            for j in range(self.n)
-            for k in range(self.n)
+            self.c.get((j, i), {}) == {k: -v for k, v in row.items()}
+            for (i, j), row in self.c.items()
         )
 
     def jacobi_ok(self) -> bool:
-        n = self.n
-        rows = {}
-        for i in range(n):
-            for j in range(n):
-                nz = [(m, v) for m, v in enumerate(self.c[i][j]) if v]
-                if nz:
-                    rows[(i, j)] = nz
-        zero = Fraction(0)
+        n, c = self.n, self.c
         for i in range(n):
             for j in range(i + 1, n):
                 for k in range(j + 1, n):
-                    acc = [zero] * n
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        for m, v in rows.get((a, b), ()):
-                            for l, w in rows.get((m, c), ()):
-                                acc[l] += v * w
-                    if any(acc):
+                    acc: dict = {}
+                    for a, b, e in ((i, j, k), (j, k, i), (k, i, j)):
+                        for m, v in c.get((a, b), {}).items():
+                            linalg._axpy(acc, v, c.get((m, e), {}))
+                    if acc:
                         return False
         return True
 
     def to_entries(self) -> list:
-        out = []
-        for i in range(self.n):
-            for j in range(self.n):
-                for k in range(self.n):
-                    if self.c[i][j][k]:
-                        out.append([i, j, k, str(self.c[i][j][k])])
-        return out
+        return [
+            [i, j, k, str(v)]
+            for (i, j), row in sorted(self.c.items())
+            for k, v in sorted(row.items())
+        ]
 
 
 class ClosureReport:
@@ -508,18 +497,16 @@ def closure_check(fields: Sequence[VectorField]) -> ClosureReport:
 
 
 def structure_constants(basis) -> StructureConstants:
-    """Exact rational bracket tensor of a closed basis."""
+    """Exact rational structure constants of a closed basis."""
     fields = basis.generators if isinstance(basis, AlgebraBasis) else list(basis)
-    n = len(fields)
-    zero = Fraction(0)
-    c = [[[zero] * n for _ in range(n)] for _ in range(n)]
+    c = {}
     for i, j, coeffs, remainder in _bracket_expansions(fields):
         if remainder:
             raise NotClosedError(i, j, _vector_field(fields[0].dim, remainder))
-        for k, v in coeffs.items():
-            c[i][j][k] = v
-            c[j][i][k] = -v
-    return StructureConstants(n=n, c=c)
+        if coeffs:
+            c[i, j] = coeffs
+            c[j, i] = {k: -v for k, v in coeffs.items()}
+    return StructureConstants(n=len(fields), c=c)
 
 
 # ---------------------------------------------------------------------------

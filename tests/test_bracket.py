@@ -99,13 +99,13 @@ def apply_bracket(X, Y):
 def apply_structure_constants(fields):
     span = linalg.Echelon(solver._field_vector(X) for X in fields)
     n = len(fields)
-    c = [[[Fraction(0)] * n for _ in range(n)] for _ in range(n)]
+    c = {}
     for i in range(n):
         for j in range(n):
             coeffs, remainder = span.reduce(solver._field_vector(apply_bracket(fields[i], fields[j])))
             assert not remainder
-            for k, v in coeffs.items():
-                c[i][j][k] = v
+            if coeffs:
+                c[i, j] = coeffs
     return c
 
 

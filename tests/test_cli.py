@@ -69,6 +69,23 @@ def test_bracket_table(tmp_path):
     assert payload["dim"] == 10
 
 
+def test_bracket_table_exits_2_when_jacobi_fails(monkeypatch, capsys):
+    from ncsym import solver
+
+    # [X_0, X_1] = X_2, [X_0, X_2] = X_0: antisymmetric, but not a Lie algebra
+    broken = solver.StructureConstants(3, {
+        (0, 1): {2: Fraction(1)}, (1, 0): {2: Fraction(-1)},
+        (0, 2): {0: Fraction(1)}, (2, 0): {0: Fraction(-1)},
+    })
+    monkeypatch.setattr(solver, "structure_constants", lambda basis: broken)
+    assert run_cli(["bracket-table", "--family", "gal", "--d", "2"]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["antisymmetric"] and not payload["jacobi"]
+    assert payload["structure_constants"] == [
+        [0, 1, 2, "1"], [0, 2, 0, "1"], [1, 0, 2, "-1"], [2, 0, 0, "-1"]
+    ]
+
+
 def test_rep_check_exit_codes(tmp_path):
     assert run_cli(["rep-check", "--rep", "sch", "--d", "3", "--out", str(tmp_path / "r.json")]) == 0
     report = json.loads((tmp_path / "r.json").read_text())
@@ -121,6 +138,26 @@ def test_fluid_and_em_checks(tmp_path):
     assert run_cli(["fluid-check", "--negative-control"]) == 0
     assert run_cli(["em-check", "--out", str(tmp_path / "e.json")]) == 0
     assert run_cli(["em-check", "--negative-control"]) == 0
+
+
+def test_em_check_exits_2_on_a_failing_pair(monkeypatch, tmp_path):
+    from ncsym import em, solver
+
+    lib = em.sourcefree_library()
+    c1, = solver._cmil_branches(3, ["c1"])
+    label, idx = "kappa", 3
+    kappa = c1.generators[c1.labels.index(label)]
+    real = em.moved_field_residual
+
+    def one_pair_fails(X, f, nc):
+        ok, dF, div = real(X, f, nc)
+        return (ok and not (f is lib[idx] and X == kappa)), dF, div
+
+    monkeypatch.setattr(em, "sourcefree_library", lambda: lib)
+    monkeypatch.setattr(em, "moved_field_residual", one_pair_fails)
+    out = tmp_path / "e.json"
+    assert run_cli(["em-check", "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["failures"] == [[label, idx]]
 
 
 def test_console_entry_point():

@@ -1,6 +1,7 @@
 """Properties of the exact elimination kernel, with sympy as the oracle."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -56,10 +57,15 @@ def test_nullspace_matches_sympy_and_is_a_kernel(case):
     rows, ncols = case
     ech = Echelon(sparse(r) for r in rows)
     kernel = ech.nullspace(ncols)
-    expected = [primitive([to_fraction(x) for x in v]) for v in oracle(rows, ncols).nullspace()]
+    expected = [
+        primitive(sparse([to_fraction(x) for x in v])) for v in oracle(rows, ncols).nullspace()
+    ]
     assert kernel == expected
     for v in kernel:
-        assert all(sum(a * b for a, b in zip(r, v)) == 0 for r in rows)
+        assert all(sum(r[j] * c for j, c in v.items()) == 0 for r in rows)
+        # primitive: coprime integers, positive at the smallest key
+        assert all(c.denominator == 1 for c in v.values())
+        assert gcd(*(int(c) for c in v.values())) == 1 and v[min(v)] > 0
     assert ech.rank + len(kernel) == ncols
 
 

@@ -4,37 +4,32 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncsym import representations as reps
-from ncsym.solver import solve_cga, solve_sch, structure_constants
-
-
-def test_rep_sch_zero_params_zero_matrix():
-    Z = reps.rep_schrodinger(3, [[0] * 3 for _ in range(3)], [0] * 3, [0] * 3, 0, 0, 0)
-    assert all(v == 0 for row in Z for v in row)
-
-
-def test_rep_sch_rotation_block():
-    om = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
-    Z = reps.rep_schrodinger(3, om, [0] * 3, [0] * 3, 0, 0, 0)
-    for A in range(3):
-        for B in range(3):
-            assert Z[A][B] == om[A][B]
-    assert all(Z[A][B] == 0 for A in range(5) for B in range(5) if A >= 3 or B >= 3)
+from ncsym.solver import StructureConstants, solve_cga, solve_sch, structure_constants
 
 
 def sparse(Z) -> dict:
     return {(r, c): v for r, row in enumerate(Z) for c, v in enumerate(row) if v}
 
 
+def test_rep_sch_rotation_block():
+    # omega[1,2] has the rotation block [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
+    # and nothing outside it
+    assert reps._generator_matrix("sch", "omega[1,2]", 3) == {(0, 1): -1, (1, 0): 1}
+
+
 def test_rep_sch_commutator_of_rotations_matches_so3():
-    om12 = [[0, 1, 0], [-1, 0, 0], [0, 0, 0]]
-    om13 = [[0, 0, 1], [0, 0, 0], [-1, 0, 0]]
-    om23 = [[0, 0, 0], [0, 0, 1], [0, -1, 0]]
     Z12, Z13, Z23 = (
-        sparse(reps.rep_schrodinger(3, om, [0] * 3, [0] * 3, 0, 0, 0))
-        for om in (om12, om13, om23)
+        reps._generator_matrix("sch", f"omega[{ab}]", 3) for ab in ("1,2", "1,3", "2,3")
     )
-    # [Z(omega12), Z(omega13)] = Z(-omega23)
-    assert reps._commutator(Z12, Z13) == {k: -v for k, v in Z23.items()}
+    # [Z(omega12), Z(omega13)] = Z(omega23)
+    assert reps._commutator(Z12, Z13) == Z23
+
+
+def test_rep_cga_alpha_and_kappa_entries():
+    # the alpha column carries -alpha/2; kappa enters the sl(2) block as
+    # -kappa/2 at (d+1, d) and -kappa at (d+2, d+1)
+    assert reps._generator_matrix("cga", "alpha[1]", 3) == {(0, 3): Fraction(-1, 2)}
+    assert reps._generator_matrix("cga", "kappa", 3) == {(4, 3): Fraction(-1, 2), (5, 4): -1}
 
 
 # dense oracle for the sparse matrix arithmetic of the verifier
@@ -87,22 +82,6 @@ def test_rep_sch_sl2_block_closes_like_vector_fields():
     assert report["sign"] in (1, -1)
 
 
-def test_rep_shapes_rejected():
-    with pytest.raises(ValueError):
-        reps.rep_schrodinger(3, [[0, 1], [-1, 0]], [0] * 3, [0] * 3, 0, 0, 0)
-    with pytest.raises(ValueError):
-        reps.rep_cga(3, [[0] * 3 for _ in range(3)], [0] * 2, [0] * 3, [0] * 3, 0, 0, 0)
-    with pytest.raises(ValueError):
-        reps.rep_schrodinger(3, [[0, 1, 0], [1, 0, 0], [0, 0, 0]], [0] * 3, [0] * 3, 0, 0, 0)
-
-
-def test_rep_cga_zero_and_block_structure():
-    Z = reps.rep_cga(3, [[0] * 3 for _ in range(3)], [0] * 3, [0] * 3, [0] * 3, 0, 0, 0)
-    assert all(v == 0 for row in Z for v in row)
-    Z = reps.rep_cga(3, [[0] * 3 for _ in range(3)], [2, 0, 0], [0] * 3, [0] * 3, 0, 0, 0)
-    assert Z[0][3] == Fraction(-1)  # alpha column carries -alpha/2
-
-
 def test_rep_cga_so21_block():
     # the lower 3x3 block of the (kappa, lam, eps) triple closes with the
     # structure constants of the corresponding vector fields
@@ -120,14 +99,8 @@ def test_rep_consistency_full_pairwise():
 
 
 def test_sign_flipped_cga_entry_is_reported(monkeypatch):
-    build, vectors = reps._REPS["cga"]
-
-    def flipped(d, *args, **kwargs):
-        Z = build(d, *args, **kwargs)
-        Z[d + 1][d] = -Z[d + 1][d]
-        return Z
-
-    monkeypatch.setitem(reps._REPS, "cga", (flipped, vectors))
+    kappa = reps._MATRICES["cga"]["kappa"]
+    monkeypatch.setitem(reps._MATRICES["cga"], "kappa", {**kappa, (1, 0): -kappa[1, 0]})
     report = reps.verify_representation("cga", 3)
     assert report["sign"] == -1
     assert report["faithful"]
@@ -170,3 +143,32 @@ def test_levi_rejects_rotation_in_radical():
     report = reps.levi_check(sc, radical, rot, sl2)
     assert not report["ideal"]
     assert any(f[0] == "not_an_ideal" for f in report["failures"])
+
+
+def so3_plus_sl2(changes=()) -> StructureConstants:
+    """so(3) on indices 0-2 and sl(2) on 3-5 = (K, D, H), with each
+    (i, j, k, v) of changes setting the X_k coefficient of [X_i, X_j] to v."""
+    brackets = [(0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
+                (4, 3, 3, 2), (4, 5, 5, -2), (3, 5, 4, -1), *changes]
+    c: dict = {}
+    for i, j, k, v in brackets:
+        c.setdefault((i, j), {})[k] = Fraction(v)
+        c.setdefault((j, i), {})[k] = Fraction(-v)
+    return StructureConstants(6, c)
+
+
+@pytest.mark.parametrize("changes, sl2, failures", [
+    ([], {3, 4, 5}, []),
+    # [X_0, K] = K: a rotation acts on the sl(2) factor
+    ([(0, 3, 3, 1)], {3, 4, 5}, [["factors_do_not_commute", 0, 3, 3]]),
+    # [K, H] = -D + X_0: the sl(2) block leaks into the rotations
+    ([(3, 5, 0, 1)], {3, 4, 5}, [["block_not_closed", 3, 5, 0], ["block_not_closed", 5, 3, 0]]),
+    ([], {3, 4}, [["sl2_block_size", 2]]),
+    # [K, H] = -D + H
+    ([(3, 5, 5, 1)], {3, 4, 5}, [["sl2_relations", [True] * 6 + [False]]]),
+    # [D, H] = -3H: ad(D) does not grade K and H oppositely
+    ([(4, 5, 5, -3)], {3, 4, 5}, [["sl2_grading", "2", "-3"]]),
+])
+def test_levi_reports_each_quotient_failure(changes, sl2, failures):
+    report = reps.levi_check(so3_plus_sl2(changes), set(), {0, 1, 2}, sl2)
+    assert report == {"ideal": True, "abelian": True, "quotient": not failures, "failures": failures}

@@ -9,6 +9,7 @@ from ncsym.poly import Poly
 from ncsym.solver import (
     INF,
     NotClosedError,
+    StructureConstants,
     alt_closure_scan,
     alt_obstruction_coefficient,
     alt_subalgebra,
@@ -354,6 +355,27 @@ def test_cmil_branches_closed_and_maximal():
         assert span_equal(grown, c2.generators)
 
 
+def test_closure_grows_a_time_translation_to_a_maximal_closed_set():
+    sch = solve_sch(3)
+    grown = bracket_closure_grow([time_translation(3)], sch.generators)
+    named = dict(zip(sch.labels, sch.generators))
+    expected = ["omega[1,2]", "beta[3]", "gamma[3]", "kappa", "lambda", "epsilon"]
+    assert len(grown) == 6
+    assert span_equal(grown, [named[label] for label in expected])
+    assert closure_check(grown).closed
+    # no single further direction of sch(3) keeps it closed
+    for label, X in named.items():
+        if label not in expected:
+            assert not closure_check(grown + [X]).closed, label
+
+
+def test_wrong_presentation_fails_the_span_proof(monkeypatch):
+    # gal's presentation with a space dilation in place of the time translation
+    monkeypatch.setattr(solver, "time_translation", lambda d, k=0: space_dilation(d))
+    with pytest.raises(AssertionError, match="gal: presentation does not match the solved span"):
+        solve_gal(2)
+
+
 def test_cmil_generator_ether_witnesses():
     ether = constant_observer(3, [Fraction(1, 2), 0, 0])
     c1, _ = solve_cmil_flat(3, ether)
@@ -433,18 +455,16 @@ def test_structure_constants_sl2_block():
     iH = labels.index("epsilon")
     iD = labels.index("lambda")
     iK = labels.index("kappa")
-    n = sc.n
     # [D,H] = -2H, [D,K] = 2K, [K,H] = -D
-    for k in range(n):
-        assert sc.c[iD][iH][k] == (Fraction(-2) if k == iH else 0)
-        assert sc.c[iD][iK][k] == (Fraction(2) if k == iK else 0)
-        assert sc.c[iK][iH][k] == (Fraction(-1) if k == iD else 0)
+    assert sc.c[iD, iH] == {iH: Fraction(-2)}
+    assert sc.c[iD, iK] == {iK: Fraction(2)}
+    assert sc.c[iK, iH] == {iD: Fraction(-1)}
 
 
 def test_structure_constants_abelian_pair():
     fields = [translation(3, 1), translation(3, 2)]
     sc = structure_constants(fields)
-    assert all(not sc.c[i][j][k] for i in range(2) for j in range(2) for k in range(2))
+    assert sc.c == {}
 
 
 def test_cga_acceleration_bracket():
@@ -455,16 +475,30 @@ def test_cga_acceleration_bracket():
     ie = labels.index("epsilon")
     ib = labels.index("beta[1]")
     # [acceleration, time translation] = boost along the same axis
-    expect = {k: Fraction(0) for k in range(sc.n)}
-    expect[ib] = Fraction(1)
-    for k in range(sc.n):
-        assert sc.c[ia][ie][k] == expect[k]
+    assert sc.c[ia, ie] == {ib: Fraction(1)}
 
 
 def test_antisymmetry_and_jacobi_flags():
     sc = structure_constants(solve_sch(2))
     assert sc.antisymmetry_ok()
     assert sc.jacobi_ok()
+
+
+def test_antisymmetry_flag_fails_without_the_reversed_bracket():
+    # [X_0, X_1] = X_0 with no entry for [X_1, X_0]
+    assert not StructureConstants(2, {(0, 1): {0: Fraction(1)}}).antisymmetry_ok()
+    # [X_0, X_0] = X_1 is its own reverse but not zero
+    assert not StructureConstants(2, {(0, 0): {1: Fraction(1)}}).antisymmetry_ok()
+
+
+def test_jacobi_flag_fails_on_antisymmetric_constants():
+    # [X_0, X_1] = X_2, [X_0, X_2] = X_0: the Jacobi sum of (0, 1, 2) is -X_2
+    sc = StructureConstants(3, {
+        (0, 1): {2: Fraction(1)}, (1, 0): {2: Fraction(-1)},
+        (0, 2): {0: Fraction(1)}, (2, 0): {0: Fraction(-1)},
+    })
+    assert sc.antisymmetry_ok()
+    assert not sc.jacobi_ok()
 
 
 def test_not_closed_error_carries_witness():
