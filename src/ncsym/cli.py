@@ -127,13 +127,11 @@ def cmd_geodesic(args) -> int:
     d = 3
     if args.model == "free":
         conn = flat_structure(d).connection
-    elif args.model == "harmonic":
+    else:  # harmonic, the only other model argparse accepts
         V = Poly.zero(d)
         for A in range(1, d + 1):
             V = V + Poly.x(d, A) * Poly.x(d, A) * Fraction(1, 2)
         conn = newtonian_connection(d, V).connection
-    else:
-        raise ValueError("geodesic model must be free or harmonic")
     x0 = [0.0, 1.0, 0.0, 0.0]
     v0 = [1.0, 0.0, 0.5, 0.0]
     res = integrate_geodesic(conn, x0, v0, args.h, args.steps)
@@ -203,25 +201,24 @@ def cmd_noether(args) -> int:
         payload = {"model": "massive", "noether_residual": residual, "tolerance": 1e-6}
         _write_json(payload, args.out)
         return 0 if residual < 1e-6 else 2
-    if args.model == "photon":
-        k, s = 2.0, 1.0
-        z = Poly.zero(1)
-        om = [[z for _ in range(3)] for _ in range(3)]
-        om[0][1] = Poly.const(1, 1)
-        om[1][0] = Poly.const(1, -1)
-        eta = [Poly.t(1), Poly.const(1, 1), z]
-        xi = Poly.t(1) * Poly.t(1)
-        lift = mechanics.photon_lift(k, om, eta, xi)
-        states = []
-        for _ in range(4):
-            u = rng.normal(size=3)
-            u /= np.linalg.norm(u)
-            states.append(mechanics.PhotonState(rng.normal(), rng.normal(size=3), rng.normal(), u))
-        residual = mechanics.presymplectic_residual_photon(lift, states, k, s)
-        payload = {"model": "photon", "symmetry_residual": residual, "tolerance": 1e-6}
-        _write_json(payload, args.out)
-        return 0 if residual < 1e-6 else 2
-    raise ValueError("noether model must be massive or photon")
+    # photon, the only other model argparse accepts
+    k, s = 2.0, 1.0
+    z = Poly.zero(1)
+    om = [[z for _ in range(3)] for _ in range(3)]
+    om[0][1] = Poly.const(1, 1)
+    om[1][0] = Poly.const(1, -1)
+    eta = [Poly.t(1), Poly.const(1, 1), z]
+    xi = Poly.t(1) * Poly.t(1)
+    lift = mechanics.photon_lift(k, om, eta, xi)
+    states = []
+    for _ in range(4):
+        u = rng.normal(size=3)
+        u /= np.linalg.norm(u)
+        states.append(mechanics.PhotonState(rng.normal(), rng.normal(size=3), rng.normal(), u))
+    residual = mechanics.presymplectic_residual_photon(lift, states, k, s)
+    payload = {"model": "photon", "symmetry_residual": residual, "tolerance": 1e-6}
+    _write_json(payload, args.out)
+    return 0 if residual < 1e-6 else 2
 
 
 def cmd_fluid_check(args) -> int:

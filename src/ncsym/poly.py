@@ -109,12 +109,6 @@ class Poly:
             raise ValueError(f"{self} is not constant")
         return next(iter(self.terms.values()))
 
-    def degree_in(self, var: int) -> int:
-        """Largest exponent of the given variable, -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(exp[var] for exp in self.terms)
-
     def depends_on(self, var: int) -> bool:
         return any(exp[var] for exp in self.terms)
 
@@ -279,25 +273,3 @@ class Poly:
                     factors.append(f"{name}^{e}")
             parts.append("*".join(factors))
         return " + ".join(parts)
-
-
-def poly_divmod_t(num: Poly, den: Poly) -> tuple["Poly", "Poly"]:
-    """Quotient and remainder for polynomials in t alone, deg(r) < deg(den)."""
-    if den.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    if any(sum(exp[1:]) for exp in num.terms) or any(sum(exp[1:]) for exp in den.terms):
-        raise ValueError("poly_divmod_t expects polynomials in t only")
-    dim = num.dim
-    dd = den.degree_in(0)
-    dlead = den.terms.get(tuple([dd] + [0] * dim))
-    quot = Poly.zero(dim)
-    rem = num
-    while not rem.is_zero() and rem.degree_in(0) >= dd:
-        rd = rem.degree_in(0)
-        rlead = rem.terms.get(tuple([rd] + [0] * dim))
-        exp = [0] * (dim + 1)
-        exp[0] = rd - dd
-        q = Poly.monomial(dim, exp, rlead / dlead)
-        quot = quot + q
-        rem = rem - q * den
-    return quot, rem

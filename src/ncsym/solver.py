@@ -30,10 +30,9 @@ from .lie import (
     _bracket_vector,
     _field_vector,
     _vector_field,
-    exterior_derivative,
     lie_bracket,
 )
-from .poly import Poly, poly_divmod_t
+from .poly import Poly
 
 if TYPE_CHECKING:
     from .geometry import Observer
@@ -712,18 +711,23 @@ def solve_gal(d: int) -> AlgebraBasis:
     return _presented("gal", d, raw, named)
 
 
+def _sch_expanded_named(d: int) -> list[tuple[str, VectorField]]:
+    """Generator list of the expanded timelike algebra and of cmil c2."""
+    return _head(d) + [
+        ("kappa", sch_expansion(d)),
+        ("mu", time_translation(d, 1)),
+        ("lambda", space_dilation(d)),
+        ("epsilon", time_translation(d)),
+    ]
+
+
 def solve_sch_expanded(d: int) -> AlgebraBasis:
     """Conformal fields permuting timelike geodesics (independent time and
     space dilations).  The ansatz degree bound 3 only needs to be >= 2;
     the system itself cuts everything above quadratic."""
     _check_dimension(d)
     raw = solve_system(d, res_timelike_projective, nt_time=3, nt_space=3)
-    named = _head(d)
-    named.append(("kappa", sch_expansion(d)))
-    named.append(("mu", time_translation(d, 1)))
-    named.append(("lambda", space_dilation(d)))
-    named.append(("epsilon", time_translation(d)))
-    return _presented("sch_expanded", d, raw, named)
+    return _presented("sch_expanded", d, raw, _sch_expanded_named(d))
 
 
 # The two sliced families, keyed by the finite algebra each holds: the
@@ -819,61 +823,50 @@ class GaugeWitness:
         self.coriolis = coriolis
 
 
-def lightlike_gauge_witness(X: VectorField) -> GaugeWitness | None:
-    """Exact gauge pair (U, F) solving the full lightlike system for X,
-    searched over observers U = d_t + u(t).d with F the flat Coriolis
-    form of U (so F is closed by construction).  Returns None when no
-    such polynomial pair exists; time-dependent rotation parts never
-    admit one, since the mixed equation forces (f+g) F_AB = -2 omega'_AB
-    while f + g = 0 kills the right-hand side."""
+def _observer_search(X: VectorField, n: int) -> tuple[Observer, TwoForm] | None:
+    """Observer U = d_t + u(t).d with deg_t u <= n, and F its flat
+    Coriolis form (F_0A = u_A', F_AB = 0), making cnc_system_residuals
+    vanish for X with its closed-form factors f and g.  None means no
+    observer with deg_t u <= n.  Only the d_0 d_0 X^A rows involve u, and
+    affinely, so one reduction of the u = 0 residual against the
+    residuals of the unit coefficients of u decides.  Where u is not
+    unique, a coefficient whose column the earlier ones span is zero."""
     from .geometry import Observer
 
     d = X.dim
-    fg_pair = _conformal_pair(X)
-    if fg_pair is None:
+    f, g = trace_factor(X), time_factor(X)
+
+    def gauge(u: dict) -> tuple[Observer, TwoForm]:
+        comps = [Poly(d, {(k,) + (0,) * d: c for (B, k), c in u.items() if B == A})
+                 for A in range(1, d + 1)]
+        F = TwoForm.from_upper(d, {(0, A): comps[A - 1].differentiate(0) for A in range(1, d + 1)})
+        return Observer(VectorField(d, [Poly.const(d, 1)] + comps)), F
+
+    def residual(u: dict) -> dict:
+        rows = cnc_system_residuals(X, f, g, *gauge(u))
+        return {(i, exp): c for i, row in enumerate(rows) for exp, c in row.terms.items()}
+
+    units = [(A, k) for A in range(1, d + 1) for k in range(n + 1)]
+    base = residual({})
+    span = linalg.Echelon()
+    for unit in units:
+        column = residual({unit: Fraction(1)})
+        linalg._axpy(column, Fraction(-1), base)
+        span.add(column)
+    coeffs, remainder = span.reduce({key: -c for key, c in base.items()})
+    if remainder:
         return None
-    f, g = fg_pair
-    # time-dependent rotation part is an exact obstruction
-    for A in range(1, d + 1):
-        for B in range(A + 1, d + 1):
-            omega_p = (
-                X[A].differentiate(B) - X[B].differentiate(A)
-            ).differentiate(0) * _HALF
-            if not omega_p.is_zero():
-                return None
-    if f.differentiate(0).differentiate(0) != Poly.zero(d):
-        # would need a spatially varying observer: outside the class
-        return None
-    fg = f + g
-    u_comps = []
-    for A in range(1, d + 1):
-        eta_p = Poly(
-            d,
-            {
-                exp: c
-                for exp, c in X[A].terms.items()
-                if not any(exp[1:])
-            },
-        ).differentiate(0)
-        if fg.is_zero():
-            if not eta_p.differentiate(0).is_zero():
-                return None
-            u_comps.append(Poly.zero(d))
-            continue
-        # eta' = fg * u + const must hold exactly
-        quotient, rem = poly_divmod_t(eta_p, fg)
-        if not rem.is_constant():
-            return None
-        u_comps.append(quotient)
-    U = Observer(VectorField(d, [Poly.const(d, 1)] + u_comps))
-    F = TwoForm.from_upper(
-        d, {(0, A): u_comps[A - 1].differentiate(0) for A in range(1, d + 1)}
-    )
-    if not exterior_derivative(F).is_zero():
-        return None
-    if any(not r.is_zero() for r in cnc_system_residuals(X, f, g, U, F)):
-        return None
-    return GaugeWitness(observer=U, coriolis=F)
+    return gauge({units[j]: c for j, c in coeffs.items()})
+
+
+def lightlike_gauge_witness(X: VectorField) -> GaugeWitness | None:
+    """Exact gauge pair (U, F) solving the full lightlike system for X,
+    with U = d_t + u(t).d and F its flat Coriolis form, from the bounded
+    observer search.  None means no observer with deg_t u <= deg_t X (a
+    time-dependent rotation part never admits one: F_AB = 0)."""
+    n = max((exp[0] for comp in X.components for exp in comp.terms), default=0)
+    found = _observer_search(X, n)
+    return None if found is None else GaugeWitness(*found)
 
 
 def _cnc_basis(d: int, nt: int) -> AlgebraBasis:
@@ -969,11 +962,9 @@ def _cmil_branches(
             named.append(("mu", time_translation(d, 1)))
             named.append(("epsilon", time_translation(d)))
             out.append(_presented("cmil_c1", d, restrict_span(raw, _res_c1_slice), named))
-            continue
-        sch = solve_sch_expanded(d)
-        if not span_equal(restrict_span(raw, _res_c2_slice), sch.generators):
-            raise AssertionError("second branch must coincide with the timelike algebra")
-        out.append(AlgebraBasis("cmil_c2", sch.d, sch.generators, sch.labels, sch.z))
+        else:
+            c2 = restrict_span(raw, _res_c2_slice)
+            out.append(_presented("cmil_c2", d, c2, _sch_expanded_named(d)))
     return out
 
 
@@ -992,33 +983,12 @@ def solve_cmil_flat(d: int, ether: Observer | None = None):
 
 
 def cmil_generator_ether(X: VectorField) -> Observer | None:
-    """Constant ether making the full NC-Milne system hold for X alone,
-    or None (accelerations need the expansion generator alongside)."""
-    from .geometry import constant_observer, rest_observer
-
-    d = X.dim
-    pair = _conformal_pair(X)
-    if pair is None:
-        return None
-    f, g = pair
-    fgp = (f + g).differentiate(0)
-    second = [X[A].differentiate(0).differentiate(0) for A in range(1, d + 1)]
-    if fgp.is_zero():
-        if any(not s.is_zero() for s in second):
-            return None
-        return rest_observer(d)
-    if not fgp.is_constant():
-        return None
-    c = fgp.constant_value()
-    vel = []
-    for s in second:
-        if not s.is_constant():
-            return None
-        vel.append(s.constant_value() / c)
-    obs = constant_observer(d, vel)
-    if any(not r.is_zero() for r in cnc_system_residuals(X, f, g, obs, TwoForm.zero(d))):
-        return None
-    return obs
+    """Constant ether making the full NC-Milne system hold for X alone:
+    the bounded observer search at u of time degree 0, where the Coriolis
+    form is zero.  None means no observer with deg_t u <= 0, no constant
+    ether (accelerations need the expansion generator alongside)."""
+    found = _observer_search(X, 0)
+    return None if found is None else found[0]
 
 
 def restrict_cmil_z(basis: AlgebraBasis, z) -> AlgebraBasis:

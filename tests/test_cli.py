@@ -262,6 +262,11 @@ def test_unread_family_option_error_names_the_flag(capsys):
     assert capsys.readouterr().err == "error: --branch is not an option of --family gal\n"
 
 
+def test_cgal_z_without_z_is_rejected(capsys):
+    assert run_cli(["solve", "--family", "cgal-z", "--d", "2"]) == 1
+    assert capsys.readouterr() == ("", "error: --z required for cgal-z\n")
+
+
 # options a subcommand never reads are not in its parser: argparse rejects
 # them with its usage message
 @pytest.mark.parametrize(

@@ -174,7 +174,8 @@ UNENTERED: dict[str, tuple[str, str]] = {
         "tests/test_fluids.py::test_charges_gaussian_packet_constant_in_time"),
     "ncsym.fluids:generalized_expansion": ("claim", f"the expansion-family scan of {C7}"),
     "ncsym.geometry:constant_observer": (
-        "helper", "the ether ncsym.solver:cmil_generator_ether returns"),
+        "claim", "each cmil c1 generator keeps a constant-ether Milne structure, "
+        "tests/test_solver.py::test_cmil_kappa_generator_carries_the_given_ether"),
     "ncsym.geometry:coriolis_from_observer": ("public", "in __all__"),
     "ncsym.geometry:milne_boost": ("public", "in __all__"),
     "ncsym.geometry:vary_connection": ("public", "in __all__"),
@@ -191,7 +192,8 @@ UNENTERED: dict[str, tuple[str, str]] = {
     "ncsym.lie:TwoForm.__add__": ("public", "operator of TwoForm"),
     "ncsym.lie:TwoForm.__sub__": ("public", "operator of TwoForm"),
     "ncsym.lie:TwoForm.zero": (
-        "helper", "the Coriolis form of ncsym.solver:cmil_generator_ether"),
+        "claim", "sch solves the lightlike system with the trivial gauge pair, "
+        "tests/test_solver.py::test_sch2_inside_cnc_with_balanced_factors"),
     "ncsym.lie:VectorField.__eq__": ("public", "equality of VectorField"),
     "ncsym.lie:VectorField.__hash__": ("public", "hash of VectorField"),
     "ncsym.lie:VectorField.__sub__": ("public", "operator of VectorField"),
@@ -223,11 +225,8 @@ UNENTERED: dict[str, tuple[str, str]] = {
     "ncsym.poly:Poly.__repr__": ("public", "repr of Poly"),
     "ncsym.poly:Poly.__rsub__": ("public", "operator of Poly"),
     "ncsym.poly:Poly.constant_value": ("helper", "the factors of ncsym.lie:conformal_factors"),
-    "ncsym.poly:Poly.degree_in": ("helper", "the degrees of ncsym.poly:poly_divmod_t"),
     "ncsym.poly:Poly.depends_on": ("helper", "the t-only check of ncsym.lie:conformal_factors"),
     "ncsym.poly:Poly.is_constant": ("helper", "the reference of ncsym.lie:conformal_factors"),
-    "ncsym.poly:poly_divmod_t": (
-        "helper", "the observer of ncsym.solver:lightlike_gauge_witness"),
     "ncsym.representations:levi_check": (
         "claim", "the Levi splits of sch and cga, "
         "tests/test_acceptance.py::test_criterion_3_representations"),
@@ -236,6 +235,9 @@ UNENTERED: dict[str, tuple[str, str]] = {
         "helper", "the result of ncsym.solver:lightlike_gauge_witness"),
     "ncsym.solver:NotClosedError.__init__": ("public", "constructor of NotClosedError"),
     "ncsym.solver:_conformal_pair": ("helper", "the pairs of ncsym.solver:AlgebraBasis.factors"),
+    "ncsym.solver:_observer_search": (
+        "helper", "the searches of ncsym.solver:lightlike_gauge_witness and "
+        "ncsym.solver:cmil_generator_ether"),
     "ncsym.solver:alt_closure_scan": ("claim", f"alt closes exactly at z = 2/N, {C4}"),
     "ncsym.solver:alt_obstruction_coefficient": (
         "claim", "alt closes exactly at z = 2/N, "

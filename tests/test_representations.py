@@ -1,9 +1,11 @@
+import json
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ncsym import representations as reps
+from ncsym.cli import main
 from ncsym.solver import StructureConstants, solve_cga, solve_sch, structure_constants
 
 
@@ -107,6 +109,22 @@ def test_sign_flipped_cga_entry_is_reported(monkeypatch):
     assert report["mismatches"] == [[f"beta[{A}]", "kappa", "sign flips"] for A in (1, 2, 3)] + [
         ["kappa", "epsilon", "no sign matches"]
     ]
+
+
+def test_bracket_leaving_the_span_is_reported(monkeypatch, tmp_path):
+    # without the dilation, [kappa, epsilon] = lambda leaves the span
+    real = reps._slice_named
+
+    def without_lambda(kind, d, z):
+        family, named = real(kind, d, z)
+        return family, [(label, X) for label, X in named if label != "lambda"]
+
+    monkeypatch.setattr(reps, "_slice_named", without_lambda)
+    report = reps.verify_representation("sch", 2)
+    assert report["mismatches"] == [["kappa", "epsilon", "bracket leaves span"]]
+    out = tmp_path / "r.json"
+    assert main(["rep-check", "--rep", "sch", "--d", "2", "--out", str(out)]) == 2
+    assert json.loads(out.read_text())["mismatches"] == report["mismatches"]
 
 
 def test_levi_sch():

@@ -420,6 +420,233 @@ def test_cmil_rejects_nonconstant_ether():
         solve_cmil_flat(3, bad)
 
 
+# Verdict and observer (U^1, U^2, U^3) of the two observer searches on
+# each generator and on each sum of neighbours in label order, pinned
+# from the case-analysis searches that the bounded solve replaced: None
+# means no observer, REST the rest observer.
+REST = ("0", "0", "0")
+
+CNC_WITNESSES = {
+    "omega[1,2]": REST,
+    "omega[1,2] + omega[1,3]": REST,
+    "omega[1,3]": REST,
+    "omega[1,3] + omega[2,3]": REST,
+    "omega[2,3]": REST,
+    "omega[2,3] + omega[1,2]*t^1": None,
+    "omega[1,2]*t^1": None,
+    "omega[1,2]*t^1 + omega[1,3]*t^1": None,
+    "omega[1,3]*t^1": None,
+    "omega[1,3]*t^1 + omega[2,3]*t^1": None,
+    "omega[2,3]*t^1": None,
+    "omega[2,3]*t^1 + omega[1,2]*t^2": None,
+    "omega[1,2]*t^2": None,
+    "omega[1,2]*t^2 + omega[1,3]*t^2": None,
+    "omega[1,3]*t^2": None,
+    "omega[1,3]*t^2 + omega[2,3]*t^2": None,
+    "omega[2,3]*t^2": None,
+    "omega[2,3]*t^2 + dil": None,
+    "dil": REST,
+    "dil + dil*t^1": REST,
+    "dil*t^1": REST,
+    "dil*t^1 + dil*t^2": None,
+    "dil*t^2": None,
+    "dil*t^2 + eta[1]": None,
+    "eta[1]": REST,
+    "eta[1] + eta[2]": REST,
+    "eta[2]": REST,
+    "eta[2] + eta[3]": REST,
+    "eta[3]": REST,
+    "eta[3] + eta[1]*t^1": REST,
+    "eta[1]*t^1": REST,
+    "eta[1]*t^1 + eta[2]*t^1": REST,
+    "eta[2]*t^1": REST,
+    "eta[2]*t^1 + eta[3]*t^1": REST,
+    "eta[3]*t^1": REST,
+    "eta[3]*t^1 + eta[1]*t^2": None,
+    "eta[1]*t^2": None,
+    "eta[1]*t^2 + eta[2]*t^2": None,
+    "eta[2]*t^2": None,
+    "eta[2]*t^2 + eta[3]*t^2": None,
+    "eta[3]*t^2": None,
+    "eta[3]*t^2 + xi": None,
+    "xi": REST,
+    "xi + xi*t^1": REST,
+    "xi*t^1": REST,
+    "xi*t^1 + xi*t^2": REST,
+    "xi*t^2": REST,
+    # non-neighbour sums with a unique observer that is not the rest one
+    "dil + eta[1]*t^2": ("-1*t", "0", "0"),
+    "dil*t^1 + eta[2]*t^2": ("0", "-1", "0"),
+    "eta[3]*t^2 + xi*t^1": ("0", "0", "2*t"),
+    "eta[1]*t^2 + xi*t^2": ("1", "0", "0"),
+}
+
+CMIL_ETHERS = {
+    ("rest", "c1"): {
+        "omega[1,2]": REST,
+        "omega[1,2] + omega[1,3]": REST,
+        "omega[1,3]": REST,
+        "omega[1,3] + omega[2,3]": REST,
+        "omega[2,3]": REST,
+        "omega[2,3] + alpha[1]": None,
+        "alpha[1]": None,
+        "alpha[1] + alpha[2]": None,
+        "alpha[2]": None,
+        "alpha[2] + alpha[3]": None,
+        "alpha[3]": None,
+        "alpha[3] + beta[1]": None,
+        "beta[1]": REST,
+        "beta[1] + beta[2]": REST,
+        "beta[2]": REST,
+        "beta[2] + beta[3]": REST,
+        "beta[3]": REST,
+        "beta[3] + gamma[1]": REST,
+        "gamma[1]": REST,
+        "gamma[1] + gamma[2]": REST,
+        "gamma[2]": REST,
+        "gamma[2] + gamma[3]": REST,
+        "gamma[3]": REST,
+        "gamma[3] + kappa": REST,
+        "kappa": REST,
+        "kappa + lambda": REST,
+        "lambda": REST,
+        "lambda + mu": REST,
+        "mu": REST,
+        "mu + epsilon": REST,
+        "epsilon": REST,
+    },
+    ("rest", "c2"): {
+        "omega[1,2]": REST,
+        "omega[1,2] + omega[1,3]": REST,
+        "omega[1,3]": REST,
+        "omega[1,3] + omega[2,3]": REST,
+        "omega[2,3]": REST,
+        "omega[2,3] + beta[1]": REST,
+        "beta[1]": REST,
+        "beta[1] + beta[2]": REST,
+        "beta[2]": REST,
+        "beta[2] + beta[3]": REST,
+        "beta[3]": REST,
+        "beta[3] + gamma[1]": REST,
+        "gamma[1]": REST,
+        "gamma[1] + gamma[2]": REST,
+        "gamma[2]": REST,
+        "gamma[2] + gamma[3]": REST,
+        "gamma[3]": REST,
+        "gamma[3] + kappa": REST,
+        "kappa": REST,
+        "kappa + mu": REST,
+        "mu": REST,
+        "mu + lambda": REST,
+        "lambda": REST,
+        "lambda + epsilon": REST,
+        "epsilon": REST,
+    },
+    ("u1=1/2", "c1"): {
+        "omega[1,2]": REST,
+        "omega[1,2] + omega[1,3]": REST,
+        "omega[1,3]": REST,
+        "omega[1,3] + omega[2,3]": REST,
+        "omega[2,3]": REST,
+        "omega[2,3] + alpha[1]": None,
+        "alpha[1]": None,
+        "alpha[1] + alpha[2]": None,
+        "alpha[2]": None,
+        "alpha[2] + alpha[3]": None,
+        "alpha[3]": None,
+        "alpha[3] + beta[1]": None,
+        "beta[1]": REST,
+        "beta[1] + beta[2]": REST,
+        "beta[2]": REST,
+        "beta[2] + beta[3]": REST,
+        "beta[3]": REST,
+        "beta[3] + gamma[1]": REST,
+        "gamma[1]": REST,
+        "gamma[1] + gamma[2]": REST,
+        "gamma[2]": REST,
+        "gamma[2] + gamma[3]": REST,
+        "gamma[3]": REST,
+        "gamma[3] + kappa": ("1/2", "0", "0"),
+        "kappa": ("1/2", "0", "0"),
+        "kappa + lambda": ("1/2", "0", "0"),
+        "lambda": REST,
+        "lambda + mu": REST,
+        "mu": REST,
+        "mu + epsilon": REST,
+        "epsilon": REST,
+    },
+    ("u1=1/2", "c2"): {
+        "omega[1,2]": REST,
+        "omega[1,2] + omega[1,3]": REST,
+        "omega[1,3]": REST,
+        "omega[1,3] + omega[2,3]": REST,
+        "omega[2,3]": REST,
+        "omega[2,3] + beta[1]": REST,
+        "beta[1]": REST,
+        "beta[1] + beta[2]": REST,
+        "beta[2]": REST,
+        "beta[2] + beta[3]": REST,
+        "beta[3]": REST,
+        "beta[3] + gamma[1]": REST,
+        "gamma[1]": REST,
+        "gamma[1] + gamma[2]": REST,
+        "gamma[2]": REST,
+        "gamma[2] + gamma[3]": REST,
+        "gamma[3]": REST,
+        "gamma[3] + kappa": REST,
+        "kappa": REST,
+        "kappa + mu": REST,
+        "mu": REST,
+        "mu + lambda": REST,
+        "lambda": REST,
+        "lambda + epsilon": REST,
+        "epsilon": REST,
+    },
+}
+
+
+def _sum_of(named: dict, key: str) -> VectorField:
+    first, *rest = [named[label] for label in key.split(" + ")]
+    return sum(rest, first)
+
+
+def _neighbour_keys(labels: list) -> list:
+    return labels + [f"{a} + {b}" for a, b in zip(labels, labels[1:])]
+
+
+def _velocity(U) -> tuple | None:
+    return None if U is None else tuple(repr(U[A]) for A in range(1, U.dim + 1))
+
+
+def test_cnc_witness_table():
+    basis, witnesses = solve_cnc_flat(3, 2)
+    assert set(_neighbour_keys(basis.labels)) <= set(CNC_WITNESSES)
+    assert [_velocity(w and w.observer.U) for w in witnesses] == [
+        CNC_WITNESSES[label] for label in basis.labels
+    ]
+    named = dict(zip(basis.labels, basis.generators))
+    for key, expected in CNC_WITNESSES.items():
+        w = solver.lightlike_gauge_witness(_sum_of(named, key))
+        assert _velocity(w and w.observer.U) == expected, key
+        if w is not None:
+            # F is the Coriolis form of U: F_0A = d_t U^A, no spatial part
+            U = w.observer.U
+            F = TwoForm.from_upper(3, {(0, A): U[A].differentiate(0) for A in range(1, 4)})
+            assert w.coriolis.comp == F.comp, key
+
+
+def test_cmil_ether_table():
+    ethers = {"rest": None, "u1=1/2": constant_observer(3, [Fraction(1, 2), 0, 0])}
+    for name, ether in ethers.items():
+        for branch, basis in zip(("c1", "c2"), solve_cmil_flat(3, ether)):
+            table = CMIL_ETHERS[name, branch]
+            assert set(_neighbour_keys(basis.labels)) == set(table)
+            named = dict(zip(basis.labels, basis.generators))
+            for key, expected in table.items():
+                w = cmil_generator_ether(_sum_of(named, key))
+                assert _velocity(w and w.U) == expected, key
+
+
 def test_cga_restriction_dimensions():
     c1, _ = solve_cmil_flat(3)
     assert restrict_cmil_z(c1, Fraction(1)).dim == 15
