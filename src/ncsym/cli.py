@@ -38,6 +38,8 @@ def _seed(args) -> int:
 
 # Each family in --family order: the options it reads (any other one given is
 # rejected) and whether it has structure constants (bracket-table's choices).
+# A copy of what argparse needs from solver.FAMILIES, which tests pin equal,
+# so that --help and usage errors load no solver.
 _FAMILIES = {
     "cgal": (("deg_t",), False),
     "cgal-z": (("z", "deg_t"), False),
@@ -55,37 +57,16 @@ def _solve_basis(args) -> tuple:
     """(AlgebraBasis, StructureConstants or None) for a family request."""
     family = args.family
     reads, closed = _FAMILIES[family]
-    for option in ("z", "deg_t", "branch", "N"):
-        if getattr(args, option, None) is not None and option not in reads:
+    given = {option: value for option in ("z", "deg_t", "branch", "N")
+             if (value := getattr(args, option, None)) is not None}
+    for option in given:
+        if option not in reads:
             flag = "--" + option.replace("_", "-")
             raise ValueError(f"{flag} is not an option of --family {family}")
 
     from . import solver
 
-    d = args.d
-    z = None if args.z is None else solver.parse_z(args.z)
-    deg_t = 2 if getattr(args, "deg_t", None) is None else args.deg_t
-    if family == "cgal":
-        basis = solver.solve_cgal(d, deg_t)
-    elif family == "cgal-z":
-        if z is None:
-            raise ValueError("--z required for cgal-z")
-        basis = solver.solve_cgal_z(d, z, deg_t)
-    elif family == "gal":
-        basis = solver.solve_gal(d)
-    elif family == "sch-expanded":
-        basis = solver.solve_sch_expanded(d)
-    elif family == "sch":
-        basis = solver.restrict_sch_z(solver.solve_sch_expanded(d), z or Fraction(2))
-    elif family == "cnc":
-        basis = solver._cnc_basis(d, deg_t)
-    elif family == "cmil":
-        basis, = solver._cmil_branches(d, [args.branch or "c1"])
-    elif family == "cga":
-        c1, = solver._cmil_branches(d, ["c1"])
-        basis = solver.restrict_cmil_z(c1, z or Fraction(1))
-    else:
-        basis = solver.alt_subalgebra(d, 1 if args.N is None else args.N)
+    basis = solver._solve(family, args.d, **given)
     return basis, solver.structure_constants(basis) if closed else None
 
 
@@ -262,7 +243,7 @@ def cmd_em_check(args) -> int:
     lib = em.sourcefree_library()
     for f in lib:
         em.require_source_free(f, nc)
-    c1, = solver._cmil_branches(3, ["c1"])
+    c1 = solver._solve("cmil", 3)
     failures = []
     for label, X in zip(c1.labels, c1.generators):
         for idx, f in enumerate(lib):
@@ -300,11 +281,11 @@ def cmd_selftest(args) -> int:
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
 
     c1, c2 = solver.solve_cmil_flat(3)
-    s = solver.restrict_sch_z(c2, Fraction(2))
+    s = solver._solve("sch", 3, c2)
     record("dim sch(3) == 12", s.dim == 12)
     record("dim cmil(3) == 16", c1.dim == 16)
     record("dim expanded sch(3) == 13", c2.dim == 13)
-    cga = solver.restrict_cmil_z(c1, Fraction(1))
+    cga = solver._solve("cga", 3, c1)
     record("dim cga(3) == 15", cga.dim == 15)
     sc = solver.structure_constants(s)
     record("sch(3) antisymmetry + Jacobi", sc.antisymmetry_ok() and sc.jacobi_ok())

@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from . import linalg
-from .solver import _SLICES, _bracket_expansions, _check_dimension, _slice_named
+from .solver import FAMILIES, _bracket_expansions, _Request
 
 _HALF = Fraction(1, 2)
 
@@ -95,11 +95,10 @@ def verify_representation(kind: str, d: int) -> dict:
     The field basis is factored once and every bracket is reduced
     against it.
     """
-    _check_dimension(d)
     if kind not in _MATRICES:
         raise ValueError("kind must be 'sch' or 'cga'")
-    # the algebra is the solver's slice at its own exponent
-    named = _slice_named(kind, d, _SLICES[kind][1])[1]
+    # the algebra is the solver's presentation at its default exponent
+    named = FAMILIES[kind].named(_Request(kind, d))[1]
     labels = [label for label, _ in named]
     fields = [X for _, X in named]
     mats = [_generator_matrix(kind, label, d) for label in labels]

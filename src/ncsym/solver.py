@@ -5,8 +5,10 @@ fields X = X^0 d_t + X^A d_A.  The multipliers are never solved for:
 f is read off the trace of the spatial conformal Killing equation,
 f = -(2/d) d_A X^A, and g = d_0 X^0, which keeps every system linear.
 Solving means building the exact coefficient matrix of the residuals
-over a degree-bounded ansatz (X^0 polynomial in t, X^A of spatial
-degree <= 2) and computing its rational nullspace.
+over a degree-bounded ansatz and computing its rational nullspace, or
+restricting a parent family's span the same way.  FAMILIES names, once
+for each family, its residual operator, its ansatz bounds or parent,
+the options it reads with their defaults, and its presentation.
 
 Solved spans are re-presented in a fixed, human-readable generator
 order (rotations, accelerations, boosts, translations, expansions,
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import linalg
@@ -51,16 +53,6 @@ _HALF = Fraction(1, 2)
 MAX_D = 8
 MAX_TIME_DEGREE = 6
 MAX_N = 6
-
-
-def _check_dimension(d: int) -> None:
-    if not 2 <= d <= MAX_D:
-        raise ValueError(f"need 2 <= d <= {MAX_D}, got {d}")
-
-
-def _check_time_degree(nt: int) -> None:
-    if not 0 <= nt <= MAX_TIME_DEGREE:
-        raise ValueError(f"need 0 <= nt <= {MAX_TIME_DEGREE}, got {nt}")
 
 
 def parse_z(text: str):
@@ -192,51 +184,26 @@ def res_lightlike_projective(X: VectorField) -> list[Poly]:
 # ---------------------------------------------------------------------------
 
 
-def _spatial_monomials(d: int) -> list[tuple]:
-    """Spatial exponents of degree <= 2 (the fixed spatial bound of the ansatz)."""
-    monos = [tuple([0] * d)]
-    for A in range(d):
-        e = [0] * d
-        e[A] = 1
-        monos.append(tuple(e))
-    for A in range(d):
-        for B in range(A, d):
-            e = [0] * d
-            e[A] += 1
-            e[B] += 1
-            monos.append(tuple(e))
-    return monos
+# The spatial degree bound of every family's ansatz.
+SPATIAL_DEGREE = 2
 
 
 def ansatz_fields(d: int, nt_time: int, nt_space: int) -> list[VectorField]:
     """Unit coefficient fields spanning the search space: X^0 of time
     degree <= nt_time and no x-dependence, X^A of time degree <= nt_space
-    and spatial degree <= 2."""
-    fields = []
-    for j in range(nt_time + 1):
-        exp = tuple([j] + [0] * d)
-        comps = [Poly.zero(d)] * (d + 1)
-        comps[0] = Poly.monomial(d, exp)
-        fields.append(VectorField(d, comps))
-    monos = _spatial_monomials(d)
+    and spatial degree <= SPATIAL_DEGREE."""
+    fields = [time_translation(d, j) for j in range(nt_time + 1)]
+    spatial = []
+    for k in range(SPATIAL_DEGREE + 1):
+        for combo in combinations_with_replacement(range(d), k):
+            exp = [0] * d
+            for B in combo:
+                exp[B] += 1
+            spatial.append(exp)
     for A in range(1, d + 1):
         for j in range(nt_space + 1):
-            for mono in monos:
-                exp = tuple([j] + list(mono))
-                comps = [Poly.zero(d)] * (d + 1)
-                comps[A] = Poly.monomial(d, exp)
-                fields.append(VectorField(d, comps))
+            fields += [_unit_field(d, A, [j] + exp) for exp in spatial]
     return fields
-
-
-def solve_system(
-    d: int,
-    residual_op: Callable[[VectorField], list[Poly]],
-    nt_time: int,
-    nt_space: int,
-) -> list[VectorField]:
-    """Nullspace of a linear residual operator over the ansatz."""
-    return restrict_span(ansatz_fields(d, nt_time, nt_space), residual_op)
 
 
 class _Jet:
@@ -672,110 +639,8 @@ def _presented(
 
 
 # ---------------------------------------------------------------------------
-# family solvers
+# residual systems of the lightlike, NC-Milne and fixed-exponent families
 # ---------------------------------------------------------------------------
-
-
-def _solve_conformal(d: int, nt: int, z) -> AlgebraBasis:
-    """Conformal fields of the flat Galilei pair with time-degree bound nt;
-    z = None leaves the dynamical exponent free, otherwise it is fixed."""
-    _check_dimension(d)
-    _check_time_degree(nt)
-    if z is not None:
-        z = _check_z(z)
-
-    def op(X: VectorField) -> list[Poly]:
-        out = res_conformal(X)
-        return out if z is None else out + res_exponent(X, z)
-
-    family = "cgal" if z is None else "cgal_z"
-    raw = solve_system(d, op, nt_time=nt, nt_space=nt)
-    return _presented(family, d, raw, _graded(_GRADED_FAMILIES[family], d, nt, z), z=z)
-
-
-def solve_cgal(d: int, nt: int) -> AlgebraBasis:
-    """Conformal fields of the flat Galilei pair, time-degree bound nt."""
-    return _solve_conformal(d, nt, None)
-
-
-def solve_cgal_z(d: int, z, nt: int) -> AlgebraBasis:
-    """Conformal fields with fixed dynamical exponent z (rational or 'inf')."""
-    return _solve_conformal(d, nt, z)
-
-
-def solve_gal(d: int) -> AlgebraBasis:
-    """Galilei automorphisms of the flat structure."""
-    _check_dimension(d)
-    raw = solve_system(d, res_isometry, nt_time=2, nt_space=2)
-    named = _head(d) + [("epsilon", time_translation(d))]
-    return _presented("gal", d, raw, named)
-
-
-def _sch_expanded_named(d: int) -> list[tuple[str, VectorField]]:
-    """Generator list of the expanded timelike algebra and of cmil c2."""
-    return _head(d) + [
-        ("kappa", sch_expansion(d)),
-        ("mu", time_translation(d, 1)),
-        ("lambda", space_dilation(d)),
-        ("epsilon", time_translation(d)),
-    ]
-
-
-def solve_sch_expanded(d: int) -> AlgebraBasis:
-    """Conformal fields permuting timelike geodesics (independent time and
-    space dilations).  The ansatz degree bound 3 only needs to be >= 2;
-    the system itself cuts everything above quadratic."""
-    _check_dimension(d)
-    raw = solve_system(d, res_timelike_projective, nt_time=3, nt_space=3)
-    return _presented("sch_expanded", d, raw, _sch_expanded_named(d))
-
-
-# The two sliced families, keyed by the finite algebra each holds: the
-# families of the bases it slices, the exponent of that algebra, and the
-# family prefix of the other slices.
-_SLICES = {
-    "sch": (("sch_expanded", "cmil_c2"), Fraction(2), "sch"),
-    "cga": (("cmil_c1",), Fraction(1), "cmil"),
-}
-
-
-def _slice_named(kind: str, d: int, z) -> tuple[str, list[tuple[str, VectorField]]]:
-    """Family name and generator list of the z-slice of the timelike
-    algebra (kind 'sch') or of the acceleration branch (kind 'cga'): the
-    head, the expansion kappa = (z/2) xi_2 at the special exponent, the
-    dilation lambda = z xi_1 (mu = xi_1 at z = inf), then epsilon."""
-    _, special, prefix = _SLICES[kind]
-    named = _head(d, accelerations=kind == "cga")
-    if z == special:
-        named.append(("kappa", _xi(d, 2, z).scale(z / 2)))
-    named.append(("mu", _xi(d, 1, z)) if z == INF else ("lambda", _xi(d, 1, z).scale(z)))
-    named.append(("epsilon", time_translation(d)))
-    if z == special:
-        return kind, named
-    return f"{prefix}_{'inf' if z == INF else 'z'}", named
-
-
-def _restrict_z(kind: str, basis: AlgebraBasis, z) -> AlgebraBasis:
-    families = _SLICES[kind][0]
-    if basis.family not in families:
-        raise ValueError(f"restriction expects a {' or '.join(families)} basis")
-    z = _check_z(z)
-    restricted = restrict_span(basis.generators, lambda X: res_exponent(X, z))
-    family, named = _slice_named(kind, basis.d, z)
-    return _presented(family, basis.d, restricted, named, z=z)
-
-
-def restrict_sch_z(basis: AlgebraBasis, z) -> AlgebraBasis:
-    """Slice of the expanded timelike algebra (or of the NC-Milne branch c2,
-    which equals it) with fixed dynamical exponent; z = 2 is sch."""
-    return _restrict_z("sch", basis, z)
-
-
-def solve_sch(d: int) -> AlgebraBasis:
-    return restrict_sch_z(solve_sch_expanded(d), Fraction(2))
-
-
-# -- lightlike families -----------------------------------------------------
 
 
 def cnc_system_residuals(
@@ -869,33 +734,6 @@ def lightlike_gauge_witness(X: VectorField) -> GaugeWitness | None:
     return None if found is None else GaugeWitness(*found)
 
 
-def _cnc_basis(d: int, nt: int) -> AlgebraBasis:
-    """Conformal fields permuting lightlike geodesics, time-degree bound nt."""
-    _check_dimension(d)
-    _check_time_degree(nt)
-    raw = solve_system(d, res_lightlike_projective, nt_time=nt, nt_space=nt)
-    return _presented("cnc", d, raw, _graded(_GRADED_FAMILIES["cnc"], d, nt))
-
-
-def solve_cnc_flat(d: int, nt: int):
-    """Conformal fields permuting lightlike geodesics, plus a per-generator
-    gauge witness where one exists in the polynomial class."""
-    basis = _cnc_basis(d, nt)
-    return basis, [lightlike_gauge_witness(X) for X in basis.generators]
-
-
-def restrict_cnc_z(basis: AlgebraBasis, z) -> list[VectorField]:
-    """z-slice of the lightlike family (span only; compared against the
-    conformal solver with the same degree bound)."""
-    if basis.family != "cnc":
-        raise ValueError("restriction expects the lightlike family")
-    z = _check_z(z)
-    return restrict_span(basis.generators, lambda X: res_exponent(X, z))
-
-
-# -- NC-Milne ---------------------------------------------------------------
-
-
 def res_milne_relaxed(X: VectorField) -> list[Poly]:
     """Ether-independent subsystem: the lightlike system plus constant
     rotations, linear f, and no spatial part in d_0 d_0 X^A."""
@@ -911,17 +749,6 @@ def res_milne_relaxed(X: VectorField) -> list[Poly]:
             out.append(val)
     out.append(fp.differentiate(0))
     return out
-
-
-def cmil_raw_space(d: int, nt: int = 2) -> list[VectorField]:
-    """Solutions of the ether-independent subsystem (the second time
-    derivative of the translation part is left free) over the ansatz of
-    time degree <= nt.  The answer depends on nt: the subsystem has
-    solutions of every time degree (at d = 3 the raw space has 17, 21 and
-    25 elements at nt = 2, 3, 4, and its c1 slice 16, 19 and 22), so the
-    branches c1 and c2 are maximal bracket-closed subalgebras of it, not
-    nullspaces; the tests check maximality at nt = 2, 3 and 4."""
-    return solve_system(d, res_milne_relaxed, nt_time=nt, nt_space=nt)
 
 
 def _res_c1_slice(X: VectorField) -> list[Poly]:
@@ -942,46 +769,6 @@ def _res_c2_slice(X: VectorField) -> list[Poly]:
     return out
 
 
-def _cmil_branches(
-    d: int, branches: Sequence[str], ether: Observer | None = None
-) -> list[AlgebraBasis]:
-    """The requested closed branches of the flat NC-Milne system, each
-    'c1' or 'c2', cut out of one raw space; only c1 depends on the ether,
-    and no ether means the rest observer, whose kappa has no tail."""
-    _check_dimension(d)
-    if ether is not None and not all(p.is_constant() for p in ether.U.components):
-        raise ValueError("ether must have constant components")
-    raw = cmil_raw_space(d)
-    out = []
-    for branch in branches:
-        if branch == "c1":
-            u = None if ether is None else [ether.U[A].constant_value() for A in range(1, d + 1)]
-            named = _head(d, accelerations=True)
-            named.append(("kappa", cga_expansion(d, u)))
-            named.append(("lambda", space_dilation(d)))
-            named.append(("mu", time_translation(d, 1)))
-            named.append(("epsilon", time_translation(d)))
-            out.append(_presented("cmil_c1", d, restrict_span(raw, _res_c1_slice), named))
-        else:
-            c2 = restrict_span(raw, _res_c2_slice)
-            out.append(_presented("cmil_c2", d, c2, _sch_expanded_named(d)))
-    return out
-
-
-def solve_cmil_flat(d: int, ether: Observer | None = None):
-    """The two closed branches of the flat NC-Milne system.
-
-    The raw linear space solves the ether-independent subsystem and is
-    strictly larger than the union of the branches; the closed-branch
-    condition ties the quadratic time reparametrization to the space
-    dilation rate.  Acceleration generators solve the pointwise system
-    only jointly with the expansion generator (their second time
-    derivative selects the ether), which is checked exactly elsewhere.
-    """
-    c1, c2 = _cmil_branches(d, ("c1", "c2"), ether)
-    return c1, c2
-
-
 def cmil_generator_ether(X: VectorField) -> Observer | None:
     """Constant ether making the full NC-Milne system hold for X alone:
     the bounded observer search at u of time degree 0, where the Coriolis
@@ -989,17 +776,6 @@ def cmil_generator_ether(X: VectorField) -> Observer | None:
     ether (accelerations need the expansion generator alongside)."""
     found = _observer_search(X, 0)
     return None if found is None else found[0]
-
-
-def restrict_cmil_z(basis: AlgebraBasis, z) -> AlgebraBasis:
-    """z-slice of the acceleration branch; z = 1 is the conformal
-    Galilean algebra with its accelerations."""
-    return _restrict_z("cga", basis, z)
-
-
-def solve_cga(d: int) -> AlgebraBasis:
-    c1, = _cmil_branches(d, ["c1"])
-    return restrict_cmil_z(c1, Fraction(1))
 
 
 def bracket_closure_grow(seed: Sequence[VectorField], ambient: Sequence[VectorField]):
@@ -1017,9 +793,6 @@ def bracket_closure_grow(seed: Sequence[VectorField], ambient: Sequence[VectorFi
                 current = candidate
                 changed = True
     return current
-
-
-# -- polynomial families with fixed exponent (finite-dimensional) ----------
 
 
 def _res_const_rotation(X: VectorField) -> list[Poly]:
@@ -1044,26 +817,268 @@ def alt_candidate(d: int, N: int, z) -> list[tuple[str, VectorField]]:
     return _TEMPLATES["omega"](d, 0, None) + _graded(("eta",), d, N, z) + tail
 
 
+# ---------------------------------------------------------------------------
+# the family table
+# ---------------------------------------------------------------------------
+
+
+def _sch_expanded_named(d: int) -> list[tuple[str, VectorField]]:
+    """Generator list of the expanded timelike algebra and of cmil c2."""
+    return _head(d) + [
+        ("kappa", sch_expansion(d)),
+        ("mu", time_translation(d, 1)),
+        ("lambda", space_dilation(d)),
+        ("epsilon", time_translation(d)),
+    ]
+
+
+def _z_slice(q: _Request, prefix: str, accelerations: bool) -> tuple[str, list]:
+    """Family name and generator list of a z-slice of the timelike algebra
+    (sch) or of the acceleration branch (cga): the head, the expansion
+    kappa = (z/2) xi_2 at the family's default exponent, the dilation
+    lambda = z xi_1 (mu = xi_1 at z = inf), then epsilon.  Away from the
+    default exponent the family is prefix_z, or prefix_inf at z = inf."""
+    d, z = q.d, q.z
+    special = z == FAMILIES[q.family].options["z"]
+    named = _head(d, accelerations)
+    if special:
+        named.append(("kappa", _xi(d, 2, z).scale(z / 2)))
+    named.append(("mu", _xi(d, 1, z)) if z == INF else ("lambda", _xi(d, 1, z).scale(z)))
+    named.append(("epsilon", time_translation(d)))
+    return q.family if special else f"{prefix}_{'inf' if z == INF else 'z'}", named
+
+
+def _cmil_named(q: _Request) -> tuple[str, list]:
+    """Family name and generator list of an NC-Milne branch: c2 is
+    presented as sch-expanded; c1's kappa gains the acceleration tail of
+    the ether, none for no ether (the rest observer)."""
+    d = q.d
+    if q.branch == "c2":
+        return "cmil_c2", _sch_expanded_named(d)
+    u = None if q.ether is None else [q.ether.U[A].constant_value() for A in range(1, d + 1)]
+    return "cmil_c1", _head(d, accelerations=True) + [
+        ("kappa", cga_expansion(d, u)),
+        ("lambda", space_dilation(d)),
+        ("mu", time_translation(d, 1)),
+        ("epsilon", time_translation(d)),
+    ]
+
+
+class _Family:
+    """A row of FAMILIES."""
+
+    __slots__ = ("options", "closed", "bounds", "parent", "op", "named", "exponent")
+
+    def __init__(self, options: dict, closed: bool, op: Callable, named: Callable | None,
+                 bounds: Callable | None = None, parent: tuple | None = None,
+                 exponent: Callable | None = None):
+        self.options, self.closed, self.op, self.named = options, closed, op, named
+        self.bounds, self.parent, self.exponent = bounds, parent, exponent
+
+
+# Every family once, keyed by its --family name (cmil-raw and cnc-z are
+# spans without a presentation, and no --family).  A row holds
+#   options: the options the family reads, each with its default (None:
+#     the option is required);
+#   closed: whether its brackets close, so that it has structure constants;
+#   bounds(deg_t, N): the time degrees (of X^0, of X^A) of the ansatz it is
+#     solved over, whose X^A have spatial degree <= SPATIAL_DEGREE; or else
+#   parent: (family, options, accepted families) of the span it restricts,
+#     solved from that request unless a parent span is passed in;
+#   op(X, q): its residual operator for the request q;
+#   named(q): its family name and (label, field) presentation, or None;
+#   exponent(q): its dynamical exponent, where it reads no z.
+FAMILIES = {
+    "cgal": _Family(
+        {"deg_t": 2}, False, bounds=lambda nt, N: (nt, nt),
+        op=lambda X, q: res_conformal(X),
+        named=lambda q: ("cgal", _graded(_GRADED_FAMILIES["cgal"], q.d, q.deg_t))),
+    "cgal-z": _Family(
+        {"z": None, "deg_t": 2}, False, bounds=lambda nt, N: (nt, nt),
+        op=lambda X, q: res_conformal(X) + res_exponent(X, q.z),
+        named=lambda q: ("cgal_z", _graded(_GRADED_FAMILIES["cgal_z"], q.d, q.deg_t, q.z))),
+    "gal": _Family(
+        {}, True, bounds=lambda nt, N: (2, 2),
+        op=lambda X, q: res_isometry(X),
+        named=lambda q: ("gal", _head(q.d) + [("epsilon", time_translation(q.d))])),
+    # z = 2 is sch itself; the branch c2 spans the same fields as sch-expanded
+    "sch": _Family(
+        {"z": Fraction(2)}, True, parent=("sch-expanded", {}, ("sch_expanded", "cmil_c2")),
+        op=lambda X, q: res_exponent(X, q.z),
+        named=lambda q: _z_slice(q, "sch", accelerations=False)),
+    # any time bound >= 2 gives the same span: the system cuts every cubic
+    "sch-expanded": _Family(
+        {}, True, bounds=lambda nt, N: (3, 3),
+        op=lambda X, q: res_timelike_projective(X),
+        named=lambda q: ("sch_expanded", _sch_expanded_named(q.d))),
+    "cnc": _Family(
+        {"deg_t": 2}, False, bounds=lambda nt, N: (nt, nt),
+        op=lambda X, q: res_lightlike_projective(X),
+        named=lambda q: ("cnc", _graded(_GRADED_FAMILIES["cnc"], q.d, q.deg_t))),
+    "cmil": _Family(
+        {"branch": "c1"}, True, parent=("cmil-raw", {}, ()),
+        op=lambda X, q: (_res_c1_slice if q.branch == "c1" else _res_c2_slice)(X),
+        named=_cmil_named),
+    # z = 1 is the conformal Galilean algebra itself
+    "cga": _Family(
+        {"z": Fraction(1)}, True, parent=("cmil", {"branch": "c1"}, ("cmil_c1",)),
+        op=lambda X, q: res_exponent(X, q.z),
+        named=lambda q: _z_slice(q, "cmil", accelerations=True)),
+    "alt": _Family(
+        {"N": 1}, True, bounds=lambda nt, N: (max(N, 2), max(N, 1)),
+        op=lambda X, q: (res_conformal(X) + res_exponent(X, q.z) + _res_const_rotation(X)
+                         + _res_quadratic_time(X)),
+        named=lambda q: ("alt", alt_candidate(q.d, q.N, q.z)),
+        exponent=lambda q: Fraction(2, q.N)),
+    # The ether-independent NC-Milne subsystem, whose second time derivative
+    # of the translation part is left free.  It has solutions of every time
+    # degree (at d = 3, 17, 21 and 25 at deg_t = 2, 3, 4, with c1 slices of
+    # 16, 19 and 22), so c1 and c2 are maximal bracket-closed subalgebras
+    # of it, not nullspaces; the tests check maximality at deg_t = 2, 3, 4.
+    "cmil-raw": _Family(
+        {"deg_t": 2}, False, bounds=lambda nt, N: (nt, nt),
+        op=lambda X, q: res_milne_relaxed(X), named=None),
+    # the z-slices of cnc, compared against cgal-z at the same time bound
+    "cnc-z": _Family(
+        {"z": None}, False, parent=("cnc", {}, ("cnc",)),
+        op=lambda X, q: res_exponent(X, q.z), named=None),
+}
+
+
+class _Request:
+    """A request for FAMILIES[family]: the options it reads, those not
+    given at their defaults, checked together with d and the ether."""
+
+    __slots__ = ("family", "d", "ether", "deg_t", "z", "N", "branch")
+
+    def __init__(self, family: str, d: int, ether: Observer | None = None, **given):
+        row = FAMILIES[family]
+        if not 2 <= d <= MAX_D:
+            raise ValueError(f"need 2 <= d <= {MAX_D}, got {d}")
+        unread = given.keys() - row.options.keys()
+        if unread:
+            raise TypeError(f"{family} does not read {', '.join(sorted(unread))}")
+        self.family, self.d, self.ether = family, d, ether
+        for option in ("deg_t", "z", "N", "branch"):
+            setattr(self, option, given.get(option, row.options.get(option)))
+        if "deg_t" in row.options and not 0 <= self.deg_t <= MAX_TIME_DEGREE:
+            raise ValueError(f"need 0 <= nt <= {MAX_TIME_DEGREE}, got {self.deg_t}")
+        if "N" in row.options and not 1 <= self.N <= MAX_N:
+            raise ValueError(f"need 1 <= N <= {MAX_N}, got {self.N}")
+        if row.exponent is not None:
+            self.z = row.exponent(self)
+        elif "z" in row.options:
+            if self.z is None:
+                raise ValueError(f"--z required for {family}")
+            self.z = parse_z(self.z) if isinstance(self.z, str) else _check_z(self.z)
+        if ether is not None and not all(p.is_constant() for p in ether.U.components):
+            raise ValueError("ether must have constant components")
+
+
+def _solve(family: str, d: int, parent=None, ether: Observer | None = None, **given):
+    """The presented basis of FAMILIES[family], or its span for a row with
+    no presentation, for the options given and the defaults of the rest.
+    A row with a parent restricts the parent passed in (a basis of an
+    accepted family, or a list of fields), or else solves its request."""
+    row = FAMILIES[family]
+    q = _Request(family, d, ether, **given)
+    if row.parent is None:
+        fields = ansatz_fields(d, *row.bounds(q.deg_t, q.N))
+    else:
+        key, options, accepted = row.parent
+        if parent is None:
+            parent = _solve(key, d, **options)
+        if isinstance(parent, AlgebraBasis):
+            if parent.family not in accepted:
+                raise ValueError(f"restriction expects a {' or '.join(accepted)} basis")
+            parent = parent.generators
+        fields = parent
+    raw = restrict_span(fields, lambda X: row.op(X, q))
+    if row.named is None:
+        return raw
+    name, named = row.named(q)
+    return _presented(name, d, raw, named, z=q.z)
+
+
+# ---------------------------------------------------------------------------
+# family solvers: lookups in the table
+# ---------------------------------------------------------------------------
+
+
+def solve_cgal(d: int, nt: int) -> AlgebraBasis:
+    """Conformal fields of the flat Galilei pair, time-degree bound nt."""
+    return _solve("cgal", d, deg_t=nt)
+
+
+def solve_cgal_z(d: int, z, nt: int) -> AlgebraBasis:
+    """Conformal fields with fixed dynamical exponent z (rational or 'inf')."""
+    return _solve("cgal-z", d, z=z, deg_t=nt)
+
+
+def solve_gal(d: int) -> AlgebraBasis:
+    """Galilei automorphisms of the flat structure."""
+    return _solve("gal", d)
+
+
+def solve_sch_expanded(d: int) -> AlgebraBasis:
+    """Conformal fields permuting timelike geodesics (independent time and
+    space dilations)."""
+    return _solve("sch-expanded", d)
+
+
+def restrict_sch_z(basis: AlgebraBasis, z) -> AlgebraBasis:
+    """Slice of the expanded timelike algebra (or of the NC-Milne branch c2,
+    which equals it) with fixed dynamical exponent; z = 2 is sch."""
+    return _solve("sch", basis.d, basis, z=z)
+
+
+def solve_sch(d: int) -> AlgebraBasis:
+    return _solve("sch", d)
+
+
+def solve_cnc_flat(d: int, nt: int):
+    """Conformal fields permuting lightlike geodesics, plus a per-generator
+    gauge witness where one exists in the polynomial class."""
+    basis = _solve("cnc", d, deg_t=nt)
+    return basis, [lightlike_gauge_witness(X) for X in basis.generators]
+
+
+def restrict_cnc_z(basis: AlgebraBasis, z) -> list[VectorField]:
+    """z-slice of the lightlike family (span only; compared against the
+    conformal solver with the same degree bound)."""
+    return _solve("cnc-z", basis.d, basis, z=z)
+
+
+def solve_cmil_flat(d: int, ether: Observer | None = None):
+    """The two closed branches of the flat NC-Milne system.
+
+    The raw linear space solves the ether-independent subsystem and is
+    strictly larger than the union of the branches; the closed-branch
+    condition ties the quadratic time reparametrization to the space
+    dilation rate.  Acceleration generators solve the pointwise system
+    only jointly with the expansion generator (their second time
+    derivative selects the ether), which is checked exactly elsewhere.
+    """
+    raw = _solve("cmil-raw", d)
+    c1, c2 = (_solve("cmil", d, raw, ether, branch=branch) for branch in ("c1", "c2"))
+    return c1, c2
+
+
+def restrict_cmil_z(basis: AlgebraBasis, z) -> AlgebraBasis:
+    """z-slice of the acceleration branch; z = 1 is the conformal
+    Galilean algebra with its accelerations."""
+    return _solve("cga", basis.d, basis, z=z)
+
+
+def solve_cga(d: int) -> AlgebraBasis:
+    return _solve("cga", d)
+
+
 def alt_subalgebra(d: int, N: int) -> AlgebraBasis:
-    """Finite-dimensional polynomial family at dynamical exponent 2/N."""
-    if not 1 <= N <= MAX_N:
-        raise ValueError(f"need 1 <= N <= {MAX_N}, got {N}")
-    _check_dimension(d)
-    z = Fraction(2, N)
-
-    def op(X):
-        return (
-            res_conformal(X)
-            + res_exponent(X, z)
-            + _res_const_rotation(X)
-            + _res_quadratic_time(X)
-        )
-
-    raw = solve_system(d, op, nt_time=max(N, 2), nt_space=max(N, 1))
-    named = alt_candidate(d, N, z)
-    basis = _presented("alt", d, raw, named, z=z)
-    report = closure_check(basis.generators)
-    if not report.closed:
+    """Finite-dimensional polynomial family at dynamical exponent 2/N,
+    refused (AssertionError) unless its brackets close."""
+    basis = _solve("alt", d, N=N)
+    if not closure_check(basis.generators).closed:
         raise AssertionError("polynomial family must close at z = 2/N")
     return basis
 

@@ -7,8 +7,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from ncsym import fluids, integrate, mechanics
-from ncsym.cli import main
+from ncsym import fluids, integrate, mechanics, solver
+from ncsym.cli import _FAMILIES, main
 from ncsym.geometry import newtonian_connection
 from ncsym.poly import Poly
 from ncsym.solver import MAX_D, MAX_N, MAX_TIME_DEGREE
@@ -144,7 +144,7 @@ def test_em_check_exits_2_on_a_failing_pair(monkeypatch, tmp_path):
     from ncsym import em, solver
 
     lib = em.sourcefree_library()
-    c1, = solver._cmil_branches(3, ["c1"])
+    c1 = solver._solve("cmil", 3)
     label, idx = "kappa", 3
     kappa = c1.generators[c1.labels.index(label)]
     real = em.moved_field_residual
@@ -265,6 +265,54 @@ def test_unread_family_option_error_names_the_flag(capsys):
 def test_cgal_z_without_z_is_rejected(capsys):
     assert run_cli(["solve", "--family", "cgal-z", "--d", "2"]) == 1
     assert capsys.readouterr() == ("", "error: --z required for cgal-z\n")
+
+
+# The --family rows of the solver's table, and the options of solve and
+# bracket-table (bracket-table has no --deg-t) with a value each accepts.
+FAMILY_ROWS = {family: row for family, row in solver.FAMILIES.items() if row.named is not None}
+OPTIONS = {"z": "2", "deg_t": "1", "branch": "c2", "N": "2"}
+SUBCOMMANDS = {"solve": ("z", "deg_t", "branch", "N"), "bracket-table": ("z", "branch", "N")}
+
+
+def test_cli_families_mirror_the_solver_table():
+    # cli keeps its own copy so that --help and usage errors load no solver
+    assert list(_FAMILIES.items()) == [
+        (family, (tuple(row.options), row.closed)) for family, row in FAMILY_ROWS.items()
+    ]
+
+
+def _pairs(keep) -> list:
+    """(subcommand, family, option) for each option of a subcommand that
+    keep(row, option) selects, over the families the subcommand offers."""
+    return [
+        (command, family, option)
+        for command, options in SUBCOMMANDS.items()
+        for family, row in FAMILY_ROWS.items()
+        if command == "solve" or row.closed
+        for option in options
+        if keep(row, option)
+    ]
+
+
+@pytest.mark.parametrize("command, family, option", _pairs(lambda row, o: o not in row.options))
+def test_every_option_a_family_does_not_read_is_rejected(command, family, option, capsys):
+    flag = "--" + option.replace("_", "-")
+    assert run_cli([command, "--family", family, "--d", "2", flag, OPTIONS[option]]) == 1
+    assert capsys.readouterr() == ("", f"error: {flag} is not an option of --family {family}\n")
+
+
+@pytest.mark.parametrize(
+    "command, family, option", _pairs(lambda row, o: row.options.get(o) is not None))
+def test_an_omitted_option_takes_the_table_default(command, family, option, capsys):
+    row = FAMILY_ROWS[family]
+    # an option without a default (cgal-z's --z) is given on both runs
+    required = [a for o, default in row.options.items() if default is None for a in (f"--{o}", "1")]
+    base = [command, "--family", family, "--d", "2"] + required
+    assert run_cli(base) == 0
+    omitted = capsys.readouterr().out
+    flag = "--" + option.replace("_", "-")
+    assert run_cli(base + [flag, str(row.options[option])]) == 0
+    assert capsys.readouterr().out == omitted
 
 
 # options a subcommand never reads are not in its parser: argparse rejects

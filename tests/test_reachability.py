@@ -231,6 +231,7 @@ UNENTERED: dict[str, tuple[str, str]] = {
         "claim", "the Levi splits of sch and cga, "
         "tests/test_acceptance.py::test_criterion_3_representations"),
     "ncsym.solver:AlgebraBasis.factors": ("claim", f"z = 2 fields have f + g = 0, {C4}"),
+    "ncsym.solver:ClosureReport.__init__": ("public", "constructor of ClosureReport"),
     "ncsym.solver:GaugeWitness.__init__": (
         "helper", "the result of ncsym.solver:lightlike_gauge_witness"),
     "ncsym.solver:NotClosedError.__init__": ("public", "constructor of NotClosedError"),
@@ -242,19 +243,27 @@ UNENTERED: dict[str, tuple[str, str]] = {
     "ncsym.solver:alt_obstruction_coefficient": (
         "claim", "alt closes exactly at z = 2/N, "
         "tests/test_solver.py::test_alt_obstruction_coefficient"),
+    "ncsym.solver:alt_subalgebra": ("public", "in __all__"),
     "ncsym.solver:bracket_closure_grow": (
         "claim", "the cmil branches are maximal closed subalgebras, "
         "tests/test_solver.py::test_cmil_branches_closed_and_maximal"),
+    "ncsym.solver:closure_check": ("public", "in __all__"),
     "ncsym.solver:cmil_generator_ether": (
         "claim", "each cmil c1 generator keeps a constant-ether Milne structure, "
         "tests/test_solver.py::test_cmil_generator_ether_witnesses"),
     "ncsym.solver:cnc_system_residuals": ("claim", f"sch solves the lightlike system, {C4}"),
     "ncsym.solver:lightlike_gauge_witness": (
         "helper", "the witnesses of ncsym.solver:solve_cnc_flat"),
+    "ncsym.solver:restrict_cmil_z": ("public", "in __all__"),
     "ncsym.solver:restrict_cnc_z": ("claim", f"the z-slices of the lightlike family, {C4}"),
+    "ncsym.solver:restrict_sch_z": ("public", "in __all__"),
     "ncsym.solver:solve_cga": ("public", "in __all__"),
+    "ncsym.solver:solve_cgal": ("public", "in __all__"),
+    "ncsym.solver:solve_cgal_z": ("public", "in __all__"),
     "ncsym.solver:solve_cnc_flat": ("public", "in __all__"),
+    "ncsym.solver:solve_gal": ("public", "in __all__"),
     "ncsym.solver:solve_sch": ("public", "in __all__"),
+    "ncsym.solver:solve_sch_expanded": ("public", "in __all__"),
     "ncsym.solver:span_contains": ("claim", f"the inclusion chain, {C4}"),
 }
 

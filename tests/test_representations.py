@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ncsym import representations as reps
+from ncsym import representations as reps, solver
 from ncsym.cli import main
 from ncsym.solver import StructureConstants, solve_cga, solve_sch, structure_constants
 
@@ -113,13 +113,14 @@ def test_sign_flipped_cga_entry_is_reported(monkeypatch):
 
 def test_bracket_leaving_the_span_is_reported(monkeypatch, tmp_path):
     # without the dilation, [kappa, epsilon] = lambda leaves the span
-    real = reps._slice_named
+    row = solver.FAMILIES["sch"]
+    real = row.named
 
-    def without_lambda(kind, d, z):
-        family, named = real(kind, d, z)
+    def without_lambda(q):
+        family, named = real(q)
         return family, [(label, X) for label, X in named if label != "lambda"]
 
-    monkeypatch.setattr(reps, "_slice_named", without_lambda)
+    monkeypatch.setattr(row, "named", without_lambda)
     report = reps.verify_representation("sch", 2)
     assert report["mismatches"] == [["kappa", "epsilon", "bracket leaves span"]]
     out = tmp_path / "r.json"

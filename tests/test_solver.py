@@ -3,11 +3,13 @@ from fractions import Fraction
 import pytest
 
 from ncsym import solver
+from ncsym.cli import main
 from ncsym.geometry import constant_observer, flat_galilei, rest_observer
 from ncsym.lie import TwoForm, VectorField, conformal_factors, lie_bracket
 from ncsym.poly import Poly
 from ncsym.solver import (
     INF,
+    AlgebraBasis,
     NotClosedError,
     StructureConstants,
     alt_closure_scan,
@@ -16,7 +18,6 @@ from ncsym.solver import (
     cga_expansion,
     closure_check,
     cmil_generator_ether,
-    cmil_raw_space,
     cnc_system_residuals,
     bracket_closure_grow,
     parse_z,
@@ -134,7 +135,7 @@ def test_parse_z():
 def test_every_z_entry_point_rejects_a_nonpositive_exponent(z):
     expanded = solve_sch_expanded(2)
     c1, c2 = solve_cmil_flat(2)
-    cnc = solver._cnc_basis(2, 1)
+    cnc = solver._solve("cnc", 2, deg_t=1)
     calls = [
         lambda: solve_cgal_z(2, z, 1),
         lambda: restrict_sch_z(expanded, z),
@@ -324,7 +325,7 @@ def test_cmil_c2_is_expanded_timelike_algebra():
 
 
 def test_cmil_raw_space_strictly_contains_branches():
-    raw = cmil_raw_space(3)
+    raw = solver._solve("cmil-raw", 3)
     assert len(raw) == 17
     c1, c2 = solve_cmil_flat(3)
     assert span_contains(raw, c1.generators)
@@ -347,7 +348,7 @@ def test_cmil_branches_closed_and_maximal():
     # branches stay maximal closed subalgebras above the bound they were
     # solved at
     for nt, size in ((2, 17), (3, 21), (4, 25)):
-        raw = cmil_raw_space(3, nt)
+        raw = solver._solve("cmil-raw", 3, deg_t=nt)
         assert len(raw) == size
         grown = bracket_closure_grow(c1.generators, raw)
         assert span_equal(grown, c1.generators)
@@ -809,6 +810,20 @@ def test_alt_closure_certificate():
     assert sc.antisymmetry_ok() and sc.jacobi_ok()
 
 
+def test_alt_off_its_exponent_is_refused(monkeypatch, capsys):
+    # at z = 1 the N = 1 candidate still presents its solved span, but its
+    # brackets leave it: the library and the CLI both refuse the family
+    monkeypatch.setattr(solver.FAMILIES["alt"], "exponent", lambda q: Fraction(1))
+    basis = solver._solve("alt", 3, N=1)
+    assert (basis.dim, basis.z) == (12, Fraction(1))
+    assert not closure_check(basis.generators).closed
+    with pytest.raises(AssertionError, match="must close at z = 2/N"):
+        alt_subalgebra(3, 1)
+    with pytest.raises(NotClosedError):
+        main(["solve", "--family", "alt", "--d", "3", "--N", "1"])
+    assert capsys.readouterr().out == ""
+
+
 # ---------------------------------------------------------------------------
 # reports
 # ---------------------------------------------------------------------------
@@ -860,3 +875,25 @@ def test_presented_rejects_a_field_that_is_not_conformal():
     assert conformal_factors(stretch, flat_galilei(3).gamma, flat_galilei(3).theta) is None
     with pytest.raises(AssertionError, match="not a conformal field"):
         solver._presented("stretch", 3, [stretch], [("s", stretch)])
+
+
+def test_a_shear_has_no_conformal_factors():
+    shear = solver._unit_field(3, 2, [0, 1, 0, 0])  # x^1 d_2
+    assert AlgebraBasis("shear", 3, [shear], ["s"]).factors == [None]
+
+
+def test_the_spatial_bound_truncates_cgal_at_d2_only(monkeypatch):
+    # at d = 2 a larger spatial bound admits holomorphic fields of degree 3,
+    # which the presentation lacks; at d = 3, and for cgal-z, it adds none
+    monkeypatch.setattr(solver, "SPATIAL_DEGREE", 3)
+    assert solver._solve("cgal", 3, deg_t=1).dim == 22
+    assert solver._solve("cgal-z", 2, z=Fraction(3, 2), deg_t=1).dim == 8
+    with pytest.raises(AssertionError, match="cgal: presentation does not match"):
+        solver._solve("cgal", 2, deg_t=1)
+
+
+def test_a_request_rejects_an_option_the_family_does_not_read():
+    with pytest.raises(TypeError, match="gal does not read z"):
+        solver._solve("gal", 2, z=Fraction(2))
+    with pytest.raises(TypeError, match="cmil does not read deg_t"):
+        solver._solve("cmil", 2, deg_t=3)
