@@ -394,6 +394,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # a bracket leaving the span fails verification; only a subcommand that
+    # loaded the solver can raise it, and () matches nothing
+    except getattr(sys.modules.get(f"{__package__}.solver"), "NotClosedError", ()) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

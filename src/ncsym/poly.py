@@ -207,12 +207,8 @@ class Poly:
                 continue
             new = list(exp)
             new[var] = e - 1
-            new = tuple(new)
-            acc = terms.get(new, Fraction(0)) + c * e
-            if acc:
-                terms[new] = acc
-            else:
-                terms.pop(new, None)
+            # exp -> exp - e_var is one-to-one here, and c * e is nonzero
+            terms[tuple(new)] = c * e
         out = Poly(self.dim)
         out.terms = terms
         return out

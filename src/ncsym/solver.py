@@ -612,7 +612,7 @@ def _conformal_pair(X: VectorField) -> tuple[Poly, Poly] | None:
     res_conformal(X) vanishes: the gamma^{0B} rows force d_B X^0 = 0, so
     g = d_0 X^0 depends on t alone, and the gamma^{AB} rows are the spatial
     conformal Killing equations with f = -(2/d) div X."""
-    if any(not p.is_zero() for p in res_conformal(X)):
+    if _residual_rows([X], res_conformal):
         return None
     return trace_factor(X), time_factor(X)
 
@@ -643,41 +643,25 @@ def _presented(
 # ---------------------------------------------------------------------------
 
 
-def cnc_system_residuals(
-    X: VectorField,
-    f: Poly,
-    g: Poly,
-    obs: Observer,
-    F: TwoForm,
-) -> list[Poly]:
-    """Residuals of the full lightlike-projective system for a given
-    gauge pair (observer, Coriolis form).  With F = 0 and a constant
-    observer as the ether this is the full NC-Milne system."""
+def _res_mixed(X: VectorField) -> list[Poly]:
+    """d_0 d_B X^A + delta_AB f'/2: the mixed rows of the lightlike system
+    when the Coriolis form has no spatial part."""
     d = X.dim
-    fp = f.differentiate(0)
-    fgp = fp + g.differentiate(0)
-    fg = f + g
+    fp = trace_factor(X).differentiate(0)
     out = []
     for A in range(1, d + 1):
-        for B in range(A, d + 1):
-            val = X[A].differentiate(B) + X[B].differentiate(A)
-            if A == B:
-                val = val + f
-            out.append(val)
-    for A in range(1, d + 1):
-        out.append(X[0].differentiate(A))
-    out.append(X[0].differentiate(0) - g)
-    for A in range(1, d + 1):
-        out.append(
-            X[A].differentiate(0).differentiate(0) - fgp * obs.U[A] - fg * F[0, A]
-        )
         for B in range(1, d + 1):
-            val = X[A].differentiate(0).differentiate(B) + fg * F[A, B] * _HALF
+            val = X[A].differentiate(0).differentiate(B)
             if A == B:
                 val = val + fp * _HALF
             out.append(val)
-    out.extend(res_spatial_linear(X))
     return out
+
+
+def _res_u_free(X: VectorField) -> list[Poly]:
+    """The rows of the full lightlike system that no observer of the
+    search enters: conformal, mixed and spatially linear."""
+    return res_conformal(X) + _res_mixed(X) + res_spatial_linear(X)
 
 
 class GaugeWitness:
@@ -689,46 +673,48 @@ class GaugeWitness:
 
 
 def _observer_search(X: VectorField, n: int) -> tuple[Observer, TwoForm] | None:
-    """Observer U = d_t + u(t).d with deg_t u <= n, and F its flat
-    Coriolis form (F_0A = u_A', F_AB = 0), making cnc_system_residuals
-    vanish for X with its closed-form factors f and g.  None means no
-    observer with deg_t u <= n.  Only the d_0 d_0 X^A rows involve u, and
-    affinely, so one reduction of the u = 0 residual against the
-    residuals of the unit coefficients of u decides.  Where u is not
+    """Observer U = d_t + u(t).d with deg_t u <= n and F its flat Coriolis
+    form (F_0A = u_A', F_AB = 0) solving the full lightlike system for X
+    with its closed-form factors f and g, or None when no such u exists.
+    With F_AB = 0 the mixed rows d_0 d_B X^A + delta_AB f'/2 lose F, so
+    the rows of _res_u_free hold for every u or for none, and the row
+    d_0 X^0 = g holds for g = d_0 X^0.  The d rows left, d_0 d_0 X^A =
+    ((f+g) u_A)', carry u linearly: one reduction against the columns
+    ((f+g) t^k)' of the unit coefficients of u decides.  Where u is not
     unique, a coefficient whose column the earlier ones span is zero."""
+    if _residual_rows([X], _res_u_free):
+        return None
     from .geometry import Observer
 
     d = X.dim
-    f, g = trace_factor(X), time_factor(X)
-
-    def gauge(u: dict) -> tuple[Observer, TwoForm]:
-        comps = [Poly(d, {(k,) + (0,) * d: c for (B, k), c in u.items() if B == A})
-                 for A in range(1, d + 1)]
-        F = TwoForm.from_upper(d, {(0, A): comps[A - 1].differentiate(0) for A in range(1, d + 1)})
-        return Observer(VectorField(d, [Poly.const(d, 1)] + comps)), F
-
-    def residual(u: dict) -> dict:
-        rows = cnc_system_residuals(X, f, g, *gauge(u))
-        return {(i, exp): c for i, row in enumerate(rows) for exp, c in row.terms.items()}
-
+    fg = trace_factor(X) + time_factor(X)
     units = [(A, k) for A in range(1, d + 1) for k in range(n + 1)]
-    base = residual({})
-    span = linalg.Echelon()
-    for unit in units:
-        column = residual({unit: Fraction(1)})
-        linalg._axpy(column, Fraction(-1), base)
-        span.add(column)
-    coeffs, remainder = span.reduce({key: -c for key, c in base.items()})
+    span = linalg.Echelon(
+        {(A, exp): c for exp, c in (fg * Poly.t(d) ** k).differentiate(0).terms.items()}
+        for A, k in units
+    )
+    coeffs, remainder = span.reduce({
+        (A, exp): c
+        for A in range(1, d + 1)
+        for exp, c in X[A].differentiate(0).differentiate(0).terms.items()
+    })
     if remainder:
         return None
-    return gauge({units[j]: c for j, c in coeffs.items()})
+    u = {units[j]: c for j, c in coeffs.items()}
+    comps = [Poly(d, {(k,) + (0,) * d: c for (B, k), c in u.items() if B == A})
+             for A in range(1, d + 1)]
+    F = TwoForm.from_upper(d, {(0, A): comps[A - 1].differentiate(0) for A in range(1, d + 1)})
+    return Observer(VectorField(d, [Poly.const(d, 1)] + comps)), F
 
 
 def lightlike_gauge_witness(X: VectorField) -> GaugeWitness | None:
     """Exact gauge pair (U, F) solving the full lightlike system for X,
     with U = d_t + u(t).d and F its flat Coriolis form, from the bounded
-    observer search.  None means no observer with deg_t u <= deg_t X (a
-    time-dependent rotation part never admits one: F_AB = 0)."""
+    observer search: the u-free rows (conformal, mixed, spatially linear)
+    must vanish on X, and the d rows d_0 d_0 X^A = ((f+g) u_A)' that carry
+    u are solved; the only other row, d_0 X^0 = g, holds for g = d_0 X^0.
+    None means no observer with deg_t u <= deg_t X (a time-dependent
+    rotation part never admits one: F_AB = 0)."""
     n = max((exp[0] for comp in X.components for exp in comp.terms), default=0)
     found = _observer_search(X, n)
     return None if found is None else GaugeWitness(*found)
@@ -737,18 +723,8 @@ def lightlike_gauge_witness(X: VectorField) -> GaugeWitness | None:
 def res_milne_relaxed(X: VectorField) -> list[Poly]:
     """Ether-independent subsystem: the lightlike system plus constant
     rotations, linear f, and no spatial part in d_0 d_0 X^A."""
-    d = X.dim
     f = trace_factor(X)
-    fp = f.differentiate(0)
-    out = res_lightlike_projective(X)
-    for A in range(1, d + 1):
-        for B in range(1, d + 1):
-            val = X[A].differentiate(0).differentiate(B)
-            if A == B:
-                val = val + fp * _HALF
-            out.append(val)
-    out.append(fp.differentiate(0))
-    return out
+    return res_lightlike_projective(X) + _res_mixed(X) + [f.differentiate(0).differentiate(0)]
 
 
 def _res_c1_slice(X: VectorField) -> list[Poly]:
@@ -975,11 +951,11 @@ class _Request:
             raise ValueError("ether must have constant components")
 
 
-def _solve(family: str, d: int, parent=None, ether: Observer | None = None, **given):
-    """The presented basis of FAMILIES[family], or its span for a row with
-    no presentation, for the options given and the defaults of the rest.
-    A row with a parent restricts the parent passed in (a basis of an
-    accepted family, or a list of fields), or else solves its request."""
+def _raw_span(family: str, d: int, parent=None, ether: Observer | None = None, **given):
+    """The request for FAMILIES[family] and its solved span.  A row with a
+    parent restricts the parent passed in (a basis of an accepted family,
+    or a list of fields), or else the raw span of the parent's request,
+    which spans what the parent's presentation would."""
     row = FAMILIES[family]
     q = _Request(family, d, ether, **given)
     if row.parent is None:
@@ -987,17 +963,25 @@ def _solve(family: str, d: int, parent=None, ether: Observer | None = None, **gi
     else:
         key, options, accepted = row.parent
         if parent is None:
-            parent = _solve(key, d, **options)
+            parent = _raw_span(key, d, **options)[1]
         if isinstance(parent, AlgebraBasis):
             if parent.family not in accepted:
                 raise ValueError(f"restriction expects a {' or '.join(accepted)} basis")
             parent = parent.generators
         fields = parent
-    raw = restrict_span(fields, lambda X: row.op(X, q))
-    if row.named is None:
+    return q, restrict_span(fields, lambda X: row.op(X, q))
+
+
+def _solve(family: str, d: int, parent=None, ether: Observer | None = None, **given):
+    """The presented basis of FAMILIES[family], or its span for a row with
+    no presentation, for the options given and the defaults of the rest;
+    the parent is that of _raw_span."""
+    q, raw = _raw_span(family, d, parent, ether, **given)
+    named = FAMILIES[family].named
+    if named is None:
         return raw
-    name, named = row.named(q)
-    return _presented(name, d, raw, named, z=q.z)
+    name, fields = named(q)
+    return _presented(name, d, raw, fields, z=q.z)
 
 
 # ---------------------------------------------------------------------------

@@ -55,6 +55,7 @@ OPERATORS = {
     "timelike_projective": solver.res_timelike_projective,
     "lightlike_projective": solver.res_lightlike_projective,
     "milne_relaxed": solver.res_milne_relaxed,
+    "observer_u_free": solver._res_u_free,
     "c1_slice": solver._res_c1_slice,
     "c2_slice": solver._res_c2_slice,
     "alt": compiled_by(lambda: alt_subalgebra(2, 3))[0],

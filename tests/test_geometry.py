@@ -74,6 +74,16 @@ def test_compatibility_invariant_enforced():
         NCStructure(base, Connection(d, bad))
 
 
+def test_a_connection_that_moves_gamma_is_refused():
+    d = 2
+    base = flat_galilei(d)
+    bad = [[[Poly.zero(d)] * 3 for _ in range(3)] for _ in range(3)]
+    # nabla_1 gamma^12 = Gamma^1_12 gamma^22 = 1, while theta stays parallel
+    bad[1][1][2] = bad[1][2][1] = Poly.const(d, 1)
+    with pytest.raises(ValueError, match="does not parallel-transport gamma"):
+        NCStructure(base, Connection(d, bad))
+
+
 def test_newtonian_connection_component():
     d = 3
     V = Poly.x(d, 1) * Poly.x(d, 1) * Fraction(1, 2)
@@ -225,6 +235,32 @@ def test_observer_cometric_conditions(rng):
     ug = observer_cometric(base, U)  # raises internally if conditions fail
     assert ug[1][1] == Poly.const(d, 1)
     assert ug[0][1] == -U.U[1]
+
+
+def _flat_gamma_with_clock(d, theta_0, monkeypatch):
+    """The flat gamma with theta = theta_0 dt, passed off as the flat chart."""
+    zero = Poly.zero(d)
+    theta = OneForm(d, [Poly.const(d, theta_0)] + [zero] * d)
+    monkeypatch.setattr(GalileiStructure, "is_flat_chart", lambda self: True)
+    return GalileiStructure(d, flat_galilei(d).gamma, theta)
+
+
+def test_observer_cometric_refuses_a_failed_projector(monkeypatch):
+    # theta(U) = 2 for the rest observer, so delta - U theta fails at (0, 0)
+    base = _flat_gamma_with_clock(2, 2, monkeypatch)
+    with pytest.raises(AssertionError, match="projector condition failed"):
+        observer_cometric(base, rest_observer(2))
+
+
+def test_observer_cometric_refuses_a_failed_transversality(monkeypatch):
+    # theta = dt/2 and U = 2 d_t + d_1: theta(U) = 1, so the projector holds,
+    # but the 00 entry, solved for U^0 = 1, leaves Ugam_0k U^k = 1/2
+    d = 2
+    base = _flat_gamma_with_clock(d, Fraction(1, 2), monkeypatch)
+    obs = object.__new__(Observer)  # Observer itself insists on U^0 = 1
+    obs.U = VectorField(d, [Poly.const(d, 2), Poly.const(d, 1), Poly.zero(d)])
+    with pytest.raises(AssertionError, match="transversality failed"):
+        observer_cometric(base, obs)
 
 
 def test_vary_connection_zero():

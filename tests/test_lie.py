@@ -115,6 +115,34 @@ def test_conformal_factors_examples():
     assert conformal_factors(stretch, base.gamma, base.theta) is None
 
 
+def test_conformal_factors_refuse_a_clock_form_the_field_moves():
+    # theta = dt + dx^1 with the flat gamma is no Galilei pair: a rotation
+    # keeps gamma but moves theta by -dx^2, which is no multiple of theta
+    d = 3
+    base = flat_galilei(d)
+    one, zero = Poly.const(d, 1), Poly.zero(d)
+    theta = OneForm(d, [one, one, zero, zero])
+    assert conformal_factors(rotation(d, 1, 2), base.gamma, theta) is None
+
+
+def test_conformal_factors_refuse_a_clock_factor_that_depends_on_x():
+    # the flat pair with tau = t + x^1 as its time: theta = d tau and gamma =
+    # (d_1 - d_t)^2 + d_2^2 + d_3^2.  The expansion tau^2 d_tau + tau y.d_y of
+    # that chart is conformal, with g = 2 tau depending on x^1
+    d = 3
+    one, zero = Poly.const(d, 1), Poly.zero(d)
+    gamma = SymTensor2Up(d, [[one, -one, zero, zero], [-one, one, zero, zero],
+                             [zero, zero, one, zero], [zero, zero, zero, one]])
+    theta = OneForm(d, [one, one, zero, zero])
+    t = Poly.t(d)
+    tau = t + Poly.x(d, 1)
+    X = VectorField(d, [tau * t] + [tau * Poly.x(d, A) for A in range(1, d + 1)])
+    lg, lt = lie_derive_structure(X, gamma, theta)
+    assert lg.comp == [[v * (-2 * tau) for v in row] for row in gamma.comp]
+    assert [lt[a] for a in range(d + 1)] == [theta[a] * (2 * tau) for a in range(d + 1)]
+    assert conformal_factors(X, gamma, theta) is None
+
+
 def test_conformal_bracket_relation(rng):
     # f_[X,Y] = X f_Y - Y f_X on pairs of conformal generators
     d = 3

@@ -389,6 +389,24 @@ def test_poisson_spin_sector_consistent_sign():
     assert abs(lo - rep["jj_sign"]) < 1e-9 and abs(hi - rep["jj_sign"]) < 1e-9
 
 
+def test_poisson_spin_sector_sign_flip_is_reported(monkeypatch):
+    # a sphere frame of alternating orientation flips the spin part of
+    # {J0, J1} at every other point; where the spin s u dominates q x p the
+    # ratio to J2 changes sign, and the report says so with jj_sign 0
+    frame = mech._sphere_frame
+    calls = []
+
+    def alternating(u):
+        calls.append(u)
+        e1, e2 = frame(u)
+        return (e1, e2) if len(calls) % 2 else (e2, e1)
+
+    monkeypatch.setattr(mech, "_sphere_frame", alternating)
+    rep = mech.poisson_brackets(m=1.0, s=1000.0, n_points=4, seed=0)
+    assert len(calls) == 4
+    assert rep["jj_sign"] == 0.0
+
+
 def test_poisson_brackets_table_is_pinned():
     # recorded before the constant P and G gradients moved out of the loop
     rep = mech.poisson_brackets(1.0, 0.5, n_points=20, seed=0)

@@ -239,6 +239,7 @@ UNENTERED: dict[str, tuple[str, str]] = {
     "ncsym.solver:_observer_search": (
         "helper", "the searches of ncsym.solver:lightlike_gauge_witness and "
         "ncsym.solver:cmil_generator_ether"),
+    "ncsym.solver:_res_u_free": ("helper", "the u-free rows of ncsym.solver:_observer_search"),
     "ncsym.solver:alt_closure_scan": ("claim", f"alt closes exactly at z = 2/N, {C4}"),
     "ncsym.solver:alt_obstruction_coefficient": (
         "claim", "alt closes exactly at z = 2/N, "
@@ -251,7 +252,6 @@ UNENTERED: dict[str, tuple[str, str]] = {
     "ncsym.solver:cmil_generator_ether": (
         "claim", "each cmil c1 generator keeps a constant-ether Milne structure, "
         "tests/test_solver.py::test_cmil_generator_ether_witnesses"),
-    "ncsym.solver:cnc_system_residuals": ("claim", f"sch solves the lightlike system, {C4}"),
     "ncsym.solver:lightlike_gauge_witness": (
         "helper", "the witnesses of ncsym.solver:solve_cnc_flat"),
     "ncsym.solver:restrict_cmil_z": ("public", "in __all__"),

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,6 @@ from ncsym.solver import (
     cga_expansion,
     closure_check,
     cmil_generator_ether,
-    cnc_system_residuals,
     bracket_closure_grow,
     parse_z,
     restrict_cmil_z,
@@ -41,7 +41,7 @@ from ncsym.solver import (
     translation,
 )
 
-from conftest import vanishes
+from conftest import cnc_system_residuals, vanishes
 
 
 # ---------------------------------------------------------------------------
@@ -810,6 +810,22 @@ def test_alt_closure_certificate():
     assert sc.antisymmetry_ok() and sc.jacobi_ok()
 
 
+def test_a_slice_presents_only_itself(monkeypatch):
+    # a slice restricts its parent's raw span, which spans what the parent's
+    # presentation would: cga restricts cmil c1's, sch sch-expanded's
+    presented = []
+    real = solver._presented
+
+    def spy(family, *args, **kwargs):
+        presented.append(family)
+        return real(family, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "_presented", spy)
+    assert solver._solve("cga", 3).dim == 15
+    assert solver._solve("sch", 3).dim == 12
+    assert presented == ["cga", "sch"]
+
+
 def test_alt_off_its_exponent_is_refused(monkeypatch, capsys):
     # at z = 1 the N = 1 candidate still presents its solved span, but its
     # brackets leave it: the library and the CLI both refuse the family
@@ -819,9 +835,11 @@ def test_alt_off_its_exponent_is_refused(monkeypatch, capsys):
     assert not closure_check(basis.generators).closed
     with pytest.raises(AssertionError, match="must close at z = 2/N"):
         alt_subalgebra(3, 1)
-    with pytest.raises(NotClosedError):
-        main(["solve", "--family", "alt", "--d", "3", "--N", "1"])
-    assert capsys.readouterr().out == ""
+    for command in ("solve", "bracket-table"):
+        assert main([command, "--family", "alt", "--d", "3", "--N", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(r"error: bracket of generators \d+, \d+ leaves the span\n", err)
 
 
 # ---------------------------------------------------------------------------
