@@ -244,16 +244,9 @@ def cmd_em_check(args) -> int:
     for f in lib:
         em.require_source_free(f, nc)
     c1 = solver._solve("cmil", 3)
-    failures = []
-    for label, X in zip(c1.labels, c1.generators):
-        for idx, f in enumerate(lib):
-            ok, _, _ = em.moved_field_residual(X, f, nc)
-            if not ok:
-                failures.append([label, idx])
-    rot_t = solver.rotation(3, 1, 2, k=1)
-    witness_fail = [
-        idx for idx, f in enumerate(lib) if not em.moved_field_residual(rot_t, f, nc)[0]
-    ]
+    failures = [[label, idx] for label, X in zip(c1.labels, c1.generators)
+                for idx in em.failing_fields(X, lib, nc)]
+    witness_fail = em.failing_fields(solver.rotation(3, 1, 2, k=1), lib, nc)
     payload = {
         "generators": c1.dim,
         "fields": len(lib),
@@ -307,9 +300,7 @@ def cmd_selftest(args) -> int:
     lib = em.sourcefree_library()[:2]
     for f in lib:
         em.require_source_free(f, nc)
-    ok_em = all(
-        em.moved_field_residual(X, f, nc)[0] for X in c1.generators for f in lib
-    )
+    ok_em = not any(em.failing_fields(X, lib, nc) for X in c1.generators)
     record("field equations keep cmil symmetry", ok_em)
     failed = [name for name, ok in checks if not ok]
     return 0 if not failed else 2

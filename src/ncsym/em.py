@@ -7,19 +7,19 @@ non-relativistic Maxwell pair without displacement current; the E/B
 dictionary E_A = F_A0, B^A = 1/2 eps^ABC F_BC makes Gauss, Faraday and
 the divergence-free magnetic law come out in their textbook form while
 Ampere's law reads curl B = -j for this orientation of the current.
-All residuals here are exact polynomial identities.
+All residuals here are exact: the solver's compiler runs F -> (dF, div F),
+composed with L_X for a symmetry check, on jets of the components F_ab
+(a < b), the connection and X entering as polynomial coefficients, and
+the residual rows of every field come from that one table.
 """
 
 from __future__ import annotations
 
+from itertools import product
+
+from . import solver
 from .geometry import NCStructure
-from .lie import (
-    OneForm,
-    TwoForm,
-    VectorField,
-    exterior_derivative,
-    lie_derive_two_form,
-)
+from .lie import OneForm, ThreeForm, TwoForm, VectorField, exterior_derivative, lie_derive_two_form
 from .poly import Poly
 
 
@@ -37,73 +37,64 @@ class EMField:
 
 def field_from_EB(E, B) -> EMField:
     """Source-free d = 3 field from electric/magnetic polynomial triples."""
-    d = 3
-    entries = {
-        (1, 0): E[0],
-        (2, 0): E[1],
-        (3, 0): E[2],
-        (2, 3): B[0],
-        (3, 1): B[1],
-        (1, 2): B[2],
-    }
-    upper = {}
-    for (a, b), val in entries.items():
-        if a < b:
-            upper[(a, b)] = val
-        else:
-            upper[(b, a)] = -val
-    return EMField(F=TwoForm.from_upper(d, upper), J=OneForm.zero(d))
+    # F_0A = -E_A, and F_23, F_31, F_12 = B^1, B^2, B^3
+    upper = {(0, 1): -E[0], (0, 2): -E[1], (0, 3): -E[2], (2, 3): B[0], (1, 3): -B[1], (1, 2): B[2]}
+    return EMField(F=TwoForm.from_upper(3, upper), J=OneForm.zero(3))
 
 
-def divergence(F: TwoForm, nc: NCStructure) -> OneForm:
-    """div F_c = gamma^ab nabla_a F_bc for the structure's connection."""
-    d = nc.dim
-    n = d + 1
-    gamma = nc.base.gamma
-    conn = nc.connection
-    comps = []
+def _divergence(F: TwoForm, nc: NCStructure) -> list:
+    """div F_c = gamma^ab (d_a F_bc - Gamma^k_ab F_kc - Gamma^k_ac F_bk) on
+    a two-form of jets, the connection entering as polynomial
+    coefficients; the terms b = c are dropped, as nabla_a F_cc = 0."""
+    n = nc.dim + 1
+    gamma, conn = nc.base.gamma, nc.connection
+    out = []
     for c in range(n):
-        val = Poly.zero(d)
-        for a in range(n):
-            for b in range(n):
-                g = gamma[a, b]
-                if g.is_zero():
-                    continue
+        val = Poly.zero(nc.dim)
+        for a, b in product(range(n), repeat=2):
+            if b != c and not gamma[a, b].is_zero():
                 term = F[b, c].differentiate(a)
                 for k in range(n):
                     for G, Fk in ((conn[k, a, b], F[k, c]), (conn[k, a, c], F[b, k])):
                         if not G.is_zero():  # every entry is zero on the flat chart
                             term = term - G * Fk
-                val = val + g * term
-        comps.append(val)
-    return OneForm(d, comps)
+                val = val + gamma[a, b] * term
+        out.append(val)
+    return out
 
 
-def field_residual(em: EMField, nc: NCStructure):
-    """(dF, div F - J): both must vanish identically for a solution."""
-    dF = exterior_derivative(em.F)
-    div = divergence(em.F, nc)
-    return dF, OneForm(em.dim, [div[c] - em.J[c] for c in range(em.dim + 1)])
+def _maxwell_rows(X: VectorField | None, fields: list[EMField], nc: NCStructure):
+    """solver._residual_rows of the fields' components F_ab (a < b) under
+    F -> (dF, div F), composed with L_X unless X is None, and the index
+    triples of the dF rows, which come first.  The operator is compiled
+    once for all the fields."""
+    d = nc.dim
+    pairs = [(a, b) for a in range(d + 1) for b in range(a + 1, d + 1)]
+    triples = []
 
+    def maxwell(comps):
+        F = TwoForm.from_upper(d, dict(zip(pairs, comps)))
+        if X is not None:
+            F = lie_derive_two_form(X, F)
+        dF = exterior_derivative(F).comp
+        triples.extend(dF)
+        return list(dF.values()) + _divergence(F, nc)
 
-def is_solution(em: EMField, nc: NCStructure) -> bool:
-    dF, div_res = field_residual(em, nc)
-    return dF.is_zero() and div_res.is_zero()
+    rows = solver._residual_rows([tuple(f.F[ab] for ab in pairs) for f in fields], maxwell)
+    return rows, triples
 
 
 def require_source_free(em: EMField, nc: NCStructure) -> None:
     """The precondition of a symmetry check (ValueError otherwise); a
     caller moving one field by many generators checks it once."""
-    if not em.J.is_zero() or not is_solution(em, nc):
+    if not em.J.is_zero() or _maxwell_rows(None, [em], nc)[0]:
         raise ValueError("symmetry check expects a source-free solution")
 
 
 def symmetry_check(X: VectorField, em: EMField, nc: NCStructure):
     """Does the Lie-transported field still solve the source-free system?
-
-    Exact: computes L_X F and re-runs the residuals on it.  Returns
-    (passed, dF residual, divergence residual).
-    """
+    Exact: (passed, dF residual, divergence residual) of L_X F, read back
+    from the compiled rows."""
     require_source_free(em, nc)
     return moved_field_residual(X, em, nc)
 
@@ -111,10 +102,18 @@ def symmetry_check(X: VectorField, em: EMField, nc: NCStructure):
 def moved_field_residual(X: VectorField, em: EMField, nc: NCStructure):
     """symmetry_check without its precondition, for a field that has
     already passed require_source_free."""
-    moved = lie_derive_two_form(X, em.F)
-    dF = exterior_derivative(moved)
-    div = divergence(moved, nc)
-    return (dF.is_zero() and div.is_zero()), dF, div
+    rows, triples = _maxwell_rows(X, [em], nc)
+    d = em.dim
+    res = [Poly(d, {e: row[0] for (k, e), row in rows.items() if k == i})
+           for i in range(len(triples) + d + 1)]
+    dF = ThreeForm(d, {t: p for t, p in zip(triples, res) if not p.is_zero()})
+    return not rows, dF, OneForm(d, res[len(triples):])
+
+
+def failing_fields(X: VectorField, fields: list[EMField], nc: NCStructure) -> list[int]:
+    """Indices of the source-free fields that L_X takes off the solutions:
+    moved_field_residual of each, from one table compiled for X."""
+    return sorted({j for row in _maxwell_rows(X, fields, nc)[0].values() for j in row})
 
 
 def sourcefree_library() -> list[EMField]:
@@ -125,7 +124,7 @@ def sourcefree_library() -> list[EMField]:
     x, y = Poly.x(d, 1), Poly.x(d, 2)
     xz = Poly.x(d, 3)
     t = Poly.t(d)
-    fields = [
+    return [
         # uniform magnetic field
         field_from_EB([z, z, z], [z, z, c1]),
         # uniform electric field with a transverse magnetic component
@@ -139,4 +138,3 @@ def sourcefree_library() -> list[EMField]:
         # anisotropic linear electric field
         field_from_EB([x, y * -1, z], [c1, z, z]),
     ]
-    return fields

@@ -8,6 +8,7 @@ T_(ab) = (T_ab + T_ba)/2.  Everything is exact polynomial arithmetic.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from operator import add
 
 from .poly import Poly
@@ -374,20 +375,13 @@ def exterior_derivative_one_form(w: OneForm) -> TwoForm:
 
 
 def exterior_derivative(F: TwoForm) -> ThreeForm:
-    """(dF)_abc = d_a F_bc + d_b F_ca + d_c F_ab."""
-    d = F.dim
+    """(dF)_abc = d_a F_bc + d_b F_ca + d_c F_ab, nonzero components only."""
     comp = {}
-    for a in range(d + 1):
-        for b in range(a + 1, d + 1):
-            for c in range(b + 1, d + 1):
-                val = (
-                    F[b, c].differentiate(a)
-                    + F[c, a].differentiate(b)
-                    + F[a, b].differentiate(c)
-                )
-                if not val.is_zero():
-                    comp[(a, b, c)] = val
-    return ThreeForm(d, comp)
+    for a, b, c in combinations(range(F.dim + 1), 3):
+        val = F[b, c].differentiate(a) + F[c, a].differentiate(b) + F[a, b].differentiate(c)
+        if not val.is_zero():
+            comp[a, b, c] = val
+    return ThreeForm(F.dim, comp)
 
 
 def conformal_factors(X: VectorField, gamma: SymTensor2Up, theta: OneForm):
@@ -401,14 +395,8 @@ def conformal_factors(X: VectorField, gamma: SymTensor2Up, theta: OneForm):
     n = d + 1
     lg, lt = lie_derive_structure(X, gamma, theta)
 
-    ref = None
-    for a in range(n):
-        for b in range(n):
-            if not gamma[a, b].is_zero() and gamma[a, b].is_constant():
-                ref = (a, b)
-                break
-        if ref:
-            break
+    ref = next(((a, b) for a in range(n) for b in range(n)
+                if not gamma[a, b].is_zero() and gamma[a, b].is_constant()), None)
     if ref is None:
         raise ValueError("gamma has no constant reference component")
     f = lg[ref] * (Fraction(1) / gamma[ref].constant_value())
@@ -417,11 +405,7 @@ def conformal_factors(X: VectorField, gamma: SymTensor2Up, theta: OneForm):
             if lg[a, b] != f * gamma[a, b]:
                 return None
 
-    ref = None
-    for a in range(n):
-        if not theta[a].is_zero() and theta[a].is_constant():
-            ref = a
-            break
+    ref = next((a for a in range(n) if not theta[a].is_zero() and theta[a].is_constant()), None)
     if ref is None:
         raise ValueError("theta has no constant reference component")
     g = lt[ref] * (Fraction(1) / theta[ref].constant_value())

@@ -10,9 +10,11 @@ and ``p.is_zero()`` is a certificate, not an approximation.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Mapping, Sequence, Union
 
 Scalar = Union[int, Fraction, str]
+_SCALARS = (int, Fraction, str)
 
 
 def as_fraction(value: Scalar) -> Fraction:
@@ -118,17 +120,22 @@ class Poly:
     # -- arithmetic ---------------------------------------------------
 
     def _coerce(self, other) -> "Poly":
+        # NotImplemented for an operand that is neither a Poly nor an exact scalar
         if isinstance(other, Poly):
             if other.dim != self.dim:
                 raise ValueError("dimension mismatch")
             return other
-        return Poly.const(self.dim, other)
+        if isinstance(other, _SCALARS):
+            return Poly.const(self.dim, other)
+        return NotImplemented
 
     def __add__(self, other) -> "Poly":
         other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         terms = dict(self.terms)
         for exp, c in other.terms.items():
-            acc = terms.get(exp, Fraction(0)) + c
+            acc = terms[exp] + c if exp in terms else c
             if acc:
                 terms[exp] = acc
             else:
@@ -145,26 +152,26 @@ class Poly:
         return out
 
     def __sub__(self, other) -> "Poly":
-        return self + (-self._coerce(other))
+        other = self._coerce(other)
+        return other if other is NotImplemented else self + (-other)
 
     def __rsub__(self, other) -> "Poly":
-        return self._coerce(other) + (-self)
+        return -self + other
 
     def __mul__(self, other) -> "Poly":
-        if not isinstance(other, Poly):
+        if isinstance(other, _SCALARS):
             c = as_fraction(other)
-            if not c:
-                return Poly(self.dim)
             out = Poly(self.dim)
-            out.terms = {e: k * c for e, k in self.terms.items()}
+            out.terms = {e: k * c for e, k in self.terms.items()} if c else {}
             return out
-        if other.dim != self.dim:
-            raise ValueError("dimension mismatch")
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
         terms: dict[tuple, Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                exp = tuple(a + b for a, b in zip(e1, e2))
-                acc = terms.get(exp, Fraction(0)) + c1 * c2
+                exp = tuple(map(add, e1, e2))
+                acc = terms[exp] + c1 * c2 if exp in terms else c1 * c2
                 if acc:
                     terms[exp] = acc
                 else:
@@ -187,9 +194,10 @@ class Poly:
         if isinstance(other, Poly):
             return self.dim == other.dim and self.terms == other.terms
         try:
-            return self == self._coerce(other)
-        except (TypeError, ValueError):
+            other = self._coerce(other)
+        except ValueError:
             return NotImplemented
+        return other if other is NotImplemented else self == other
 
     def __hash__(self):
         return hash((self.dim, frozenset(self.terms.items())))

@@ -22,6 +22,8 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
+from math import perm, prod
+from operator import add, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import linalg
@@ -86,11 +88,7 @@ def _check_z(z):
 def trace_factor(X: VectorField) -> Poly:
     """f with L_X gamma = f gamma on the flat chart: f = -(2/d) d_A X^A."""
     d = X.dim
-    # no Poly.zero start: the sum must also work on the jets of _compile
-    div = X[1].differentiate(1)
-    for A in range(2, d + 1):
-        div = div + X[A].differentiate(A)
-    return div * Fraction(-2, d)
+    return sum((X[A].differentiate(A) for A in range(1, d + 1)), Poly.zero(d)) * Fraction(-2, d)
 
 
 def time_factor(X: VectorField) -> Poly:
@@ -207,9 +205,11 @@ def ansatz_fields(d: int, nt_time: int, nt_space: int) -> list[VectorField]:
 
 
 class _Jet:
-    """A constant-coefficient linear combination of partial derivatives of
-    the unknown components, {(component, derivative multi-index): coef}.
-    A residual operator run on a field of jets yields its own table."""
+    """A linear combination of partial derivatives of the unknown
+    components with polynomial coefficients, {(component, derivative
+    multi-index): Poly}, no coefficient zero.  A residual operator run on
+    jets yields its own table; a product of jets, or a jet plus a nonzero
+    Poly, is not linear in the unknown and raises TypeError."""
 
     __slots__ = ("dim", "terms")
 
@@ -217,83 +217,100 @@ class _Jet:
         self.dim = dim
         self.terms = terms
 
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, _Jet) and self.terms == other.terms
+
     def differentiate(self, var: int) -> "_Jet":
-        out = {}
-        for (a, alpha), c in self.terms.items():
+        """The product rule: d_var (P d^alpha u) = P d_var d^alpha u + (d_var P) d^alpha u."""
+        raised = {}
+        for (a, alpha), p in self.terms.items():
             beta = list(alpha)
             beta[var] += 1
-            out[(a, tuple(beta))] = c
-        return _Jet(self.dim, out)
+            raised[a, tuple(beta)] = p
+        out = _Jet(self.dim, raised)
+        rest = {key: q for key, p in self.terms.items() if (q := p.differentiate(var)).terms}
+        return out + _Jet(self.dim, rest) if rest else out
 
     def __add__(self, other) -> "_Jet":
         if not isinstance(other, _Jet):
+            if isinstance(other, Poly) and other.is_zero():
+                return self
             raise TypeError("residual operator is not linear in the field")
         terms = dict(self.terms)
-        for key, c in other.terms.items():
-            v = terms.get(key, 0) + c
-            if v:
-                terms[key] = v
-            else:
-                terms.pop(key, None)
-        return _Jet(self.dim, terms)
+        for key, p in other.terms.items():
+            terms[key] = terms[key] + p if key in terms else p
+        return _Jet(self.dim, {key: p for key, p in terms.items() if p.terms})
+
+    __radd__ = __add__
 
     def __neg__(self) -> "_Jet":
-        return _Jet(self.dim, {key: -c for key, c in self.terms.items()})
+        return _Jet(self.dim, {key: -p for key, p in self.terms.items()})
 
     def __sub__(self, other) -> "_Jet":
         return self + (-other)
 
     def __mul__(self, c) -> "_Jet":
-        if not isinstance(c, (int, Fraction)):
-            raise TypeError("residual operator has a non-constant coefficient")
-        if not c:
-            return _Jet(self.dim, {})
-        return _Jet(self.dim, {key: v * c for key, v in self.terms.items()})
+        if isinstance(c, _Jet):
+            raise TypeError("residual operator is not linear in the field")
+        return _Jet(self.dim, {key: q for key, p in self.terms.items() if (q := p * c).terms})
 
     __rmul__ = __mul__
 
 
-def _compile(d: int, residual_op: Callable[[VectorField], list[Poly]]) -> list[list]:
-    """Derivative table of a linear constant-coefficient operator: for each
-    component a, the (row, alpha, coef) with row i of residual_op(X)
-    containing coef * d^alpha X^a.  Raises TypeError for any other operator."""
-    unit = tuple([0] * (d + 1))
-    X = VectorField(d, [_Jet(d, {(a, unit): Fraction(1)}) for a in range(d + 1)])
-    table = [[] for _ in range(d + 1)]
-    for i, row in enumerate(residual_op(X)):
+_TABLES: dict = {}
+
+
+def _compile(d: int, residual_op: Callable, size: int | None = None) -> list[list]:
+    """Derivative table of a linear operator: for each component a, the
+    (row, alpha, P) with row i of residual_op containing P d^alpha of
+    component a, P a polynomial.  The unknown is a VectorField, or a tuple
+    of size components; a row that is not linear in it raises TypeError.
+    The tables of the operators this module defines are kept, by d."""
+    if (d, residual_op) in _TABLES:
+        return _TABLES[d, residual_op]
+    unit = (0,) * (d + 1)
+    jets = [_Jet(d, {(a, unit): Poly.const(d, 1)}) for a in range(size or d + 1)]
+    table = [[] for _ in jets]
+    for i, row in enumerate(residual_op(VectorField(d, jets) if size is None else tuple(jets))):
         if not isinstance(row, _Jet):
             raise TypeError(f"residual row {i} is not a linear function of the field")
-        for (a, alpha), c in row.terms.items():
-            table[a].append((i, alpha, c))
+        for (a, alpha), coef in row.terms.items():
+            table[a].append((i, alpha, coef))
+    if globals().get(residual_op.__name__) is residual_op:
+        _TABLES[d, residual_op] = table
     return table
 
 
-def _residual_rows(
-    fields: Sequence[VectorField], residual_op: Callable[[VectorField], list[Poly]]
-) -> dict:
-    """Sparse residual matrix {(residual index, monomial): {column: coef}}:
-    each field term c x^e of component a meets each table entry
-    (i, alpha, coef) with alpha <= e at row (i, e - alpha), with the
-    falling factorials of d^alpha x^e."""
+def _residual_rows(fields: Sequence, residual_op: Callable) -> dict:
+    """Sparse residual matrix {(residual index, monomial): {column: coef}}
+    of VectorFields, or of tuples of the components residual_op takes as a
+    tuple: each term c x^e of component a meets each table entry
+    (i, alpha, P) with alpha <= e at the rows (i, e - alpha + m) of the
+    terms p x^m of P, with the falling factorials of d^alpha x^e."""
     rows: dict = {}
     if not fields:
         return rows
-    table = _compile(fields[0].dim, residual_op)
-    for j, X in enumerate(fields):
-        for a, comp in enumerate(X.components):
+    first = fields[0]
+    if isinstance(first, VectorField):
+        table = _compile(first.dim, residual_op)
+        fields = [X.components for X in fields]
+    else:
+        table = _compile(first[0].dim, residual_op, len(first))
+    for j, comps in enumerate(fields):
+        for a, comp in enumerate(comps):
             for exp, c in comp.terms.items():
                 for i, alpha, coef in table[a]:
-                    falling = 1
-                    shifted = []
-                    for e, k in zip(exp, alpha):
-                        if k > e:
-                            break
-                        for m in range(k):
-                            falling *= e - m
-                        shifted.append(e - k)
-                    else:
-                        row = rows.setdefault((i, tuple(shifted)), {})
-                        v = c * coef if falling == 1 else c * coef * falling
+                    falling = prod(map(perm, exp, alpha))  # zero unless alpha <= exp
+                    if not falling:
+                        continue
+                    shifted = tuple(map(sub, exp, alpha))
+                    cf = c if falling == 1 else c * falling
+                    for m, p in coef.terms.items():
+                        row = rows.setdefault((i, tuple(map(add, shifted, m))), {})
+                        v = cf * p
                         if j in row:
                             v += row[j]
                         if v:
@@ -309,8 +326,7 @@ def restrict_span(
     """Sub-span of given fields killed by a linear residual: the canonical
     nullspace of the residual matrix, one sparse row per (residual index,
     monomial) and one column per field.  residual_op is compiled once
-    into a derivative table, so it must be linear with constant
-    coefficients (TypeError otherwise)."""
+    into a derivative table, so it must be linear (TypeError otherwise)."""
     rows = _residual_rows(fields, residual_op)
     # sparsest rows first: less fill-in, and the reduced echelon form
     # (so the nullspace) does not depend on the order

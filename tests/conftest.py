@@ -6,12 +6,13 @@ from typing import TYPE_CHECKING
 
 import pytest
 
-from ncsym.lie import TwoForm, VectorField
+from ncsym.lie import OneForm, TwoForm, VectorField, exterior_derivative, lie_derive_two_form
 from ncsym.poly import Poly
 from ncsym.solver import res_spatial_linear
 
 if TYPE_CHECKING:
-    from ncsym.geometry import Observer
+    from ncsym.em import EMField
+    from ncsym.geometry import NCStructure, Observer
 
 _HALF = Fraction(1, 2)
 
@@ -83,3 +84,80 @@ def cnc_system_residuals(
             out.append(val)
     out.extend(res_spatial_linear(X))
     return out
+
+
+# The Maxwell residuals written out on Poly fields: the oracle for the
+# compiled rows of ncsym.em.
+def divergence(F: TwoForm, nc: NCStructure) -> OneForm:
+    """div F_c = gamma^ab nabla_a F_bc for the structure's connection."""
+    d = nc.dim
+    n = d + 1
+    gamma = nc.base.gamma
+    conn = nc.connection
+    comps = []
+    for c in range(n):
+        val = Poly.zero(d)
+        for a in range(n):
+            for b in range(n):
+                g = gamma[a, b]
+                if g.is_zero():
+                    continue
+                term = F[b, c].differentiate(a)
+                for k in range(n):
+                    for G, Fk in ((conn[k, a, b], F[k, c]), (conn[k, a, c], F[b, k])):
+                        if not G.is_zero():  # every entry is zero on the flat chart
+                            term = term - G * Fk
+                val = val + g * term
+        comps.append(val)
+    return OneForm(d, comps)
+
+
+def field_residual(em: EMField, nc: NCStructure):
+    """(dF, div F - J): both must vanish identically for a solution."""
+    dF = exterior_derivative(em.F)
+    div = divergence(em.F, nc)
+    return dF, OneForm(em.dim, [div[c] - em.J[c] for c in range(em.dim + 1)])
+
+
+def is_solution(em: EMField, nc: NCStructure) -> bool:
+    dF, div_res = field_residual(em, nc)
+    return dF.is_zero() and div_res.is_zero()
+
+
+def moved_field_residual(X: VectorField, em: EMField, nc: NCStructure):
+    """symmetry_check without its precondition, for a field that has
+    already passed require_source_free."""
+    moved = lie_derive_two_form(X, em.F)
+    dF = exterior_derivative(moved)
+    div = divergence(moved, nc)
+    return (dF.is_zero() and div.is_zero()), dF, div
+
+
+def rotating_structure() -> NCStructure:
+    """The d = 3 structure of the rest observer with Coriolis form
+    dA, A = 2 (x^1 dx^2 - x^2 dx^1): its connection has spatially indexed
+    components."""
+    from ncsym.geometry import connection_from_observer, flat_galilei, rest_observer
+    from ncsym.lie import exterior_derivative_one_form
+
+    w = Fraction(2)
+    z = Poly.zero(3)
+    A_form = OneForm(3, [z, Poly.x(3, 2) * (-w), Poly.x(3, 1) * w, z])
+    return connection_from_observer(
+        flat_galilei(3), rest_observer(3), exterior_derivative_one_form(A_form)
+    )
+
+
+def maxwell_rows(X: VectorField | None, fields: list, nc: NCStructure, triples: list) -> dict:
+    """The rows of ncsym.em._maxwell_rows from the oracle: the residuals
+    (dF, div F - J) of each field, or (dF, div F) of L_X F, row i of dF
+    being triples[i] and the divergence rows following them."""
+    rows: dict = {}
+    for j, em in enumerate(fields):
+        dF, div = field_residual(em, nc) if X is None else moved_field_residual(X, em, nc)[1:]
+        entries = [(triples.index(t), p) for t, p in dF.comp.items()]
+        entries += [(len(triples) + c, div[c]) for c in range(nc.dim + 1)]
+        for i, p in entries:
+            for exp, c in p.terms.items():
+                rows.setdefault((i, exp), {})[j] = c
+    return rows

@@ -147,14 +147,14 @@ def test_em_check_exits_2_on_a_failing_pair(monkeypatch, tmp_path):
     c1 = solver._solve("cmil", 3)
     label, idx = "kappa", 3
     kappa = c1.generators[c1.labels.index(label)]
-    real = em.moved_field_residual
+    real = em.failing_fields
 
-    def one_pair_fails(X, f, nc):
-        ok, dF, div = real(X, f, nc)
-        return (ok and not (f is lib[idx] and X == kappa)), dF, div
+    def one_pair_fails(X, fields, nc):
+        failing = real(X, fields, nc)
+        return sorted({*failing, idx}) if fields is lib and X == kappa else failing
 
     monkeypatch.setattr(em, "sourcefree_library", lambda: lib)
-    monkeypatch.setattr(em, "moved_field_residual", one_pair_fails)
+    monkeypatch.setattr(em, "failing_fields", one_pair_fails)
     out = tmp_path / "e.json"
     assert run_cli(["em-check", "--out", str(out)]) == 2
     assert json.loads(out.read_text())["failures"] == [[label, idx]]

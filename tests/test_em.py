@@ -2,12 +2,11 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import field_residual, is_solution, maxwell_rows, rotating_structure
+from ncsym import em
 from ncsym.em import (
     EMField,
-    divergence,
     field_from_EB,
-    field_residual,
-    is_solution,
     require_source_free,
     sourcefree_library,
     symmetry_check,
@@ -93,20 +92,15 @@ def test_component_view_matches_covariant_residuals():
 
 def test_divergence_uses_the_connection():
     # a rotating-frame background has spatially indexed connection
-    # components, so the covariant divergence of a magnetic field differs
-    # from the flat one
-    from ncsym.geometry import connection_from_observer, flat_galilei, rest_observer
-    from ncsym.lie import exterior_derivative_one_form
-
-    w = Fraction(2)
-    A_form = OneForm(3, [Z3, Poly.x(3, 2) * (-w), Poly.x(3, 1) * w, Z3])
-    nc = connection_from_observer(
-        flat_galilei(3), rest_observer(3), exterior_derivative_one_form(A_form)
-    )
+    # components, so the compiled rows of a magnetic field differ from the
+    # flat ones, and each equal the oracle's
     f = field_from_EB([Z3, Z3, Z3], [Z3, Z3, ONE])
-    flat_div = divergence(f.F, D3)
-    curved_div = divergence(f.F, nc)
-    assert any(flat_div[c] != curved_div[c] for c in range(4))
+    flat_rows, flat_triples = em._maxwell_rows(None, [f], D3)
+    nc = rotating_structure()
+    curved_rows, curved_triples = em._maxwell_rows(None, [f], nc)
+    assert flat_rows != curved_rows
+    assert flat_rows == maxwell_rows(None, [f], D3, flat_triples)
+    assert curved_rows == maxwell_rows(None, [f], nc, curved_triples)
 
 
 def test_all_milne_generators_are_symmetries():

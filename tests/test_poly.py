@@ -89,3 +89,14 @@ def test_json_coefficients_are_fraction_strings():
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         Poly.t(1) + Poly.t(2)
+
+
+def test_an_inexact_or_unknown_operand_is_refused():
+    t = Poly.t(2)
+    with pytest.raises(TypeError, match="not an exact rational"):
+        Poly.const(2, 0.5)
+    # arithmetic hands an operand it does not know to the other side
+    for op in (lambda: t * 0.5, lambda: 0.5 * t, lambda: t + object(), lambda: t - 0.5):
+        with pytest.raises(TypeError):
+            op()
+    assert t != 0.5 and not t == object()
