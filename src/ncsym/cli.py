@@ -209,15 +209,12 @@ def cmd_fluid_check(args) -> int:
     theta, rho = fluids.self_similar_free(a=1.0, rho0=2.0, d=d)
     pts = fluids.random_points(d, 100, seed=_seed(args))
     base = fluids.fluid_residual(theta, rho, fluids.ZERO_POTENTIAL, pts)
-    T = fluids.FluidTransform("EXPANSION", kappa=0.4)
-    th2, rh2 = fluids.apply_transform(T, theta, rho, d)
+    th2, rh2 = fluids.expansion(theta, rho, d, 0.4)
     pred = lambda c: 1.0 - 0.4 * c[0] > 0.05
     pts2 = fluids.random_points(d, 100, seed=args.seed + 1, predicate=pred)
     expanded = fluids.fluid_residual(th2, rh2, fluids.ZERO_POTENTIAL, pts2)
     thu, rhu = fluids.uniform_flow([0.3, -0.2, 0.5])
-    ta, ra = fluids.apply_transform(
-        fluids.FluidTransform("ACCELERATION", a=(1.0, 0.0, 0.0)), thu, rhu, d
-    )
+    ta, ra = fluids.acceleration(thu, rhu, (1.0, 0.0, 0.0))
     accel = fluids.fluid_residual(ta, ra, fluids.ZERO_POTENTIAL, pts)
     payload = {
         "self_similar": base,
@@ -241,8 +238,7 @@ def cmd_em_check(args) -> int:
 
     nc = flat_structure(3)
     lib = em.sourcefree_library()
-    for f in lib:
-        em.require_source_free(f, nc)
+    em.require_source_free(lib, nc)
     c1 = solver._solve("cmil", 3)
     failures = [[label, idx] for label, X in zip(c1.labels, c1.generators)
                 for idx in em.failing_fields(X, lib, nc)]
@@ -298,8 +294,7 @@ def cmd_selftest(args) -> int:
     record("self-similar fluid residuals < 1e-10", max(res.values()) < 1e-10)
     nc = flat_structure(3)
     lib = em.sourcefree_library()[:2]
-    for f in lib:
-        em.require_source_free(f, nc)
+    em.require_source_free(lib, nc)
     ok_em = not any(em.failing_fields(X, lib, nc) for X in c1.generators)
     record("field equations keep cmil symmetry", ok_em)
     failed = [name for name, ok in checks if not ok]

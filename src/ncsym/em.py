@@ -30,10 +30,6 @@ class EMField:
         self.F = F
         self.J = J
 
-    @property
-    def dim(self) -> int:
-        return self.F.dim
-
 
 def field_from_EB(E, B) -> EMField:
     """Source-free d = 3 field from electric/magnetic polynomial triples."""
@@ -84,10 +80,11 @@ def _maxwell_rows(X: VectorField | None, fields: list[EMField], nc: NCStructure)
     return rows, triples
 
 
-def require_source_free(em: EMField, nc: NCStructure) -> None:
-    """The precondition of a symmetry check (ValueError otherwise); a
-    caller moving one field by many generators checks it once."""
-    if not em.J.is_zero() or _maxwell_rows(None, [em], nc)[0]:
+def require_source_free(fields: list[EMField], nc: NCStructure) -> None:
+    """The precondition of a symmetry check (ValueError otherwise), for
+    every field at once on one compiled table; a caller moving the fields
+    by many generators checks them once."""
+    if any(not f.J.is_zero() for f in fields) or _maxwell_rows(None, fields, nc)[0]:
         raise ValueError("symmetry check expects a source-free solution")
 
 
@@ -95,15 +92,9 @@ def symmetry_check(X: VectorField, em: EMField, nc: NCStructure):
     """Does the Lie-transported field still solve the source-free system?
     Exact: (passed, dF residual, divergence residual) of L_X F, read back
     from the compiled rows."""
-    require_source_free(em, nc)
-    return moved_field_residual(X, em, nc)
-
-
-def moved_field_residual(X: VectorField, em: EMField, nc: NCStructure):
-    """symmetry_check without its precondition, for a field that has
-    already passed require_source_free."""
+    require_source_free([em], nc)
     rows, triples = _maxwell_rows(X, [em], nc)
-    d = em.dim
+    d = nc.dim
     res = [Poly(d, {e: row[0] for (k, e), row in rows.items() if k == i})
            for i in range(len(triples) + d + 1)]
     dF = ThreeForm(d, {t: p for t, p in zip(triples, res) if not p.is_zero()})
@@ -111,8 +102,8 @@ def moved_field_residual(X: VectorField, em: EMField, nc: NCStructure):
 
 
 def failing_fields(X: VectorField, fields: list[EMField], nc: NCStructure) -> list[int]:
-    """Indices of the source-free fields that L_X takes off the solutions:
-    moved_field_residual of each, from one table compiled for X."""
+    """Indices of the source-free fields that L_X takes off the solutions,
+    from one table compiled for X."""
     return sorted({j for row in _maxwell_rows(X, fields, nc)[0].values() for j in row})
 
 

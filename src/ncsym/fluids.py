@@ -286,107 +286,90 @@ def chaplygin_rest(c: float, rho0: float, t0: float = 0.0):
 
 
 # ---------------------------------------------------------------------------
-# symmetry transformations (field-level implementations)
+# symmetry transformations: one function per point symmetry, each taking
+# the parameters it reads and returning the image fields as closures
+# (exact composition, no approximation)
 # ---------------------------------------------------------------------------
 
 
-class FluidTransform:
-    """kind is BOOST, Z_DILATION, EXPANSION, ACCELERATION or TIME_DILATION;
-    each reads only its own parameters."""
-
-    __slots__ = ("kind", "b", "lam", "z", "kappa", "a")
-
-    def __init__(self, kind: str, b: tuple = (), lam: float = 1.0, z: float = 2.0,
-                 kappa: float = 0.0, a: tuple = ()):
-        self.kind = kind
-        self.b = b
-        self.lam = lam
-        self.z = z
-        self.kappa = kappa
-        self.a = a
-
-
-def apply_transform(T: FluidTransform, theta: Field, rho: Field, d: int):
-    """Transformed field closures (exact composition, no approximation)."""
+def boost(theta: Field, rho: Field, b: Sequence[float]):
+    """Galilei boost by velocity b: the image flows with velocity v - b."""
     import numpy as np
 
-    if T.kind == "BOOST":
-        b = np.asarray(T.b, float)
+    b = np.asarray(b, float)
 
-        def theta2(t, *xs):
-            shifted = [xi + t * bi for xi, bi in zip(xs, b)]
-            acc = theta(t, *shifted)
-            for bi, xi in zip(b, xs):
-                acc = acc - xi * bi
-            return acc - t * (0.5 * float(b @ b))
+    def theta2(t, *xs):
+        shifted = [xi + t * bi for xi, bi in zip(xs, b)]
+        acc = theta(t, *shifted)
+        for bi, xi in zip(b, xs):
+            acc = acc - xi * bi
+        return acc - t * (0.5 * float(b @ b))
 
-        def rho2(t, *xs):
-            return rho(t, *[xi + t * bi for xi, bi in zip(xs, b)])
+    def rho2(t, *xs):
+        return rho(t, *[xi + t * bi for xi, bi in zip(xs, b)])
 
-        return theta2, rho2
+    return theta2, rho2
 
-    if T.kind == "Z_DILATION":
-        lam, z = float(T.lam), float(T.z)
 
-        def theta2(t, *xs):
-            return theta(t * lam**z, *[xi * lam for xi in xs]) * lam ** (z - 2.0)
+def z_dilation(theta: Field, rho: Field, d: int, lam: float, z: float):
+    """t -> lam^z t, x -> lam x, with theta and rho weighted by lam^(z-2)
+    and lam^(d-z+2)."""
+    lam, z = float(lam), float(z)
 
-        def rho2(t, *xs):
-            return rho(t * lam**z, *[xi * lam for xi in xs]) * lam ** (d - z + 2.0)
+    def theta2(t, *xs):
+        return theta(t * lam**z, *[xi * lam for xi in xs]) * lam ** (z - 2.0)
 
-        return theta2, rho2
+    def rho2(t, *xs):
+        return rho(t * lam**z, *[xi * lam for xi in xs]) * lam ** (d - z + 2.0)
 
-    if T.kind == "EXPANSION":
-        kappa = float(T.kappa)
+    return theta2, rho2
 
-        def theta2(t, *xs):
-            om = (1.0 - t * kappa) ** (-1.0)
-            star = [xi * om for xi in xs]
-            # quadratic counterterm -kappa |x|^2 / (2 (1 - kappa t))
-            x2 = xs[0] * xs[0]
-            for xi in xs[1:]:
-                x2 = x2 + xi * xi
-            return theta(t * om, *star) - x2 * om * (0.5 * kappa)
 
-        def rho2(t, *xs):
-            om = (1.0 - t * kappa) ** (-1.0)
-            return rho(t * om, *[xi * om for xi in xs]) * om**d
+def acceleration(theta: Field, rho: Field, a: Sequence[float]):
+    """Passage to a frame of constant acceleration a, x* = x - a t^2 / 2:
+    not a symmetry of the free fluid."""
+    import numpy as np
 
-        return theta2, rho2
+    a = np.asarray(a, float)
 
-    if T.kind == "ACCELERATION":
-        a = np.asarray(T.a, float)
+    def theta2(t, *xs):
+        star = [xi - t * t * (0.5 * ai) for xi, ai in zip(xs, a)]
+        acc = theta(t, *star)
+        for ai, xi in zip(a, star):
+            acc = acc + xi * ai * t
+        return acc
 
-        def theta2(t, *xs):
-            star = [xi - t * t * (0.5 * ai) for xi, ai in zip(xs, a)]
-            acc = theta(t, *star)
-            for ai, xi in zip(a, star):
-                acc = acc + xi * ai * t
-            return acc
+    def rho2(t, *xs):
+        return rho(t, *[xi - t * t * (0.5 * ai) for xi, ai in zip(xs, a)])
 
-        def rho2(t, *xs):
-            return rho(t, *[xi - t * t * (0.5 * ai) for xi, ai in zip(xs, a)])
+    return theta2, rho2
 
-        return theta2, rho2
 
-    if T.kind == "TIME_DILATION":
-        lam = float(T.lam)
+def time_dilation(theta: Field, rho: Field, lam: float):
+    """t -> lam t at fixed x, theta weighted by lam and rho by 1/lam."""
+    lam = float(lam)
 
-        def theta2(t, *xs):
-            return theta(t * lam, *xs) * lam
+    def theta2(t, *xs):
+        return theta(t * lam, *xs) * lam
 
-        def rho2(t, *xs):
-            return rho(t * lam, *xs) * (1.0 / lam)
+    def rho2(t, *xs):
+        return rho(t * lam, *xs) * (1.0 / lam)
 
-        return theta2, rho2
+    return theta2, rho2
 
-    raise ValueError(f"unknown transform {T.kind}")
+
+def expansion(theta: Field, rho: Field, d: int, kappa: float):
+    """The expansion, t* = Om t, x* = Om x with Om = 1/(1-kappa t): the
+    symmetric point (1, 1/2, -1, d) of generalized_expansion.  The int
+    exponents take the repeated-multiply path of Jet2.__pow__."""
+    return generalized_expansion(theta, rho, d, kappa, 1, 0.5, -1, d)
 
 
 def generalized_expansion(theta: Field, rho: Field, d: int, kappa: float,
                           alpha: float, beta: float, gamma: float, delta: float):
     """Family t* = Om t, x* = Om^alpha x, rho* = Om^delta rho(t*,x*),
-    theta* = theta(t*,x*) - beta kappa Om^gamma |x*|^2, Om = 1/(1-kappa t).
+    theta* = theta(t*,x*) - beta kappa Om^gamma |x*|^2, Om = 1/(1-kappa t),
+    the counterterm evaluated as beta kappa Om^(gamma + 2 alpha) |x|^2.
 
     Only (alpha, beta, gamma, delta) = (1, 1/2, -1, d) maps solutions to
     solutions; the grid scan over the exponents refutes every other point.
@@ -394,11 +377,11 @@ def generalized_expansion(theta: Field, rho: Field, d: int, kappa: float,
 
     def theta2(t, *xs):
         om = (1.0 - t * kappa) ** (-1.0)
+        x2 = xs[0] * xs[0]
+        for xi in xs[1:]:
+            x2 = x2 + xi * xi
         star = [xi * om**alpha for xi in xs]
-        r2 = star[0] * star[0]
-        for xi in star[1:]:
-            r2 = r2 + xi * xi
-        return theta(t * om, *star) - r2 * om**gamma * (beta * kappa)
+        return theta(t * om, *star) - x2 * om ** (gamma + 2 * alpha) * (beta * kappa)
 
     def rho2(t, *xs):
         om = (1.0 - t * kappa) ** (-1.0)

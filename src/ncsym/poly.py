@@ -28,11 +28,6 @@ def as_fraction(value: Scalar) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
-def format_fraction(value: Fraction) -> str:
-    """Decimal-free string form, 'p' or 'p/q'."""
-    return str(value)
-
-
 class Poly:
     """Polynomial in (t, x^1..x^d) with Fraction coefficients.
 
@@ -254,7 +249,7 @@ class Poly:
     def to_obj(self) -> dict:
         return {
             "terms": [
-                {"exp": list(exp), "coef": format_fraction(c)}
+                {"exp": list(exp), "coef": str(c)}
                 for exp, c in self.sorted_terms()
             ]
         }

@@ -116,7 +116,7 @@ def field_residual(em: EMField, nc: NCStructure):
     """(dF, div F - J): both must vanish identically for a solution."""
     dF = exterior_derivative(em.F)
     div = divergence(em.F, nc)
-    return dF, OneForm(em.dim, [div[c] - em.J[c] for c in range(em.dim + 1)])
+    return dF, OneForm(em.F.dim, [div[c] - em.J[c] for c in range(em.F.dim + 1)])
 
 
 def is_solution(em: EMField, nc: NCStructure) -> bool:

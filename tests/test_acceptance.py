@@ -205,18 +205,14 @@ def test_criterion_7_fluid_suite():
     base = fluids.fluid_residual(theta, rho, fluids.ZERO_POTENTIAL, pts)
     ok &= max(base.values()) < 1e-10
     kappa = 0.4
-    th_e, rh_e = fluids.apply_transform(
-        fluids.FluidTransform("EXPANSION", kappa=kappa), theta, rho, d
-    )
+    th_e, rh_e = fluids.expansion(theta, rho, d, kappa)
     pts_e = fluids.random_points(d, 100, seed=22, predicate=lambda c: 1.0 - kappa * c[0] > 0.05)
     ok &= max(fluids.fluid_residual(th_e, rh_e, fluids.ZERO_POTENTIAL, pts_e).values()) < 1e-9
-    th_b, rh_b = fluids.apply_transform(
-        fluids.FluidTransform("BOOST", b=(0.7, 0.1, -0.4)), theta, rho, d
-    )
+    th_b, rh_b = fluids.boost(theta, rho, (0.7, 0.1, -0.4))
     ok &= max(fluids.fluid_residual(th_b, rh_b, fluids.ZERO_POTENTIAL, pts).values()) < 1e-9
     thu, rhu = fluids.uniform_flow([0.3, -0.2, 0.5])
     a = (1.0, 0.0, 0.0)
-    th_a, rh_a = fluids.apply_transform(fluids.FluidTransform("ACCELERATION", a=a), thu, rhu, d)
+    th_a, rh_a = fluids.acceleration(thu, rhu, a)
     ok &= max(fluids.fluid_residual(th_a, rh_a, fluids.ZERO_POTENTIAL, pts).values()) > 0.1
     # generalized-expansion grid scan singles out (1, 1/2, -1, d)
     special = (1.0, 0.5, -1.0, float(d))
@@ -242,7 +238,7 @@ def test_criterion_7_fluid_suite():
     th_c, rh_c = fluids.chaplygin_rest(c=c, rho0=1.2, t0=0.5)
     box = [(-1.0, 1.0)] * 3
     before = fluids.fluid_charges(th_c, rh_c, d, box, t=0.3, V=V)
-    th_t, rh_t = fluids.apply_transform(fluids.FluidTransform("TIME_DILATION", lam=1.7), th_c, rh_c, d)
+    th_t, rh_t = fluids.time_dilation(th_c, rh_c, 1.7)
     after = fluids.fluid_charges(th_t, rh_t, d, box, t=0.3, V=V)
     ok &= abs(before["Delta"] - after["Delta"]) < 1e-6
     _report("criterion 7: fluid symmetry suite", ok, started, 60.0)

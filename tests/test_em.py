@@ -162,10 +162,10 @@ def test_symmetry_check_rejects_sources():
     with pytest.raises(ValueError):
         symmetry_check(rotation(3, 1, 2), f, D3)
     with pytest.raises(ValueError):
-        require_source_free(f, D3)
+        require_source_free([f], D3)
     sourced = EMField(F=sourcefree_library()[0].F, J=OneForm(3, [ONE, Z3, Z3, Z3]))
     with pytest.raises(ValueError):
-        require_source_free(sourced, D3)
+        require_source_free([sourced], D3)
 
 
 def test_eb_roundtrip():

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from ncsym.fluids import (
-    FluidTransform,
     Jet2,
     Potential,
     ZERO_POTENTIAL,
-    apply_transform,
+    acceleration,
+    boost,
     chaplygin_rest,
     eval_field,
+    expansion,
     fluid_charges,
     fluid_residual,
     gaussian_packet,
@@ -20,7 +21,9 @@ from ncsym.fluids import (
     polytropic_exponent,
     random_points,
     self_similar_free,
+    time_dilation,
     uniform_flow,
+    z_dilation,
 )
 
 
@@ -277,7 +280,7 @@ def test_boost_of_rest_fluid_is_uniform_flow():
     d = 3
     theta0, rho0 = uniform_flow([0.0, 0.0, 0.0])
     b = (0.7, 0.1, -0.4)
-    theta, rho = apply_transform(FluidTransform("BOOST", b=b), theta0, rho0, d)
+    theta, rho = boost(theta0, rho0, b)
     pts = random_points(d, 50, seed=3)
     res = fluid_residual(theta, rho, ZERO_POTENTIAL, pts)
     assert res["continuity"] < 1e-12 and res["bernoulli"] < 1e-12
@@ -290,7 +293,7 @@ def test_expansion_image_of_self_similar():
     d = 3
     theta, rho = self_similar_free(a=1.0, rho0=2.0, d=d)
     kappa = 0.4
-    th2, rh2 = apply_transform(FluidTransform("EXPANSION", kappa=kappa), theta, rho, d)
+    th2, rh2 = expansion(theta, rho, d, kappa)
     pts = random_points(d, 100, seed=4, predicate=lambda c: 1.0 - kappa * c[0] > 0.05)
     res = fluid_residual(th2, rh2, ZERO_POTENTIAL, pts)
     assert res["continuity"] < 1e-9 and res["bernoulli"] < 1e-9
@@ -300,7 +303,7 @@ def test_acceleration_is_not_a_symmetry():
     d = 3
     theta, rho = uniform_flow([0.3, -0.2, 0.5])
     a = (1.0, 0.0, 0.0)
-    th2, rh2 = apply_transform(FluidTransform("ACCELERATION", a=a), theta, rho, d)
+    th2, rh2 = acceleration(theta, rho, a)
     pts = random_points(d, 60, seed=5)
     res = fluid_residual(th2, rh2, ZERO_POTENTIAL, pts)
     assert res["bernoulli"] > 0.1 * np.linalg.norm(a)
@@ -310,11 +313,8 @@ def test_z_dilation_group_law():
     d = 3
     theta, rho = self_similar_free(a=1.0, rho0=2.0, d=d)
     z = 2.0
-    t1 = FluidTransform("Z_DILATION", lam=1.3, z=z)
-    t2 = FluidTransform("Z_DILATION", lam=0.7, z=z)
-    t12 = FluidTransform("Z_DILATION", lam=1.3 * 0.7, z=z)
-    a_theta, a_rho = apply_transform(t1, *apply_transform(t2, theta, rho, d), d)
-    b_theta, b_rho = apply_transform(t12, theta, rho, d)
+    a_theta, a_rho = z_dilation(*z_dilation(theta, rho, d, 0.7, z), d, 1.3, z)
+    b_theta, b_rho = z_dilation(theta, rho, d, 1.3 * 0.7, z)
     pts = random_points(d, 30, seed=6)
     ja, jb = eval_field(a_theta, pts), eval_field(b_theta, pts)
     assert np.max(np.abs(ja.val - jb.val)) < 1e-12
@@ -323,21 +323,21 @@ def test_z_dilation_group_law():
 
 
 def test_free_symmetry_closure_at_solution_level():
-    # boost, z-dilation (any z), expansion all map the residual-free
-    # solution to residual-free fields; acceleration does not
+    # boost, z-dilation (any z), expansion and time dilation all map the
+    # residual-free solution to residual-free fields; acceleration does not
     d = 3
     theta, rho = self_similar_free(a=1.0, rho0=2.0, d=d)
     pts = random_points(d, 60, seed=7, predicate=lambda c: 1.0 - 0.3 * c[0] > 0.1)
-    for T in (
-        FluidTransform("BOOST", b=(0.2, 0.1, -0.3)),
-        FluidTransform("Z_DILATION", lam=1.4, z=2.0),
-        FluidTransform("Z_DILATION", lam=0.8, z=1.5),
-        FluidTransform("EXPANSION", kappa=0.3),
+    for name, (th2, rh2) in (
+        ("boost", boost(theta, rho, (0.2, 0.1, -0.3))),
+        ("z_dilation 2", z_dilation(theta, rho, d, 1.4, 2.0)),
+        ("z_dilation 1.5", z_dilation(theta, rho, d, 0.8, 1.5)),
+        ("expansion", expansion(theta, rho, d, 0.3)),
+        ("time_dilation", time_dilation(theta, rho, 1.7)),
     ):
-        th2, rh2 = apply_transform(T, theta, rho, d)
         res = fluid_residual(th2, rh2, ZERO_POTENTIAL, pts)
-        assert max(res.values()) < 1e-9, T.kind
-    th2, rh2 = apply_transform(FluidTransform("ACCELERATION", a=(0.5, 0, 0)), theta, rho, d)
+        assert max(res.values()) < 1e-9, name
+    th2, rh2 = acceleration(theta, rho, (0.5, 0, 0))
     res = fluid_residual(th2, rh2, ZERO_POTENTIAL, pts)
     assert max(res.values()) > 0.05
 
@@ -392,7 +392,7 @@ def test_z_dilation_polytropic_consistency_scan():
 
         base = fluid_residual(theta, rho, V, pts)
         assert max(base.values()) < 1e-12
-        th2, rh2 = apply_transform(FluidTransform("Z_DILATION", lam=lam, z=z), theta, rho, d)
+        th2, rh2 = z_dilation(theta, rho, d, lam, z)
         res = fluid_residual(th2, rh2, V, pts)
         if gamma == polytropic_exponent(Fraction(2), d):
             assert max(res.values()) < 1e-12
@@ -477,7 +477,7 @@ def test_chaplygin_time_dilation_charge():
     assert max(fluid_residual(theta, rho, V, pts).values()) < 1e-12
     box = [(-1.0, 1.0)] * 3
     before = fluid_charges(theta, rho, d, box, t=0.3, V=V)
-    th2, rh2 = apply_transform(FluidTransform("TIME_DILATION", lam=1.7), theta, rho, d)
+    th2, rh2 = time_dilation(theta, rho, 1.7)
     assert max(fluid_residual(th2, rh2, V, pts).values()) < 1e-12
     after = fluid_charges(th2, rh2, d, box, t=0.3, V=V)
     assert before["Delta"] != 0.0
@@ -491,7 +491,7 @@ def test_residual_rejects_domain_violation():
     # expansions are only defined where 1 - kappa t stays positive
     d = 3
     theta, rho = self_similar_free(a=1.0, rho0=2.0, d=d)
-    th2, rh2 = apply_transform(FluidTransform("EXPANSION", kappa=2.0), theta, rho, d)
+    th2, rh2 = expansion(theta, rho, d, 2.0)
     bad = np.array([[0.5, 0.1, 0.1, 0.1]])  # 1 - 2 t = 0: pole
     with pytest.raises(ValueError):
         with np.errstate(divide="ignore", invalid="ignore"):
