@@ -166,6 +166,7 @@ def cmd_noether(args) -> int:
     from . import mechanics
     from .poly import Poly
 
+    tolerance = 1e-6  # the bound each model's residual is reported against
     rng = np.random.default_rng(_seed(args))
     if args.model == "massive":
         m, s = 1.3, 0.5
@@ -179,9 +180,9 @@ def cmd_noether(args) -> int:
         params = mechanics.SchParams(om, np.array([1.0, 0.0, 2.0]),
                                      np.array([0.0, 1.0, 0.0]), 0.7, -0.3, 1.1)
         residual = mechanics.massive_noether_residual(params, m, s, pts)
-        payload = {"model": "massive", "noether_residual": residual, "tolerance": 1e-6}
+        payload = {"model": "massive", "noether_residual": residual, "tolerance": tolerance}
         _write_json(payload, args.out)
-        return 0 if residual < 1e-6 else 2
+        return 0 if residual < tolerance else 2
     # photon, the only other model argparse accepts
     k, s = 2.0, 1.0
     z = Poly.zero(1)
@@ -197,9 +198,9 @@ def cmd_noether(args) -> int:
         u /= np.linalg.norm(u)
         states.append(mechanics.PhotonState(rng.normal(), rng.normal(size=3), rng.normal(), u))
     residual = mechanics.presymplectic_residual_photon(lift, states, k, s)
-    payload = {"model": "photon", "symmetry_residual": residual, "tolerance": 1e-6}
+    payload = {"model": "photon", "symmetry_residual": residual, "tolerance": tolerance}
     _write_json(payload, args.out)
-    return 0 if residual < 1e-6 else 2
+    return 0 if residual < tolerance else 2
 
 
 def cmd_fluid_check(args) -> int:

@@ -19,7 +19,7 @@ from itertools import product
 
 from . import solver
 from .geometry import NCStructure
-from .lie import OneForm, ThreeForm, TwoForm, VectorField, exterior_derivative, lie_derive_two_form
+from .lie import OneForm, TwoForm, VectorField, exterior_derivative, lie_derive_two_form
 from .poly import Poly
 
 
@@ -86,19 +86,6 @@ def require_source_free(fields: list[EMField], nc: NCStructure) -> None:
     by many generators checks them once."""
     if any(not f.J.is_zero() for f in fields) or _maxwell_rows(None, fields, nc)[0]:
         raise ValueError("symmetry check expects a source-free solution")
-
-
-def symmetry_check(X: VectorField, em: EMField, nc: NCStructure):
-    """Does the Lie-transported field still solve the source-free system?
-    Exact: (passed, dF residual, divergence residual) of L_X F, read back
-    from the compiled rows."""
-    require_source_free([em], nc)
-    rows, triples = _maxwell_rows(X, [em], nc)
-    d = nc.dim
-    res = [Poly(d, {e: row[0] for (k, e), row in rows.items() if k == i})
-           for i in range(len(triples) + d + 1)]
-    dF = ThreeForm(d, {t: p for t, p in zip(triples, res) if not p.is_zero()})
-    return not rows, dF, OneForm(d, res[len(triples):])
 
 
 def failing_fields(X: VectorField, fields: list[EMField], nc: NCStructure) -> list[int]:

@@ -44,14 +44,9 @@ class GalileiStructure:
         self.theta = theta
 
     def is_flat_chart(self) -> bool:
-        d = self.dim
-        one = Poly.const(d, 1)
-        for a in range(d + 1):
-            for b in range(d + 1):
-                expect = one if (a == b and a >= 1) else Poly.zero(d)
-                if self.gamma[a, b] != expect:
-                    return False
-        return self.theta[0] == one and all(self.theta[a].is_zero() for a in range(1, d + 1))
+        """(gamma, theta) is the pair of flat_galilei, which needs d >= 2."""
+        flat = flat_galilei(self.dim) if self.dim >= 2 else None
+        return flat is not None and self.gamma.comp == flat.gamma.comp and self.theta == flat.theta
 
 
 class Observer:
@@ -117,8 +112,7 @@ def flat_structure(d: int) -> NCStructure:
 
 
 def rest_observer(d: int) -> Observer:
-    one = Poly.const(d, 1)
-    return Observer(VectorField(d, [one] + [Poly.zero(d)] * d))
+    return constant_observer(d, [0] * d)
 
 
 def constant_observer(d: int, velocity) -> Observer:

@@ -34,6 +34,7 @@ from .lie import (
     _bracket_vector,
     _field_vector,
     _vector_field,
+    conformal_factors,
     lie_bracket,
 )
 from .poly import Poly
@@ -384,7 +385,10 @@ class AlgebraBasis:
     @property
     def factors(self) -> list[tuple[Poly, Poly]]:
         """(f, g) of each generator: L_X gamma = f gamma, L_X theta = g theta."""
-        return [_conformal_pair(X) for X in self.generators]
+        from .geometry import flat_galilei
+
+        flat = flat_galilei(self.d)
+        return [conformal_factors(X, flat.gamma, flat.theta) for X in self.generators]
 
     def to_report(self, structure: "StructureConstants | None" = None) -> dict:
         z = self.z
@@ -620,17 +624,6 @@ def _head(d: int, accelerations: bool = False) -> list[tuple[str, VectorField]]:
         named += [(f"alpha[{A}]", acceleration(d, A)) for A in range(1, d + 1)]
     named += [(f"beta[{A}]", translation(d, A, 1)) for A in range(1, d + 1)]
     return named + [(f"gamma[{A}]", translation(d, A)) for A in range(1, d + 1)]
-
-
-def _conformal_pair(X: VectorField) -> tuple[Poly, Poly] | None:
-    """(f, g) of X from the closed forms, or None when X is not conformal.
-    On the flat chart they are its conformal factors exactly when
-    res_conformal(X) vanishes: the gamma^{0B} rows force d_B X^0 = 0, so
-    g = d_0 X^0 depends on t alone, and the gamma^{AB} rows are the spatial
-    conformal Killing equations with f = -(2/d) div X."""
-    if _residual_rows([X], res_conformal):
-        return None
-    return trace_factor(X), time_factor(X)
 
 
 def _presented(

@@ -125,8 +125,8 @@ def is_solution(em: EMField, nc: NCStructure) -> bool:
 
 
 def moved_field_residual(X: VectorField, em: EMField, nc: NCStructure):
-    """symmetry_check without its precondition, for a field that has
-    already passed require_source_free."""
+    """(passed, dF, div F) of L_X F, for a field that has already passed
+    require_source_free."""
     moved = lie_derive_two_form(X, em.F)
     dF = exterior_derivative(moved)
     div = divergence(moved, nc)

@@ -252,13 +252,11 @@ def test_criterion_8_em_suite():
     ok &= len(lib) >= 5
     c1, _ = solver.solve_cmil_flat(3)
     ok &= c1.dim == 16
+    em.require_source_free(lib, nc)
     for X in c1.generators:
-        for f in lib:
-            passed, _, _ = em.symmetry_check(X, f, nc)
-            ok &= passed
+        ok &= not em.failing_fields(X, lib, nc)
     rot_t = solver.rotation(3, 1, 2, k=1)
-    witness = [f for f in lib if not em.symmetry_check(rot_t, f, nc)[0]]
-    ok &= bool(witness)
-    _, _, div = em.symmetry_check(rot_t, lib[0], nc)
-    ok &= not div.is_zero()
+    ok &= 0 in em.failing_fields(rot_t, lib, nc)
+    rows, triples = em._maxwell_rows(rot_t, lib[:1], nc)
+    ok &= any(i >= len(triples) for i, _ in rows)  # a divergence row survives
     _report("criterion 8: field-equation symmetry suite", ok, started, 30.0)

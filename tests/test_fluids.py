@@ -498,6 +498,18 @@ def test_residual_rejects_domain_violation():
             fluid_residual(th2, rh2, ZERO_POTENTIAL, bad)
 
 
+@pytest.mark.parametrize("call, match", [
+    (lambda: Potential("isothermal").value(Jet2.constant(1.0, 2)), "unknown potential"),
+    (lambda: Potential("isothermal").enthalpy(Jet2.constant(1.0, 2)), "unknown potential"),
+    # theta = |x|^2 / (2(t + a)) has its pole at t = -a
+    (lambda: fluid_residual(*self_similar_free(a=1.0, rho0=2.0, d=3), ZERO_POTENTIAL,
+                            [[-1.0, 0.1, 0.1, 0.1]]), "outside its domain"),
+], ids=["potential_value", "potential_enthalpy", "float_path_pole"])
+def test_input_outside_the_model_is_refused(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_charges_reject_nonfinite_samples():
     d = 2
 

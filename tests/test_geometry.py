@@ -19,7 +19,14 @@ from ncsym.geometry import (
     rest_observer,
     vary_connection,
 )
-from ncsym.lie import Connection, OneForm, TwoForm, VectorField, exterior_derivative_one_form
+from ncsym.lie import (
+    Connection,
+    OneForm,
+    SymTensor2Up,
+    TwoForm,
+    VectorField,
+    exterior_derivative_one_form,
+)
 from ncsym.poly import Poly
 
 from conftest import random_poly, vanishes
@@ -54,11 +61,25 @@ def test_flat_structure_rejects_low_dimension():
         flat_structure(1)
 
 
+def test_is_flat_chart_compares_with_flat_galilei():
+    assert flat_galilei(3).is_flat_chart()
+    d = 2
+    one, z = Poly.const(d, 1), Poly.zero(d)
+    doubled = SymTensor2Up(d, [[one * 2 if a == b >= 1 else z for b in range(3)] for a in range(3)])
+    assert not GalileiStructure(d, doubled, flat_galilei(d).theta).is_flat_chart()
+    # flat_galilei starts at d = 2, so a hand-built d = 1 pair is not on its chart
+    z1, one1 = Poly.zero(1), Poly.const(1, 1)
+    line = GalileiStructure(1, SymTensor2Up(1, [[z1, z1], [z1, one1]]), OneForm(1, [one1, z1]))
+    assert line.is_flat_chart() is False
+
+
+def test_rest_observer_is_the_zero_velocity_observer():
+    assert rest_observer(3).U == constant_observer(3, [0, 0, 0]).U
+
+
 def test_kernel_invariant_checked():
     d = 2
     one = Poly.const(d, 1)
-    from ncsym.lie import SymTensor2Up
-
     bad_gamma = SymTensor2Up(d, [[one if a == b else Poly.zero(d) for b in range(3)] for a in range(3)])
     theta = OneForm(d, [one, Poly.zero(d), Poly.zero(d)])
     with pytest.raises(ValueError):
@@ -125,6 +146,11 @@ def test_connection_rejects_open_two_form():
     F = TwoForm.from_upper(d, {(1, 2): Poly.t(d)})
     with pytest.raises(ValueError):
         connection_from_observer(flat_galilei(d), rest_observer(d), F)
+
+
+def test_connection_rejects_a_two_form_of_another_dimension():
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        connection_from_observer(flat_galilei(3), rest_observer(3), TwoForm.zero(2))
 
 
 def test_compatibility_for_random_gauge_pairs(rng):
@@ -369,8 +395,6 @@ def test_vary_connection_reduces_to_lightlike_form_for_time_factors(rng):
 
 def test_vary_connection_rejects_a_non_flat_base():
     # theta = dt with gamma = diag(0, 2, 1, 1) is a Galilei pair off the flat chart
-    from ncsym.lie import SymTensor2Up
-
     d = 3
     z, one = Poly.zero(d), Poly.const(d, 1)
     diag = [z, Poly.const(d, 2), one, one]

@@ -330,6 +330,55 @@ def test_vector_fields_and_one_forms_are_values():
         OneForm(d, comps[:2])
 
 
+def test_vector_fields_and_one_forms_add_and_subtract_by_component():
+    d = 2
+    X = VectorField(d, [Poly.t(d), Poly.x(d, 1), Poly.zero(d)])
+    Y = VectorField(d, [Poly.const(d, 1), Poly.zero(d), Poly.x(d, 2)])
+    assert X - Y == VectorField(d, [a - b for a, b in zip(X.components, Y.components)])
+    assert (X + Y) - Y == X
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        X - VectorField(3, [Poly.zero(3)] * 4)
+    w, v = OneForm(d, X.components), OneForm(d, Y.components)
+    assert w + v == OneForm(d, [a + b for a, b in zip(X.components, Y.components)])
+    assert (w + v) - v == w and (w - w).is_zero()
+
+
+Z2, T2 = Poly.zero(2), Poly.t(2)
+
+
+def _grid(n, entry=lambda a, b: Z2):
+    return [[entry(a, b) for b in range(n)] for a in range(n)]
+
+
+def _cube(n, entry=lambda c, a, b: Z2):
+    return [[[entry(c, a, b) for b in range(n)] for a in range(n)] for c in range(n)]
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: SymTensor2Up(2, _grid(2)), r"must be \(d\+1\)x\(d\+1\)"),
+    (lambda: SymTensor2Up(2, _grid(3, lambda a, b: T2 if (a, b) == (0, 1) else Z2)),
+     "not symmetric"),
+    (lambda: TwoForm(2, _grid(2)), r"must be \(d\+1\)x\(d\+1\)"),
+    (lambda: TwoForm(2, _grid(3, lambda a, b: T2 if a == b == 1 else Z2)), "nonzero diagonal"),
+    (lambda: TwoForm(2, _grid(3, lambda a, b: T2 if a != b else Z2)), "not antisymmetric"),
+    (lambda: TwoForm.from_upper(2, {(1, 0): T2}), "use a < b keys"),
+    (lambda: Connection(2, _cube(2)), r"must be \(d\+1\)\^3"),
+    (lambda: Connection(2, _cube(3, lambda c, a, b: T2 if (a, b) == (0, 1) else Z2)),
+     "not symmetric in lower indices"),
+    (lambda: conformal_factors(time_translation(2), SymTensor2Up(2, _grid(
+        3, lambda a, b: T2 if a == b >= 1 else Z2)), flat_galilei(2).theta),
+     "gamma has no constant reference component"),
+    (lambda: conformal_factors(time_translation(2), flat_galilei(2).gamma,
+                               OneForm(2, [T2, Z2, Z2])),
+     "theta has no constant reference component"),
+], ids=["sym2up_shape", "sym2up_symmetry", "two_form_shape", "two_form_diagonal",
+        "two_form_antisymmetry", "from_upper_order", "connection_shape",
+        "connection_symmetry", "gamma_reference", "theta_reference"])
+def test_malformed_tensor_is_refused(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 # -- the tensor Lie-derivative adapters against hand-written formulas -------
 
 

@@ -416,6 +416,16 @@ def test_poisson_brackets_table_is_pinned():
     assert rep == {"m": 1.0, "s": 0.5, "tables": tables, "jj_sign": -1.0}
 
 
+@pytest.mark.parametrize("build, match", [
+    (lambda: mech.MassiveState(0.0, np.zeros(3), np.zeros(3), np.zeros(3)), "spin direction"),
+    (lambda: mech.poisson_brackets(m=0.0, s=0.5, n_points=1, seed=0), "mass must be positive"),
+    (lambda: mech.poisson_brackets(m=-1.0, s=0.5, n_points=1, seed=0), "mass must be positive"),
+], ids=["zero_spin", "zero_mass", "negative_mass"])
+def test_massive_input_outside_the_model_is_refused(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
 def test_poisson_requires_spin():
     with pytest.raises(ValueError):
         mech.poisson_brackets(m=1.0, s=0.0, n_points=1, seed=0)

@@ -100,3 +100,30 @@ def test_an_inexact_or_unknown_operand_is_refused():
         with pytest.raises(TypeError):
             op()
     assert t != 0.5 and not t == object()
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: Poly(-1), "dimension must be >= 0"),
+    (lambda: Poly(1, {(1,): 1}), "needs length 2"),
+    (lambda: Poly(1, {(0, -1): 1}), "negative exponent"),
+    (lambda: Poly.var(1, 2), r"index 2 out of range 0\.\.1"),
+    (lambda: Poly.x(2, 0), r"index 0 out of range 1\.\.2"),
+    (lambda: Poly.t(1).differentiate(2), r"index 2 out of range 0\.\.1"),
+    (lambda: Poly.t(1).evaluate([0]), "needs length 2"),
+    (lambda: Poly.t(1) ** -1, "negative power"),
+    (lambda: Poly.t(1).constant_value(), "is not constant"),
+], ids=["negative_dim", "exponent_length", "negative_exponent", "var_index", "x_index",
+        "differentiate_index", "evaluate_length", "negative_power", "constant_value"])
+def test_malformed_input_is_refused(build, match):
+    with pytest.raises(ValueError, match=match):
+        build()
+
+
+def test_scalar_operands_and_equality_across_dimensions():
+    t = Poly.t(1)
+    assert t + 2 == Poly(1, {(1, 0): 1, (0, 0): 2})
+    assert 2 - t == Poly(1, {(1, 0): -1, (0, 0): 2})
+    assert Poly.t(1) != Poly.t(2)
+    assert not t == "not a number"
+    # exponents are read through int(), so equal ones add and may cancel
+    assert Poly(1, {(1, 0): 2, ("1", "0"): -2}).is_zero()

@@ -13,6 +13,11 @@ def sparse(Z) -> dict:
     return {(r, c): v for r, row in enumerate(Z) for c, v in enumerate(row) if v}
 
 
+def test_unknown_kind_is_refused():
+    with pytest.raises(ValueError, match="kind must be 'sch' or 'cga'"):
+        reps.verify_representation("gal", 3)
+
+
 def test_rep_sch_rotation_block():
     # omega[1,2] has the rotation block [[0, -1, 0], [1, 0, 0], [0, 0, 0]]
     # and nothing outside it

@@ -886,6 +886,8 @@ def test_factors_equal_conformal_factors():
         assert len(basis.factors) == basis.dim
         for X, (f, g) in zip(basis.generators, basis.factors):
             assert conformal_factors(X, base.gamma, base.theta) == (f, g), basis.family
+            # the closed forms f = -(2/d) div X, g = d_t X^0 of a conformal field
+            assert (solver.trace_factor(X), solver.time_factor(X)) == (f, g), basis.family
 
 
 def test_presented_rejects_a_field_that_is_not_conformal():
