@@ -2,13 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (
-    field_residual,
-    is_solution,
-    maxwell_rows,
-    moved_field_residual,
-    rotating_structure,
-)
+from conftest import field_residual, is_solution, maxwell_rows, rotating_structure
 from ncsym import em
 from ncsym.em import (
     EMField,
@@ -136,9 +130,6 @@ def test_time_dependent_rotation_fails_exactly():
     assert rows == maxwell_rows(rot_t, [f], D3, triples)
     div0 = Poly(3, {e: row[0] for (i, e), row in rows.items() if i == len(triples)})
     assert div0 == Poly.const(3, 2)
-    ok, _, div = moved_field_residual(rot_t, f, D3)
-    assert not ok
-    assert div[0] == div0
 
 
 def test_lightlike_family_members_beyond_milne_fail():
