@@ -96,8 +96,7 @@ def cmd_rep_check(args) -> int:
 
     report = representations.verify_representation(args.rep, args.d)
     _write_json(report, args.out)
-    ok = report["faithful"] and not report["mismatches"] and report["sign"] in (1, -1)
-    return 0 if ok else 2
+    return 0 if representations.verdict(report) else 2
 
 
 def cmd_geodesic(args) -> int:
@@ -279,10 +278,9 @@ def cmd_selftest(args) -> int:
     record("dim cga(3) == 15", cga.dim == 15)
     sc = solver.structure_constants(s)
     record("sch(3) antisymmetry + Jacobi", sc.antisymmetry_ok() and sc.jacobi_ok())
-    rep = representations.verify_representation("sch", 3)
-    record("sch rep faithful + consistent", rep["faithful"] and not rep["mismatches"])
-    rep = representations.verify_representation("cga", 3)
-    record("cga rep faithful + consistent", rep["faithful"] and not rep["mismatches"])
+    for kind in ("sch", "cga"):
+        rep = representations.verify_representation(kind, 3)
+        record(f"{kind} rep faithful + consistent", representations.verdict(rep))
     D = inverse_square_trajectory(
         1.0, -1.0, [1.0, 0.0, 0.0], [0.0, math.sqrt(2.0), 0.0], 1e-3, 2000
     )["D"]

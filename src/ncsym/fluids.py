@@ -1,7 +1,8 @@
 """Galilean fluid symmetry laboratory.
 
-Fields theta(t, x) and rho(t, x) are Python callables over second-order
-forward-mode jets, so the continuity and Bernoulli residuals come from
+Fields theta(t, x) and rho(t, x) are Python callables over forward-mode
+jets of value, gradient and pure second derivatives, the entries the
+continuity and Bernoulli residuals read, so the residuals come from
 automatic differentiation of analytic solutions rather than from a
 discretized solver: the claims being tested are transformation
 identities, and a PDE solver would only add unrelated discretization
@@ -19,33 +20,37 @@ from typing import Callable, Sequence
 
 
 class Jet2:
-    """Second-order jet: value, gradient and Hessian over n variables.
+    """Second-order jet: value, gradient and pure second derivatives over
+    n variables.
 
     Every entry is a number: a float at one point, or a numpy array
     batched over evaluation points, where a float stands for the same
-    value at every point.  ``grad`` is a list of n entries and ``hess``
-    n lists of n.  Arithmetic follows the usual truncated-Taylor rules,
-    i.e. nested dual numbers collapsed to second order, with the same
-    float operations in the same order at every entry whatever its type.
+    value at every point.  ``grad`` is a list of the n first derivatives
+    d_i and ``diag`` of the n pure second derivatives d_i d_i; no pure
+    second derivative of a sum, product, reciprocal or power depends on a
+    mixed one, so mixed ones are not carried.  Arithmetic follows the
+    usual truncated-Taylor rules, i.e. nested dual numbers collapsed to
+    second order, with the same float operations in the same order at
+    every entry whatever its type.
     """
 
-    __slots__ = ("val", "grad", "hess", "n")
+    __slots__ = ("val", "grad", "diag", "n")
 
-    def __init__(self, val, grad, hess):
+    def __init__(self, val, grad, diag):
         self.val = val
         self.grad = grad
-        self.hess = hess
+        self.diag = diag
         self.n = len(grad)
 
     @classmethod
     def variable(cls, index: int, value, n: int) -> "Jet2":
         grad = [0.0] * n
         grad[index] = 1.0
-        return cls(value, grad, [[0.0] * n for _ in range(n)])
+        return cls(value, grad, [0.0] * n)
 
     @classmethod
     def constant(cls, value, n: int) -> "Jet2":
-        return cls(float(value), [0.0] * n, [[0.0] * n for _ in range(n)])
+        return cls(float(value), [0.0] * n, [0.0] * n)
 
     def _lift(self, other) -> "Jet2":
         if isinstance(other, Jet2):
@@ -55,13 +60,13 @@ class Jet2:
     def __add__(self, other):
         o = self._lift(other)
         grad = [g + og for g, og in zip(self.grad, o.grad)]
-        hess = [[h + oh for h, oh in zip(row, orow)] for row, orow in zip(self.hess, o.hess)]
-        return Jet2(self.val + o.val, grad, hess)
+        diag = [h + oh for h, oh in zip(self.diag, o.diag)]
+        return Jet2(self.val + o.val, grad, diag)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet2(-self.val, [-g for g in self.grad], [[-h for h in row] for row in self.hess])
+        return Jet2(-self.val, [-g for g in self.grad], [-h for h in self.diag])
 
     def __sub__(self, other):
         return self + (-self._lift(other))
@@ -73,11 +78,9 @@ class Jet2:
         o = self._lift(other)
         sv, sg, ov, og = self.val, self.grad, o.val, o.grad
         grad = [g * ov + sv * h for g, h in zip(sg, og)]
-        hess = [
-            [h * ov + sv * oh + gi * ogj + ogi * gj for h, oh, gj, ogj in zip(row, orow, sg, og)]
-            for row, orow, gi, ogi in zip(self.hess, o.hess, sg, og)
-        ]
-        return Jet2(sv * ov, grad, hess)
+        diag = [h * ov + sv * oh + gi * ogi + ogi * gi
+                for h, oh, gi, ogi in zip(self.diag, o.diag, sg, og)]
+        return Jet2(sv * ov, grad, diag)
 
     __rmul__ = __mul__
 
@@ -89,11 +92,8 @@ class Jet2:
         inv = 1.0 / self.val
         inv2, inv3 = inv**2, inv**3
         grad = [-g * inv2 for g in self.grad]
-        hess = [
-            [-h * inv2 + 2.0 * gi * gj * inv3 for h, gj in zip(row, self.grad)]
-            for row, gi in zip(self.hess, self.grad)
-        ]
-        return Jet2(inv, grad, hess)
+        diag = [-h * inv2 + 2.0 * g * g * inv3 for h, g in zip(self.diag, self.grad)]
+        return Jet2(inv, grad, diag)
 
     def __pow__(self, e):
         if isinstance(e, int) and e >= 0:
@@ -119,11 +119,8 @@ class Jet2:
 
     def _chain(self, v, dv, ddv):
         grad = [dv * g for g in self.grad]
-        hess = [
-            [dv * h + ddv * gi * gj for h, gj in zip(row, self.grad)]
-            for row, gi in zip(self.hess, self.grad)
-        ]
-        return Jet2(v, grad, hess)
+        diag = [dv * h + ddv * g * g for h, g in zip(self.diag, self.grad)]
+        return Jet2(v, grad, diag)
 
 
 Field = Callable[..., Jet2]  # field(t, x1..xd) over jets
@@ -187,7 +184,7 @@ def _residuals(theta: Field, rho: Field, V: Potential, coords: list[Jet2]) -> tu
     jr = rho(*coords)
     # continuity: d_t rho + grad rho . grad theta + rho * laplacian theta
     cont = jr.grad[0] + sum(jr.grad[A] * jt.grad[A] for A in range(1, d + 1))
-    cont = cont + jr.val * sum(jt.hess[A][A] for A in range(1, d + 1))
+    cont = cont + jr.val * sum(jt.diag[1:])
     # Bernoulli: d_t theta + 1/2 |grad theta|^2 + V'(rho)
     bern = jt.grad[0] + 0.5 * sum(jt.grad[A] ** 2 for A in range(1, d + 1))
     bern = bern + V.enthalpy(jr).val
@@ -453,8 +450,6 @@ def fluid_charges(theta: Field, rho: Field, d: int, box, t: float,
     D = t * H - 0.5 * float(np.sum(w * rho_v * np.sum(x * grad_theta, axis=0)))
     K = -t * t * H + 2.0 * t * D + 0.5 * float(np.sum(w * rho_v * np.sum(x * x, axis=0)))
     out = {"M": M, "P": P, "G": G, "J": J, "H": H, "D": D, "K": K}
-    if d == 3:
-        out["J_vec"] = np.array([2 * J[1, 2], 2 * J[2, 0], 2 * J[0, 1]])
     if V.kind == "chaplygin":
         out["Delta"] = t * H - float(np.sum(w * rho_v * jt.val))
     return out

@@ -126,7 +126,7 @@ def integrate_geodesic(conn: Connection, x0, xdot0, h, steps):
     """
     traj = rk4(_geodesic_rhs(conn), [*x0, *xdot0], h, steps)
     tclass = "timelike" if abs(traj[conn.dim + 1]) > 0 else "lightlike"
-    return {"trajectory": traj, "tdot_class": tclass, "dim": conn.dim, "h": h}
+    return {"trajectory": traj, "tdot_class": tclass, "dim": conn.dim}
 
 
 # ---------------------------------------------------------------------------
@@ -137,12 +137,12 @@ R_MIN = 1e-3
 
 
 def jacobi_charges(traj, h: float, m: float, potential) -> dict:
-    """(t, E, D, K) series of a flat trajectory of rows (x^1..x^3,
-    v^1..v^3), row i at time i h, in a central potential U = potential(r2)
-    of r2 = |x|^2: the energy, the dilation charge p.x - 2Et, and the
-    expansion charge m x^2/2 - t D - E t^2, each a flat ``array('d')``.
-    Conserved when U = c/|x|^2."""
-    out = {key: array("d") for key in "tEDK"}
+    """(E, D, K) series of a flat trajectory of rows (x^1..x^3,
+    v^1..v^3), row i at time t = i h, in a central potential
+    U = potential(r2) of r2 = |x|^2: the energy, the dilation charge
+    p.x - 2Et, and the expansion charge m x^2/2 - t D - E t^2, each a flat
+    ``array('d')``.  Conserved when U = c/|x|^2."""
+    out = {key: array("d") for key in "EDK"}
     values = iter(traj)
     for i, (q1, q2, q3, u1, u2, u3) in enumerate(zip(*[values] * 6)):
         t = h * i
@@ -150,14 +150,14 @@ def jacobi_charges(traj, h: float, m: float, potential) -> dict:
         E = 0.5 * m * (u1 * u1 + u2 * u2 + u3 * u3) + potential(r2)
         D = m * (u1 * q1 + u2 * q2 + u3 * q3) - 2.0 * E * t
         K = 0.5 * m * r2 - t * D - E * t * t
-        for key, value in zip("tEDK", (t, E, D, K)):
+        for key, value in zip("EDK", (E, D, K)):
             out[key].append(value)
     return out
 
 
 def inverse_square_trajectory(m: float, c: float, x0, v0, h: float, steps: int):
     """RK4 run in U = c/|x|^2; guards the r_min ball; returns the flat
-    state trajectory (rows of 6) and the (t, E, D, K) series."""
+    state trajectory (rows of 6) and the (E, D, K) series."""
 
     def potential(r2):
         if r2 < R_MIN**2:

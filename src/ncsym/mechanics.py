@@ -257,27 +257,18 @@ def poisson_brackets(m: float, s: float, n_points: int = 20, seed: int = 0) -> d
         constant[f"G{A}"] = g
 
     def gradients(q, p, e1, e2):
-        """charge -> gradient in chart basis (dq, dp, dth1, dth2)."""
+        """charge -> gradient in chart basis (dq, dp, dth1, dth2), for the
+        charges bracketed below: P, G, J0 and J1."""
         out = dict(constant)
         Mq = _eps_matrix_q(p)
         Mp = -_eps_matrix_q(q)
-        for A in range(3):
+        for A in range(2):
             g = np.zeros(8)
             g[0:3] = Mq[A]
             g[3:6] = Mp[A]
             g[6] = s * e1[A]
             g[7] = s * e2[A]
             out[f"J{A}"] = g
-        g = np.zeros(8)
-        g[3:6] = p / m
-        out["H"] = g
-        g = np.zeros(8)
-        g[0:3] = m * q
-        out["K"] = g
-        g = np.zeros(8)
-        g[0:3] = p
-        g[3:6] = q
-        out["D"] = g
         return out
 
     tables = {}
@@ -343,36 +334,25 @@ def _poly_eval_t(p: Poly, t: float) -> float:
     return p.evaluate([t] + [0] * p.dim)
 
 
-def _omega_matrix_at(omega, t: float) -> np.ndarray:
-    """Constant antisymmetric array, or a 3x3 of time polynomials."""
-    if isinstance(omega, (list, tuple)) and isinstance(omega[0][0], Poly):
-        return np.array([[_poly_eval_t(omega[a][b], t) for b in range(3)] for a in range(3)])
-    return np.asarray(omega, float)
-
-
-def _omega_is_time_dependent(omega) -> bool:
-    if isinstance(omega, (list, tuple)) and isinstance(omega[0][0], Poly):
-        return any(p.depends_on(0) for row in omega for p in row)
-    return False
-
-
 def photon_charge(state: PhotonState, k: float, s: float, omega, eta, xi) -> float:
     """(x cross ku + su).omega(t) + ku.eta(t) - xi(t) E.
 
-    ``omega`` is an antisymmetric 3x3 rotation block, constant or a
-    matrix of time polynomials; time dependence with s != 0 is rejected
-    because the spin term forces omega' = 0.  ``eta`` is a triple of
-    time polynomials, ``xi`` a time polynomial.
+    ``omega`` is a 3x3 matrix of time polynomials, exactly antisymmetric,
+    ``eta`` a triple of time polynomials and ``xi`` a time polynomial, as
+    ``photon_lift`` takes them.  A time-dependent omega with s != 0 is
+    rejected because the spin term forces omega' = 0.
     """
     if k <= 0:
         raise ValueError("color k must be positive")
-    if s != 0 and _omega_is_time_dependent(omega):
+    if len(omega) != 3 or any(len(row) != 3 for row in omega) or any(
+        not (omega[a][b] + omega[b][a]).is_zero() for a in range(3) for b in range(a, 3)
+    ):
+        raise ValueError("omega must be an antisymmetric 3x3 matrix of time polynomials")
+    if s != 0 and any(p.depends_on(0) for row in omega for p in row):
         raise ValueError(
             "spin obstructs time-dependent rotations: omega' = 0 is required when s != 0"
         )
-    om = _omega_matrix_at(omega, state.t)
-    if om.shape != (3, 3) or not np.allclose(om, -om.T, atol=1e-14):
-        raise ValueError("omega must be an antisymmetric 3x3 matrix")
+    om = np.array([[_poly_eval_t(p, state.t) for p in row] for row in omega])
     eta_t = np.array([_poly_eval_t(p, state.t) for p in eta])
     xi_t = _poly_eval_t(xi, state.t)
     w = omega_vector(om)

@@ -223,24 +223,13 @@ class Poly:
         """
         if len(point) != self.dim + 1:
             raise ValueError(f"point needs length {self.dim + 1}")
-        use_float = any(isinstance(v, float) for v in point)
-        if use_float:
-            vals = [float(v) for v in point]
-            total = 0.0
-            for exp, c in self.terms.items():
-                term = float(c)
-                for v, e in zip(vals, exp):
-                    if e:
-                        term *= v ** e
-                total += term
-            return total
-        vals = [as_fraction(v) for v in point]
-        total = Fraction(0)
+        number = float if any(isinstance(v, float) for v in point) else as_fraction
+        total = number(0)
         for exp, c in self.terms.items():
-            term = c
-            for v, e in zip(vals, exp):
+            term = number(c)
+            for v, e in zip(point, exp):
                 if e:
-                    term *= v ** e
+                    term *= number(v) ** e
             total += term
         return total
 

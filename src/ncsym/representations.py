@@ -136,6 +136,13 @@ def verify_representation(kind: str, d: int) -> dict:
     }
 
 
+def verdict(report: dict) -> bool:
+    """True when a ``verify_representation`` report shows a faithful
+    representation whose commutators match the brackets up to one global
+    sign."""
+    return report["faithful"] and not report["mismatches"] and report["sign"] in (1, -1)
+
+
 # ---------------------------------------------------------------------------
 # Levi-style decomposition checks
 # ---------------------------------------------------------------------------

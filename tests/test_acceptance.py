@@ -169,7 +169,7 @@ def test_criterion_6_photon_suite():
     st = mech.PhotonState(0.7, np.array([0.2, -0.1, 0.4]), 1.3, np.array([0.0, 0.6, 0.8]))
     moved = mech.photon_flow(st, 5.0)
     ok &= moved.t == st.t  # instantaneous: exact
-    omega = np.array([[0.0, 1.0, 0.5], [-1.0, 0.0, 0.0], [-0.5, 0.0, 0.0]])
+    omega = [[Poly.const(1, c) for c in row] for row in [[0, 1, "1/2"], [-1, 0, 0], ["-1/2", 0, 0]]]
     eta = [Poly.t(1) * 2 + Poly.const(1, 1), Poly.t(1) ** 3, Poly.const(1, 2)]
     xi = Poly.t(1) ** 2 + Poly.const(1, 1)
     k, s = 2.0, 0.5

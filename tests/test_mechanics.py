@@ -466,10 +466,7 @@ def test_photon_flow_matches_lightlike_geodesic():
 
 
 def test_photon_charge_drift():
-    z = Poly.zero(1)
-    om = [[z] * 3 for _ in range(3)]
-    om = [[Poly.zero(1) for _ in range(3)] for _ in range(3)]
-    omega = np.array([[0.0, 1.0, 0.5], [-1.0, 0.0, 0.0], [-0.5, 0.0, 0.0]])
+    omega = [[Poly.const(1, c) for c in row] for row in [[0, 1, "1/2"], [-1, 0, 0], ["-1/2", 0, 0]]]
     eta = [Poly.t(1) * 2 + Poly.const(1, 1), Poly.t(1) ** 3, Poly.const(1, 2)]
     xi = Poly.t(1) ** 2 + Poly.const(1, 1)
     st = mech.PhotonState(0.7, np.array([0.2, -0.1, 0.4]), 1.3, np.array([0.0, 0.6, 0.8]))
@@ -485,21 +482,27 @@ def test_photon_charge_drift():
 def test_photon_charge_boost_is_conserved():
     # eta(t) = beta t: the boost charge is constant because motion is
     # instantaneous (t never changes along the flow)
-    beta = [Poly.t(1), Poly.zero(1), Poly.zero(1)]
+    z = Poly.zero(1)
+    beta = [Poly.t(1), z, z]
     st = mech.PhotonState(1.1, np.array([0.3, 0.0, 0.0]), 0.9, np.array([0.0, 1.0, 0.0]))
-    val = mech.photon_charge(st, 1.0, 0.0, np.zeros((3, 3)), beta, Poly.zero(1))
+    val = mech.photon_charge(st, 1.0, 0.0, [[z] * 3] * 3, beta, z)
     moved = mech.photon_flow(st, 7.0)
-    assert mech.photon_charge(moved, 1.0, 0.0, np.zeros((3, 3)), beta, Poly.zero(1)) == pytest.approx(val)
+    assert mech.photon_charge(moved, 1.0, 0.0, [[z] * 3] * 3, beta, z) == pytest.approx(val)
     # and equals k u.beta t = -G.beta with G = -P t
     assert val == pytest.approx(1.0 * st.u[0] * st.t)
 
 
 def test_photon_charge_rejects_bad_inputs():
+    z, t = Poly.zero(1), Poly.t(1)
     st = mech.PhotonState(0.0, np.zeros(3), 1.0, np.array([1.0, 0.0, 0.0]))
-    with pytest.raises(ValueError):
-        mech.photon_charge(st, -1.0, 0.0, np.zeros((3, 3)), [Poly.zero(1)] * 3, Poly.zero(1))
-    with pytest.raises(ValueError):
-        mech.photon_charge(st, 1.0, 0.0, np.ones((3, 3)), [Poly.zero(1)] * 3, Poly.zero(1))
+    for k, omega, match in [
+        (-1.0, [[z] * 3] * 3, "color k must be positive"),
+        # zero at t = 0, where the state sits, but not antisymmetric
+        (1.0, [[z, t, z], [t, z, z], [z] * 3], "antisymmetric 3x3"),
+        (1.0, [[z] * 2] * 2, "antisymmetric 3x3"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            mech.photon_charge(st, k, 0.0, omega, [z] * 3, z)
 
 
 def test_photon_charge_time_dependent_rotation_needs_spinless():
@@ -512,7 +515,7 @@ def test_photon_charge_time_dependent_rotation_needs_spinless():
     moved = mech.photon_flow(st, 3.0)
     # x moves along u, so (x cross u).omega_vec picks up no u-parallel part
     assert mech.photon_charge(moved, 2.0, 0.0, om_t, [z] * 3, z) == pytest.approx(val)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="spin obstructs"):
         mech.photon_charge(st, 2.0, 0.5, om_t, [z] * 3, z)
 
 
@@ -562,10 +565,10 @@ def test_photon_presymplectic_residuals():
 
 
 def _series(out):
-    """The x rows and the t, E, D, K series of a central-potential run, as
+    """The x rows and the E, D, K series of a central-potential run, as
     array views."""
     traj = np.frombuffer(out["trajectory"]).reshape(-1, 6)
-    return traj[:, :3], {key: np.frombuffer(out[key]) for key in "tEDK"}
+    return traj[:, :3], {key: np.frombuffer(out[key]) for key in "EDK"}
 
 
 @pytest.mark.parametrize("m, c", [(1.0, -1.0), (1.7, 0.3)])
@@ -580,7 +583,7 @@ def test_charge_series_round_as_the_array_form(m, c):
     E = 0.5 * m * np.sum(vs * vs, axis=1) + c / r2
     D = m * np.sum(vs * xs, axis=1) - 2.0 * E * t
     K = 0.5 * m * r2 - t * D - E * t * t
-    for key, want in zip("tEDK", (t, E, D, K)):
+    for key, want in zip("EDK", (E, D, K)):
         assert np.array_equal(np.frombuffer(out[key]), want), key
 
 

@@ -196,9 +196,6 @@ UNENTERED: dict[str, tuple[str, str]] = {
     "ncsym.lie:lie_derive_structure": ("public", "in __all__"),
     "ncsym.lie:lie_derive_sym2up": ("public", "in __all__"),
     "ncsym.mechanics:_eps_matrix_q": ("helper", "the J gradients of ncsym.mechanics:poisson_brackets"),
-    "ncsym.mechanics:_omega_is_time_dependent": (
-        "helper", "the spin check of ncsym.mechanics:photon_charge"),
-    "ncsym.mechanics:_omega_matrix_at": ("helper", "omega(t) in ncsym.mechanics:photon_charge"),
     "ncsym.mechanics:free_flow": (
         "claim", "the free massive particle keeps every charge, "
         "tests/test_mechanics.py::test_free_flow_conserves_all_charges"),
