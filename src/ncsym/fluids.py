@@ -1,10 +1,10 @@
 """Galilean fluid symmetry laboratory.
 
 Fields theta(t, x) and rho(t, x) are Python callables over forward-mode
-jets of value, gradient and pure second derivatives, the entries the
-continuity and Bernoulli residuals read, so the residuals come from
-automatic differentiation of analytic solutions rather than from a
-discretized solver: the claims being tested are transformation
+jets that carry the value, the gradient and the pure second derivatives,
+which is what the continuity and Bernoulli residuals read.  The residuals
+thus come from automatic differentiation of analytic solutions rather
+than from a discretized solver: the claims being tested are transformation
 identities, and a PDE solver would only add unrelated discretization
 error.  Charges use tensor-product Gauss-Legendre quadrature of fixed
 order per axis on a caller-supplied box.  A jet evaluates at one point
