@@ -126,18 +126,20 @@ class Jet2:
 Field = Callable[..., Jet2]  # field(t, x1..xd) over jets
 
 
-def seed_points(points) -> list[Jet2]:
+def seed_points(points, order: int = 2) -> list[Jet2]:
     """Identity jets of the coordinates, batched over the rows of an
-    (npts, d+1) array of points."""
+    (npts, d+1) array of points, with derivatives up to order 0, 1 or 2,
+    which are all that a field evaluated on them carries."""
     import numpy as np
 
     points = np.atleast_2d(np.asarray(points, float))
     n = points.shape[1]
-    return [Jet2.variable(i, points[:, i], n) for i in range(n)]
+    jets = [Jet2.variable(i, points[:, i], n) for i in range(n)]
+    return jets if order == 2 else [Jet2(j.val, j.grad if order else [], []) for j in jets]
 
 
-def eval_field(field: Field, points) -> Jet2:
-    return field(*seed_points(points))
+def eval_field(field: Field, points, order: int = 2) -> Jet2:
+    return field(*seed_points(points, order))
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +431,8 @@ def fluid_charges(theta: Field, rho: Field, d: int, box, t: float,
 
     pts, w = gauss_legendre_mesh(box, order)
     points = np.concatenate([np.full((pts.shape[0], 1), float(t)), pts], axis=1)
-    jt = eval_field(theta, points)
-    jr = eval_field(rho, points)
+    jt = eval_field(theta, points, 1)  # the value and gradient of theta
+    jr = eval_field(rho, points, 0)  # the value of rho
     if not np.all(np.isfinite(jr.val)) or not np.all(np.isfinite(jt.val)):
         raise ValueError("non-finite integrand samples")
     rho_v = jr.val

@@ -1,17 +1,17 @@
 """Exact sparse linear algebra over the rationals.
 
-One kernel, ``Echelon``, does every elimination in ncsym.  A vector is
-a sparse dict from ordered keys to Fraction.  Rows are kept in reduced
-echelon form: each row has a unit pivot at its smallest key, and that
-key is zero in every other row, so reducing a vector against the rows
-is a single pass over its pivot keys.  Each row also records which of
-the added vectors it combines, so a reduction returns coefficients in
-the vectors as they were added.
+A vector is a sparse dict from ordered keys to Fraction.  Rows are kept
+in reduced echelon form: each row has a unit pivot at its smallest key,
+and that key is zero in every other row, so reducing a vector against
+the rows is a single pass over its pivot keys.  ``Echelon`` gives rank
+and reduction; its rows also record which added vectors they combine,
+so a reduction returns coefficients in the vectors as they were added.
+``nullspace`` eliminates without that bookkeeping, after a presolve.
 
 The reduced echelon form of a row space is unique: the rank, the pivot
-keys and the canonical nullspace below do not depend on the order in
-which rows were added.  Everything computed here is a proof for the
-solvers built on top, not an approximation.
+keys and the canonical nullspace depend neither on the order in which
+rows were added nor on the presolve.  Everything computed here is a
+proof for the solvers built on top, not an approximation.
 """
 
 from __future__ import annotations
@@ -32,11 +32,39 @@ def _axpy(target: dict, a: Fraction, source: Mapping) -> None:
             target.pop(k, None)
 
 
+def _reduce(rows: dict, parts: tuple) -> None:
+    """Subtract from parts[0] the rows {pivot: parts} that clear its pivot
+    keys, and from each other part alike; a row is zero on other pivots."""
+    for p in [k for k in parts[0] if k in rows]:
+        c = parts[0][p]
+        for target, source in zip(parts, rows[p]):
+            _axpy(target, -c, source)
+
+
+def _insert(rows: dict, parts: tuple) -> bool:
+    """Reduce parts[0] against rows, scale it to a unit pivot and clear
+    that pivot from the other rows; False when it reduces to zero."""
+    _reduce(rows, parts)
+    if not parts[0]:
+        return False
+    p = min(parts[0])
+    inv = 1 / parts[0][p]
+    parts = tuple({k: c * inv for k, c in part.items()} for part in parts)
+    for other in rows.values():
+        f = other[0].get(p)
+        if f:
+            for target, source in zip(other, parts):
+                _axpy(target, -f, source)
+    rows[p] = parts
+    return True
+
+
 class Echelon:
     """Row space of the vectors added so far, in reduced echelon form."""
 
     def __init__(self, vectors: Iterable[Mapping] = ()):
-        self.rows: dict = {}  # pivot key -> (row, combination of added vectors)
+        # pivot key -> (row, c) with row == -sum_i c[i] * added[i]
+        self.rows: dict = {}
         self.added = 0
         for v in vectors:
             self.add(v)
@@ -52,45 +80,36 @@ class Echelon:
         in the span."""
         remainder = {k: Fraction(c) for k, c in vector.items() if c}
         coeffs: dict = {}
-        # a row is zero on every other pivot, so the pivot entries of the
-        # remainder stay those of the vector throughout
-        for p in [k for k in remainder if k in self.rows]:
-            c = remainder[p]
-            row, combo = self.rows[p]
-            _axpy(remainder, -c, row)
-            _axpy(coeffs, c, combo)
+        _reduce(self.rows, (remainder, coeffs))
         return coeffs, remainder
 
     def add(self, vector: Mapping) -> bool:
         """Add a vector; False when it already lies in the span."""
-        index = self.added
         self.added += 1
-        coeffs, remainder = self.reduce(vector)
-        if not remainder:
-            return False
-        p = min(remainder)
-        inv = 1 / remainder[p]
-        row = {k: c * inv for k, c in remainder.items()}
-        combo = {k: -c * inv for k, c in coeffs.items()}
-        combo[index] = inv
-        for other, other_combo in self.rows.values():
-            f = other.get(p)
-            if f:
-                _axpy(other, -f, row)
-                _axpy(other_combo, -f, combo)
-        self.rows[p] = (row, combo)
-        return True
+        vector = {k: Fraction(c) for k, c in vector.items() if c}
+        return _insert(self.rows, (vector, {self.added - 1: Fraction(-1)}))
 
-    def nullspace(self, ncols: int) -> list[dict]:
-        """Right nullspace of the added rows over keys 0..ncols-1, one
-        primitive sparse vector {column: coef} per non-pivot column in
-        increasing order."""
-        free = {c: {c: Fraction(1)} for c in range(ncols) if c not in self.rows}
-        for p, (row, _) in self.rows.items():
-            for c, v in row.items():
-                if c != p:
-                    free[c][p] = -v
-        return [primitive(v) for v in free.values()]
+
+def nullspace(rows: Iterable[Mapping], ncols: int) -> list[dict]:
+    """Right nullspace over keys 0..ncols-1 of sparse rows of nonzero int or
+    Fraction entries, one primitive sparse vector {column: coef} per free
+    column in increasing order.  The presolve strips from every row the
+    columns that one-entry rows force to zero, until no row has one."""
+    rows = list(rows)
+    forced: set = set()
+    while new := {next(iter(r)) for r in rows if len(r) == 1}:
+        forced |= new
+        rows = [s for r in rows if (s := {k: c for k, c in r.items() if k not in new})]
+    pivots: dict = {}
+    # sparsest rows first: less fill-in, and the same reduced echelon form
+    for r in sorted(rows, key=len):
+        _insert(pivots, ({k: Fraction(c) for k, c in r.items()},))
+    free = {c: {c: Fraction(1)} for c in range(ncols) if c not in pivots and c not in forced}
+    for p, (row,) in pivots.items():
+        for c, v in row.items():
+            if c != p:
+                free[c][p] = -v
+    return [primitive(v) for v in free.values()]
 
 
 def primitive(vector: Mapping) -> dict:

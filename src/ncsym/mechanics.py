@@ -247,31 +247,17 @@ def poisson_brackets(m: float, s: float, n_points: int = 20, seed: int = 0) -> d
     omega[7, 6] = s
     omega_inv = np.linalg.inv(omega)
     rng = np.random.default_rng(seed)
-    constant = {}  # the P and G gradients do not depend on the point
-    for A in range(3):
-        g = np.zeros(8)
-        g[3 + A] = 1.0
-        constant[f"P{A}"] = g
-        g = np.zeros(8)
-        g[A] = m
-        constant[f"G{A}"] = g
 
-    def gradients(q, p, e1, e2):
-        """charge -> gradient in chart basis (dq, dp, dth1, dth2), for the
-        charges bracketed below: P, G, J0 and J1."""
-        out = dict(constant)
-        Mq = _eps_matrix_q(p)
-        Mp = -_eps_matrix_q(q)
-        for A in range(2):
-            g = np.zeros(8)
-            g[0:3] = Mq[A]
-            g[3:6] = Mp[A]
-            g[6] = s * e1[A]
-            g[7] = s * e2[A]
-            out[f"J{A}"] = g
-        return out
+    def field(grad):
+        """X_F from the gradient of F in chart basis (dq, dp, dth1, dth2)."""
+        return omega_inv @ (-grad)
 
-    tables = {}
+    # P and G have constant gradients, so their fields and brackets are too
+    unit = np.eye(8)
+    x_p = [field(unit[3 + A]) for A in range(3)]
+    x_g = [field(m * unit[A]) for A in range(3)]
+    tables = {f"{{P{A},G{B}}}": [float(x_p[A] @ omega @ x_g[B])]
+              for A in range(3) for B in range(3)}
     sign_jj = None
     for _ in range(n_points):
         q = rng.normal(size=3)
@@ -279,18 +265,9 @@ def poisson_brackets(m: float, s: float, n_points: int = 20, seed: int = 0) -> d
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
         e1, e2 = _sphere_frame(u)
-        grads = gradients(q, p, e1, e2)
-
-        def bracket(F, G):
-            xf = omega_inv @ (-grads[F])
-            xg = omega_inv @ (-grads[G])
-            return float(xf @ omega @ xg)
-
-        for A in range(3):
-            for B in range(3):
-                key = f"{{P{A},G{B}}}"
-                tables.setdefault(key, []).append(bracket(f"P{A}", f"G{B}"))
-        val = bracket("J0", "J1")
+        Mq, Mp = _eps_matrix_q(p), -_eps_matrix_q(q)
+        x0, x1 = (field(np.concatenate([Mq[A], Mp[A], [s * e1[A], s * e2[A]]])) for A in range(2))
+        val = float(x0 @ omega @ x1)
         j2 = float(np.cross(q, p)[2] + s * u[2])
         if abs(j2) > 1e-6:
             this_sign = 1.0 if val / j2 > 0 else -1.0
@@ -367,18 +344,19 @@ def photon_lift(k: float, omega_polys, eta, xi):
     """Canonical-lift tangent of a conformal generator with time-dependent
     rotation omega(t), translation eta(t) and reparametrization xi(t):
     returns state -> (dt, dx, dE, du)."""
-    omega_dot = [[p.differentiate(0) for p in row] for row in omega_polys]
-    eta_dot = [p.differentiate(0) for p in eta]
-    xi_dot = xi.differentiate(0)
+    omega = [p for row in omega_polys for p in row]
+    polys = [*omega, *(p.differentiate(0) for p in omega), *eta,
+             *(p.differentiate(0) for p in eta), xi, xi.differentiate(0)]
+    # a zero entry is 0.0 at every t, so only the others are evaluated
+    live = [(i, p) for i, p in enumerate(polys) if not p.is_zero()]
 
     def lift(state: PhotonState):
-        t = state.t
-        om = np.array([[_poly_eval_t(omega_polys[a][b], t) for b in range(3)] for a in range(3)])
-        om_p = np.array([[_poly_eval_t(omega_dot[a][b], t) for b in range(3)] for a in range(3)])
-        eta_t = np.array([_poly_eval_t(p, t) for p in eta])
-        eta_p = np.array([_poly_eval_t(p, t) for p in eta_dot])
-        xi_t = _poly_eval_t(xi, t)
-        xi_p = _poly_eval_t(xi_dot, t)
+        values = [0.0] * len(polys)
+        for i, p in live:
+            values[i] = _poly_eval_t(p, state.t)
+        om, om_p = np.reshape(values[:18], (2, 3, 3))
+        eta_t, eta_p = np.reshape(values[18:24], (2, 3))
+        xi_t, xi_p = values[24:]
         dt = xi_t
         dx = om @ state.x + eta_t
         dE = k * (float(state.u @ (om_p @ state.x)) + float(eta_p @ state.u)) - xi_p * state.E

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from math import perm, prod
 from operator import add, sub
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
@@ -264,22 +264,24 @@ class _Jet:
 _TABLES: dict = {}
 
 
-def _compile(d: int, residual_op: Callable, size: int | None = None) -> list[list]:
+def _compile(d: int, residual_op: Callable, size: int | None = None) -> list[dict]:
     """Derivative table of a linear operator: for each component a, the
-    (row, alpha, P) with row i of residual_op containing P d^alpha of
-    component a, P a polynomial.  The unknown is a VectorField, or a tuple
-    of size components; a row that is not linear in it raises TypeError.
-    The tables of the operators this module defines are kept, by d."""
+    {alpha: [(i, m, c), ...]} with row i of residual_op containing the
+    term c x^m d^alpha of component a, c an int where it is integral.
+    The unknown is a VectorField, or a tuple of size components; a row
+    that is not linear in it raises TypeError.  The tables of the
+    operators this module defines are kept, by d."""
     if (d, residual_op) in _TABLES:
         return _TABLES[d, residual_op]
     unit = (0,) * (d + 1)
     jets = [_Jet(d, {(a, unit): Poly.const(d, 1)}) for a in range(size or d + 1)]
-    table = [[] for _ in jets]
+    table = [{} for _ in jets]
     for i, row in enumerate(residual_op(VectorField(d, jets) if size is None else tuple(jets))):
         if not isinstance(row, _Jet):
             raise TypeError(f"residual row {i} is not a linear function of the field")
         for (a, alpha), coef in row.terms.items():
-            table[a].append((i, alpha, coef))
+            table[a].setdefault(alpha, []).extend(
+                (i, m, c.numerator if c.denominator == 1 else c) for m, c in coef.terms.items())
     if globals().get(residual_op.__name__) is residual_op:
         _TABLES[d, residual_op] = table
     return table
@@ -288,9 +290,9 @@ def _compile(d: int, residual_op: Callable, size: int | None = None) -> list[lis
 def _residual_rows(fields: Sequence, residual_op: Callable) -> dict:
     """Sparse residual matrix {(residual index, monomial): {column: coef}}
     of VectorFields, or of tuples of the components residual_op takes as a
-    tuple: each term c x^e of component a meets each table entry
-    (i, alpha, P) with alpha <= e at the rows (i, e - alpha + m) of the
-    terms p x^m of P, with the falling factorials of d^alpha x^e."""
+    tuple: each term c x^e of component a meets the table entries
+    (i, m, p) of each alpha <= e at the row (i, e - alpha + m), with the
+    falling factorials of d^alpha x^e.  Integral entries are ints."""
     rows: dict = {}
     if not fields:
         return rows
@@ -302,14 +304,16 @@ def _residual_rows(fields: Sequence, residual_op: Callable) -> dict:
         table = _compile(first[0].dim, residual_op, len(first))
     for j, comps in enumerate(fields):
         for a, comp in enumerate(comps):
+            entries = table[a]
             for exp, c in comp.terms.items():
-                for i, alpha, coef in table[a]:
-                    falling = prod(map(perm, exp, alpha))  # zero unless alpha <= exp
-                    if not falling:
+                c = c.numerator if c.denominator == 1 else c
+                for alpha in product(*[range(e + 1) for e in exp]):
+                    if alpha not in entries:
                         continue
                     shifted = tuple(map(sub, exp, alpha))
+                    falling = prod(map(perm, exp, alpha))
                     cf = c if falling == 1 else c * falling
-                    for m, p in coef.terms.items():
+                    for i, m, p in entries[alpha]:
                         row = rows.setdefault((i, tuple(map(add, shifted, m))), {})
                         v = cf * p
                         if j in row:
@@ -328,11 +332,8 @@ def restrict_span(
     nullspace of the residual matrix, one sparse row per (residual index,
     monomial) and one column per field.  residual_op is compiled once
     into a derivative table, so it must be linear (TypeError otherwise)."""
-    rows = _residual_rows(fields, residual_op)
-    # sparsest rows first: less fill-in, and the reduced echelon form
-    # (so the nullspace) does not depend on the order
-    kernel = linalg.Echelon(sorted(rows.values(), key=len)).nullspace(len(fields))
-    vectors = [_field_vector(X) for X in fields]
+    kernel = linalg.nullspace(_residual_rows(fields, residual_op).values(), len(fields))
+    vectors = {j: _field_vector(fields[j]) for j in set().union(*kernel)}
     out = []
     for coeffs in kernel:
         combination: dict = {}

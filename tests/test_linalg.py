@@ -8,9 +8,10 @@ import pytest
 pytest.importorskip("hypothesis")
 sympy = pytest.importorskip("sympy")
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from ncsym.linalg import Echelon, primitive
+from ncsym import linalg
+from ncsym.linalg import Echelon, nullspace, primitive
 from ncsym.lie import VectorField
 from ncsym.poly import Poly
 from ncsym.solver import span_equal
@@ -56,7 +57,7 @@ def test_rank_matches_sympy(case):
 def test_nullspace_matches_sympy_and_is_a_kernel(case):
     rows, ncols = case
     ech = Echelon(sparse(r) for r in rows)
-    kernel = ech.nullspace(ncols)
+    kernel = nullspace([sparse(r) for r in rows], ncols)
     expected = [
         primitive(sparse([to_fraction(x) for x in v])) for v in oracle(rows, ncols).nullspace()
     ]
@@ -106,7 +107,68 @@ def test_echelon_form_and_nullspace_do_not_depend_on_row_order(case, data):
     b = Echelon(sparse(r) for r in shuffled)
     assert {p: row for p, (row, _) in a.rows.items()} == {p: row for p, (row, _) in b.rows.items()}
     assert a.rank == b.rank
-    assert a.nullspace(ncols) == b.nullspace(ncols)
+    assert nullspace(map(sparse, rows), ncols) == nullspace(map(sparse, shuffled), ncols)
+
+
+NONZERO = st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)
+
+
+@st.composite
+def planted(draw, max_cols=7):
+    """A sparse matrix with one-entry rows planted in it, as chains: the
+    first row of a chain has one entry, and each later row has one more
+    entry on the column the row before it forces to zero, so it has one
+    entry only once that column is dropped."""
+    rows, ncols = draw(matrices(max_rows=4, max_cols=max_cols))
+    columns = st.lists(st.integers(0, ncols - 1), min_size=1, max_size=4, unique=True)
+    for chain in draw(st.lists(columns, max_size=3)):
+        for k, c in enumerate(chain):
+            row = [Fraction(0)] * ncols
+            row[c] = draw(NONZERO)
+            if k:
+                row[chain[k - 1]] = draw(NONZERO)
+            rows.append(row)
+    return draw(st.permutations(rows)), ncols
+
+
+def plain_nullspace(rows, ncols):
+    """The canonical nullspace read off Echelon's reduced rows, eliminated
+    with no presolve."""
+    pivots = {p: row for p, (row, _) in Echelon(sparse(r) for r in rows).rows.items()}
+    free = {c: {c: Fraction(1)} for c in range(ncols) if c not in pivots}
+    for p, row in pivots.items():
+        for c, v in row.items():
+            if c != p:
+                free[c][p] = -v
+    return [primitive(v) for v in free.values()]
+
+
+@PROPERTY
+@given(planted())
+# a chain of three forced columns, in int entries
+@example(([[0, 2, 0, 0], [1, 3, 0, 0], [1, 0, -1, 1], [0, 0, 4, 0]], 4))
+# no row with one entry, as in the cgal and alt systems
+@example(([[1, 2, 0, 0, 0], [0, 1, -1, 0, 0], [3, 0, 0, 1, 1]], 5))
+def test_presolved_nullspace_matches_sympy_and_plain_elimination(case):
+    rows, ncols = case
+    kernel = nullspace([sparse(r) for r in rows], ncols)
+    expected = [
+        primitive(sparse([to_fraction(x) for x in v])) for v in oracle(rows, ncols).nullspace()
+    ]
+    assert kernel == expected
+    assert kernel == plain_nullspace(rows, ncols)
+
+
+def test_presolve_follows_a_chain_to_its_end(monkeypatch):
+    # each row has one entry once the column forced before it is dropped
+    rows = [{0: Fraction(1)}, {0: Fraction(2), 1: Fraction(1)}, {1: Fraction(-1), 2: Fraction(3)},
+            {2: Fraction(1), 3: Fraction(1), 4: Fraction(1)}]
+    eliminated = []
+    real = linalg._insert
+    monkeypatch.setattr(linalg, "_insert", lambda pivots, parts: eliminated.append(dict(parts[0]))
+                        or real(pivots, parts))
+    assert nullspace(rows, 5) == [{3: Fraction(1), 4: Fraction(-1)}]
+    assert eliminated == [{3: Fraction(1), 4: Fraction(1)}]
 
 
 def fields(rows) -> list[VectorField]:
