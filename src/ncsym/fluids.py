@@ -28,10 +28,11 @@ class Jet2:
     value at every point.  ``grad`` is a list of the n first derivatives
     d_i and ``diag`` of the n pure second derivatives d_i d_i; no pure
     second derivative of a sum, product, reciprocal or power depends on a
-    mixed one, so mixed ones are not carried.  Arithmetic follows the
-    usual truncated-Taylor rules, i.e. nested dual numbers collapsed to
-    second order, with the same float operations in the same order at
-    every entry whatever its type.
+    mixed one, so mixed ones are not carried.  Jets seeded with an empty
+    ``diag``, or empty ``grad`` and ``diag``, carry no such derivatives.
+    Arithmetic follows the usual truncated-Taylor rules, i.e. nested dual
+    numbers collapsed to second order, with the same float operations in
+    the same order at every entry whatever its type.
     """
 
     __slots__ = ("val", "grad", "diag", "n")
@@ -128,8 +129,7 @@ Field = Callable[..., Jet2]  # field(t, x1..xd) over jets
 
 def seed_points(points, order: int = 2) -> list[Jet2]:
     """Identity jets of the coordinates, batched over the rows of an
-    (npts, d+1) array of points, with derivatives up to order 0, 1 or 2,
-    which are all that a field evaluated on them carries."""
+    (npts, d+1) array of points, with derivatives up to order 0, 1 or 2."""
     import numpy as np
 
     points = np.atleast_2d(np.asarray(points, float))
