@@ -31,9 +31,7 @@ _EXPORTS = {
     ], "geometry"),
     **dict.fromkeys([
         "INF", "AlgebraBasis", "ClosureReport", "NotClosedError", "StructureConstants",
-        "alt_subalgebra", "closure_check", "parse_z", "restrict_cmil_z", "restrict_sch_z",
-        "solve_cga", "solve_cgal", "solve_cgal_z", "solve_cmil_flat", "solve_cnc_flat",
-        "solve_gal", "solve_sch", "solve_sch_expanded", "structure_constants",
+        "closure_check", "parse_z", "solve", "structure_constants",
     ], "solver"),
 }
 __all__ = list(_EXPORTS)

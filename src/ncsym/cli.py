@@ -66,7 +66,7 @@ def _solve_basis(args) -> tuple:
 
     from . import solver
 
-    basis = solver._solve(family, args.d, **given)
+    basis = solver.solve(family, args.d, **given)
     return basis, solver.structure_constants(basis) if closed else None
 
 
@@ -239,7 +239,7 @@ def cmd_em_check(args) -> int:
     nc = flat_structure(3)
     lib = em.sourcefree_library()
     em.require_source_free(lib, nc)
-    c1 = solver._solve("cmil", 3)
+    c1 = solver.solve("cmil", 3)
     failures = [[label, idx] for label, X in zip(c1.labels, c1.generators)
                 for idx in em.failing_fields(X, lib, nc)]
     witness_fail = em.failing_fields(solver.rotation(3, 1, 2, k=1), lib, nc)
@@ -269,12 +269,13 @@ def cmd_selftest(args) -> int:
         checks.append((name, bool(ok)))
         print(f"{'PASS' if ok else 'FAIL'}  {name}")
 
-    c1, c2 = solver.solve_cmil_flat(3)
-    s = solver._solve("sch", 3, c2)
+    raw = solver.solve("cmil-raw", 3)
+    c1, c2 = (solver.solve("cmil", 3, raw, branch=branch) for branch in ("c1", "c2"))
+    s = solver.solve("sch", 3, c2)
     record("dim sch(3) == 12", s.dim == 12)
     record("dim cmil(3) == 16", c1.dim == 16)
     record("dim expanded sch(3) == 13", c2.dim == 13)
-    cga = solver._solve("cga", 3, c1)
+    cga = solver.solve("cga", 3, c1)
     record("dim cga(3) == 15", cga.dim == 15)
     sc = solver.structure_constants(s)
     record("sch(3) antisymmetry + Jacobi", sc.antisymmetry_ok() and sc.jacobi_ok())

@@ -72,9 +72,13 @@ def parse_z(text: str):
 
 
 def _check_z(z):
-    """A dynamical exponent as a Fraction, or INF; ValueError unless positive."""
-    if z == INF:
-        return INF
+    """A dynamical exponent as a Fraction, or INF, from an int, a Fraction
+    or a string parse_z reads; ValueError for any other input, a float or
+    a bool among them, and unless positive."""
+    if isinstance(z, str):
+        return parse_z(z)
+    if isinstance(z, bool) or not isinstance(z, (int, Fraction)):
+        raise ValueError(f"z must be an int, a Fraction, 'p/q' or 'inf', got {z!r}")
     z = Fraction(z)
     if z <= 0:
         raise ValueError("z must be positive or 'inf'")
@@ -901,6 +905,11 @@ FAMILIES = {
         {"deg_t": 2}, False, bounds=lambda nt, N: (nt, nt),
         op=lambda X, q: res_lightlike_projective(X),
         named=lambda q: ("cnc", _graded(_GRADED_FAMILIES["cnc"], q.d, q.deg_t))),
+    # the closed branches of cmil-raw: c1, whose kappa gains the acceleration
+    # tail of the ether (the only presentation that reads one), and c2.  The
+    # closed-branch condition ties the quadratic time reparametrization to
+    # the space dilation rate; an acceleration solves the pointwise NC-Milne
+    # system only jointly with kappa (cmil_generator_ether)
     "cmil": _Family(
         {"branch": "c1"}, True, parent=("cmil-raw", {}, ()),
         op=lambda X, q: (_res_c1_slice if q.branch == "c1" else _res_c2_slice)(X),
@@ -939,33 +948,46 @@ class _Request:
 
     def __init__(self, family: str, d: int, ether: Observer | None = None, **given):
         row = FAMILIES[family]
-        if not 2 <= d <= MAX_D:
-            raise ValueError(f"need 2 <= d <= {MAX_D}, got {d}")
+        _check_count("d", d, 2, MAX_D)
         unread = given.keys() - row.options.keys()
+        if ether is not None and family != "cmil":
+            unread.add("ether")
         if unread:
             raise TypeError(f"{family} does not read {', '.join(sorted(unread))}")
         self.family, self.d, self.ether = family, d, ether
         for option in ("deg_t", "z", "N", "branch"):
             setattr(self, option, given.get(option, row.options.get(option)))
-        if "deg_t" in row.options and not 0 <= self.deg_t <= MAX_TIME_DEGREE:
-            raise ValueError(f"need 0 <= nt <= {MAX_TIME_DEGREE}, got {self.deg_t}")
-        if "N" in row.options and not 1 <= self.N <= MAX_N:
-            raise ValueError(f"need 1 <= N <= {MAX_N}, got {self.N}")
+        if "deg_t" in row.options:
+            _check_count("deg_t", self.deg_t, 0, MAX_TIME_DEGREE, label="nt")
+        if "N" in row.options:
+            _check_count("N", self.N, 1, MAX_N)
         if row.exponent is not None:
             self.z = row.exponent(self)
         elif "z" in row.options:
             if self.z is None:
                 raise ValueError(f"--z required for {family}")
-            self.z = parse_z(self.z) if isinstance(self.z, str) else _check_z(self.z)
-        if ether is not None and not all(p.is_constant() for p in ether.U.components):
-            raise ValueError("ether must have constant components")
+            self.z = _check_z(self.z)
+        if ether is not None:
+            if ether.U.dim != d:
+                raise ValueError(f"ether has dimension {ether.U.dim}, need d = {d}")
+            if not all(p.is_constant() for p in ether.U.components):
+                raise ValueError("ether must have constant components")
+
+
+def _check_count(option: str, value, low: int, high: int, label: str | None = None) -> None:
+    """TypeError unless value is an int and not a bool; ValueError unless
+    low <= value <= high."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"{option} must be an int, got {value!r}")
+    if not low <= value <= high:
+        raise ValueError(f"need {low} <= {label or option} <= {high}, got {value}")
 
 
 def _raw_span(family: str, d: int, parent=None, ether: Observer | None = None, **given):
     """The request for FAMILIES[family] and its solved span.  A row with a
     parent restricts the parent passed in (a basis of an accepted family,
-    or a list of fields), or else the raw span of the parent's request,
-    which spans what the parent's presentation would."""
+    or a list of fields of dimension d), or else the raw span of the
+    parent's request, which spans what the parent's presentation would."""
     row = FAMILIES[family]
     q = _Request(family, d, ether, **given)
     if row.parent is None:
@@ -979,102 +1001,29 @@ def _raw_span(family: str, d: int, parent=None, ether: Observer | None = None, *
                 raise ValueError(f"restriction expects a {' or '.join(accepted)} basis")
             parent = parent.generators
         fields = parent
+        wrong = sorted({X.dim for X in fields} - {d})
+        if wrong:
+            raise ValueError(f"parent fields have dimension {', '.join(map(str, wrong))}, "
+                             f"need d = {d}")
     return q, restrict_span(fields, lambda X: row.op(X, q))
 
 
-def _solve(family: str, d: int, parent=None, ether: Observer | None = None, **given):
+def solve(family: str, d: int, parent=None, ether: Observer | None = None, **given):
     """The presented basis of FAMILIES[family], or its span for a row with
-    no presentation, for the options given and the defaults of the rest;
-    the parent is that of _raw_span."""
+    no presentation (cmil-raw, cnc-z), for the options given and the
+    defaults of the rest: the one entry point of every family.  A row with
+    a parent restricts the parent passed in, a basis of a family the row
+    accepts or a list of fields of dimension d, or else solves the
+    parent's request; solving cmil-raw once and passing it to both cmil
+    branches solves it once.  Only cmil reads an ether, a constant
+    observer of dimension d.  A presentation whose brackets leave its span
+    is returned; structure_constants refuses it (NotClosedError)."""
     q, raw = _raw_span(family, d, parent, ether, **given)
     named = FAMILIES[family].named
     if named is None:
         return raw
     name, fields = named(q)
     return _presented(name, d, raw, fields, z=q.z)
-
-
-# ---------------------------------------------------------------------------
-# family solvers: lookups in the table
-# ---------------------------------------------------------------------------
-
-
-def solve_cgal(d: int, nt: int) -> AlgebraBasis:
-    """Conformal fields of the flat Galilei pair, time-degree bound nt."""
-    return _solve("cgal", d, deg_t=nt)
-
-
-def solve_cgal_z(d: int, z, nt: int) -> AlgebraBasis:
-    """Conformal fields with fixed dynamical exponent z (rational or 'inf')."""
-    return _solve("cgal-z", d, z=z, deg_t=nt)
-
-
-def solve_gal(d: int) -> AlgebraBasis:
-    """Galilei automorphisms of the flat structure."""
-    return _solve("gal", d)
-
-
-def solve_sch_expanded(d: int) -> AlgebraBasis:
-    """Conformal fields permuting timelike geodesics (independent time and
-    space dilations)."""
-    return _solve("sch-expanded", d)
-
-
-def restrict_sch_z(basis: AlgebraBasis, z) -> AlgebraBasis:
-    """Slice of the expanded timelike algebra (or of the NC-Milne branch c2,
-    which equals it) with fixed dynamical exponent; z = 2 is sch."""
-    return _solve("sch", basis.d, basis, z=z)
-
-
-def solve_sch(d: int) -> AlgebraBasis:
-    return _solve("sch", d)
-
-
-def solve_cnc_flat(d: int, nt: int):
-    """Conformal fields permuting lightlike geodesics, plus a per-generator
-    gauge witness where one exists in the polynomial class."""
-    basis = _solve("cnc", d, deg_t=nt)
-    return basis, [lightlike_gauge_witness(X) for X in basis.generators]
-
-
-def restrict_cnc_z(basis: AlgebraBasis, z) -> list[VectorField]:
-    """z-slice of the lightlike family (span only; compared against the
-    conformal solver with the same degree bound)."""
-    return _solve("cnc-z", basis.d, basis, z=z)
-
-
-def solve_cmil_flat(d: int, ether: Observer | None = None):
-    """The two closed branches of the flat NC-Milne system.
-
-    The raw linear space solves the ether-independent subsystem and is
-    strictly larger than the union of the branches; the closed-branch
-    condition ties the quadratic time reparametrization to the space
-    dilation rate.  Acceleration generators solve the pointwise system
-    only jointly with the expansion generator (their second time
-    derivative selects the ether), which is checked exactly elsewhere.
-    """
-    raw = _solve("cmil-raw", d)
-    c1, c2 = (_solve("cmil", d, raw, ether, branch=branch) for branch in ("c1", "c2"))
-    return c1, c2
-
-
-def restrict_cmil_z(basis: AlgebraBasis, z) -> AlgebraBasis:
-    """z-slice of the acceleration branch; z = 1 is the conformal
-    Galilean algebra with its accelerations."""
-    return _solve("cga", basis.d, basis, z=z)
-
-
-def solve_cga(d: int) -> AlgebraBasis:
-    return _solve("cga", d)
-
-
-def alt_subalgebra(d: int, N: int) -> AlgebraBasis:
-    """Finite-dimensional polynomial family at dynamical exponent 2/N,
-    refused (AssertionError) unless its brackets close."""
-    basis = _solve("alt", d, N=N)
-    if not closure_check(basis.generators).closed:
-        raise AssertionError("polynomial family must close at z = 2/N")
-    return basis
 
 
 def alt_obstruction_coefficient(d: int, N: int, z) -> Fraction:

@@ -30,29 +30,31 @@ def _report(name: str, ok: bool, started: float, budget: float):
 def test_criterion_1_dimension_table():
     started = time.monotonic()
     ok = True
-    ok &= solver.restrict_sch_z(solver.solve_sch_expanded(3), Fraction(2)).dim == 12
-    ok &= solver.solve_sch_expanded(3).dim == 13
-    ok &= solver.solve_gal(3).dim == 10
-    c1_3, _ = solver.solve_cmil_flat(3)
+    ok &= solver.solve("sch", 3, solver.solve("sch-expanded", 3), z=Fraction(2)).dim == 12
+    ok &= solver.solve("sch-expanded", 3).dim == 13
+    ok &= solver.solve("gal", 3).dim == 10
+    c1_3 = solver.solve("cmil", 3)
     ok &= c1_3.dim == 16
-    ok &= solver.restrict_cmil_z(c1_3, Fraction(1)).dim == 15
-    c1_2, _ = solver.solve_cmil_flat(2)
-    ok &= solver.restrict_cmil_z(c1_2, Fraction(1)).dim == 10
-    ok &= solver.restrict_sch_z(solver.solve_sch_expanded(2), Fraction(2)).dim == 8
+    ok &= solver.solve("cga", c1_3.d, c1_3, z=Fraction(1)).dim == 15
+    c1_2 = solver.solve("cmil", 2)
+    ok &= solver.solve("cga", c1_2.d, c1_2, z=Fraction(1)).dim == 10
+    ok &= solver.solve("sch", 2, solver.solve("sch-expanded", 2), z=Fraction(2)).dim == 8
     for d in (2, 3):
         for N in (1, 2, 3):
             expect = d * (d - 1) // 2 + 3 + (N + 1) * d
-            ok &= solver.alt_subalgebra(d, N).dim == expect
+            alt = solver.solve("alt", d, N=N)
+            ok &= alt.dim == expect
+            solver.structure_constants(alt)  # raises NotClosedError unless it closes
     _report("criterion 1: solver dimension table", ok, started, 10.0)
 
 
 def test_criterion_2_closure_and_jacobi():
     started = time.monotonic()
     ok = True
-    sch = solver.restrict_sch_z(solver.solve_sch_expanded(3), Fraction(2))
-    c1, _ = solver.solve_cmil_flat(3)
-    cga = solver.restrict_cmil_z(c1, Fraction(1))
-    alt23 = solver.alt_subalgebra(3, 3)  # dynamical exponent 2/3
+    sch = solver.solve("sch", 3, solver.solve("sch-expanded", 3), z=Fraction(2))
+    c1 = solver.solve("cmil", 3)
+    cga = solver.solve("cga", c1.d, c1, z=Fraction(1))
+    alt23 = solver.solve("alt", 3, N=3)  # dynamical exponent 2/3
     for basis in (sch, cga, c1, alt23):
         sc = solver.structure_constants(basis)
         ok &= sc.antisymmetry_ok()
@@ -71,15 +73,15 @@ def test_criterion_3_representations():
         ok &= report["sign"] in (1, -1)
         sign = report["sign"] if sign is None else sign
         ok &= report["sign"] == sign
-    sch = solver.restrict_sch_z(solver.solve_sch_expanded(3), Fraction(2))
+    sch = solver.solve("sch", 3, solver.solve("sch-expanded", 3), z=Fraction(2))
     sc = solver.structure_constants(sch)
     rot = {i for i, l in enumerate(sch.labels) if l.startswith("omega")}
     radical = {i for i, l in enumerate(sch.labels) if l.startswith(("beta", "gamma"))}
     sl2 = {sch.labels.index("kappa"), sch.labels.index("lambda"), sch.labels.index("epsilon")}
     levi = reps.levi_check(sc, radical, rot, sl2)
     ok &= levi["ideal"] and levi["abelian"] and levi["quotient"]
-    c1, _ = solver.solve_cmil_flat(3)
-    cga = solver.restrict_cmil_z(c1, Fraction(1))
+    c1 = solver.solve("cmil", 3)
+    cga = solver.solve("cga", c1.d, c1, z=Fraction(1))
     sc = solver.structure_constants(cga)
     rot = {i for i, l in enumerate(cga.labels) if l.startswith("omega")}
     radical = {i for i, l in enumerate(cga.labels) if l.startswith(("alpha", "beta", "gamma"))}
@@ -93,13 +95,13 @@ def test_criterion_4_inclusions_and_scans():
     started = time.monotonic()
     ok = True
     # z = 2 timelike generators solve the lightlike system with f + g = 0
-    sch = solver.restrict_sch_z(solver.solve_sch_expanded(3), Fraction(2))
+    sch = solver.solve("sch", 3, solver.solve("sch-expanded", 3), z=Fraction(2))
     U = rest_observer(3)
     F0 = TwoForm.zero(3)
     for X, (f, g) in zip(sch.generators, sch.factors):
         ok &= (f + g).is_zero()
         ok &= all(r.is_zero() for r in cnc_system_residuals(X, f, g, U, F0))
-    cnc, _ = solver.solve_cnc_flat(3, 2)
+    cnc = solver.solve("cnc", 3, deg_t=2)
     ok &= solver.span_contains(cnc.generators, sch.generators)
     # upper-index connection transport vanishes for the lightlike family
     for X in cnc.generators:
@@ -109,8 +111,8 @@ def test_criterion_4_inclusions_and_scans():
                     ok &= X[c].differentiate(A).differentiate(B).is_zero()
     # the z-slices of the lightlike family equal the conformal solver spans
     for z in (Fraction(2), Fraction(1), solver.INF):
-        sliced = solver.restrict_cnc_z(cnc, z)
-        ref = solver.solve_cgal_z(3, z, 2)
+        sliced = solver.solve("cnc-z", cnc.d, cnc, z=z)
+        ref = solver.solve("cgal-z", 3, z=z, deg_t=2)
         ok &= solver.span_equal(sliced, ref.generators)
     # polynomial-family closure happens exactly at z = 2/N
     grid = [Fraction(2), Fraction(1), Fraction(2, 3), Fraction(1, 2), Fraction(3, 2)]
@@ -250,7 +252,7 @@ def test_criterion_8_em_suite():
     nc = flat_structure(3)
     lib = em.sourcefree_library()
     ok &= len(lib) >= 5
-    c1, _ = solver.solve_cmil_flat(3)
+    c1 = solver.solve("cmil", 3)
     ok &= c1.dim == 16
     em.require_source_free(lib, nc)
     for X in c1.generators:

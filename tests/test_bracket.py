@@ -15,15 +15,8 @@ from ncsym.lie import VectorField, lie_bracket
 from ncsym.poly import Poly
 from ncsym.solver import (
     INF,
-    alt_subalgebra,
-    restrict_cmil_z,
-    restrict_sch_z,
     rotation,
-    solve_cga,
-    solve_cmil_flat,
-    solve_gal,
-    solve_sch,
-    solve_sch_expanded,
+    solve,
     space_dilation,
     structure_constants,
     time_translation,
@@ -110,17 +103,17 @@ def apply_structure_constants(fields):
 
 
 FINITE_FAMILIES = {
-    "gal": solve_gal,
-    "sch_expanded": solve_sch_expanded,
-    "sch": solve_sch,
-    "sch_z": lambda d: restrict_sch_z(solve_sch_expanded(d), Fraction(2, 3)),
-    "sch_inf": lambda d: restrict_sch_z(solve_sch_expanded(d), INF),
-    "cmil_c1": lambda d: solve_cmil_flat(d)[0],
-    "cmil_c2": lambda d: solve_cmil_flat(d)[1],
-    "cga": solve_cga,
-    "cga_inf": lambda d: restrict_cmil_z(solve_cmil_flat(d)[0], INF),
-    "alt_1": lambda d: alt_subalgebra(d, 1),
-    "alt_2": lambda d: alt_subalgebra(d, 2),
+    "gal": lambda d: solve("gal", d),
+    "sch_expanded": lambda d: solve("sch-expanded", d),
+    "sch": lambda d: solve("sch", d),
+    "sch_z": lambda d: solve("sch", d, solve("sch-expanded", d), z=Fraction(2, 3)),
+    "sch_inf": lambda d: solve("sch", d, solve("sch-expanded", d), z=INF),
+    "cmil_c1": lambda d: solve("cmil", d),
+    "cmil_c2": lambda d: solve("cmil", d, branch="c2"),
+    "cga": lambda d: solve("cga", d),
+    "cga_inf": lambda d: solve("cga", d, solve("cmil", d), z=INF),
+    "alt_1": lambda d: solve("alt", d, N=1),
+    "alt_2": lambda d: solve("alt", d, N=2),
 }
 
 

@@ -144,7 +144,7 @@ def test_em_check_exits_2_on_a_failing_pair(monkeypatch, tmp_path):
     from ncsym import em, solver
 
     lib = em.sourcefree_library()
-    c1 = solver._solve("cmil", 3)
+    c1 = solver.solve("cmil", 3)
     label, idx = "kappa", 3
     kappa = c1.generators[c1.labels.index(label)]
     real = em.failing_fields

@@ -16,10 +16,10 @@ from ncsym.lie import OneForm, TwoForm, VectorField
 from ncsym.poly import Poly
 from ncsym.solver import (
     INF,
-    alt_subalgebra,
     cga_expansion,
     quadratic_expansion,
     rotation,
+    solve,
     time_translation,
     translation,
 )
@@ -50,7 +50,7 @@ def compiled_by(run):
     return seen
 
 
-# every operator the solvers compile; alt_subalgebra's is a closure
+# every operator the solvers compile; alt's is a closure
 OPERATORS = {
     "conformal": solver.res_conformal,
     "isometry": solver.res_isometry,
@@ -60,7 +60,7 @@ OPERATORS = {
     "observer_u_free": solver._res_u_free,
     "c1_slice": solver._res_c1_slice,
     "c2_slice": solver._res_c2_slice,
-    "alt": compiled_by(lambda: alt_subalgebra(2, 3))[0],
+    "alt": compiled_by(lambda: solve("alt", 2, N=3))[0],
     **{
         f"exponent_{z}": lambda X, z=z: solver.res_exponent(X, z)
         for z in (Fraction(1), Fraction(2), Fraction(2, 3), INF)
@@ -145,7 +145,7 @@ def test_compiled_maxwell_rows_equal_oracle_rows(structure, X, fields):
 
 def test_alt_compiles_one_operator():
     # its own operator, then res_conformal for the check of the presentation
-    compiled = compiled_by(lambda: alt_subalgebra(2, 3))
+    compiled = compiled_by(lambda: solve("alt", 2, N=3))
     assert len(compiled) == 2 and compiled[1] is solver.res_conformal
 
 

@@ -14,13 +14,7 @@ from ncsym.em import (
 from ncsym.geometry import flat_structure
 from ncsym.lie import OneForm, TwoForm
 from ncsym.poly import Poly
-from ncsym.solver import (
-    rotation,
-    solve_cga,
-    solve_cmil_flat,
-    solve_sch,
-    solve_cnc_flat,
-)
+from ncsym.solver import rotation, solve
 
 D3 = flat_structure(3)
 Z3 = Poly.zero(3)
@@ -104,7 +98,7 @@ def test_divergence_uses_the_connection():
 
 
 def test_all_milne_generators_are_symmetries():
-    c1, _ = solve_cmil_flat(3)
+    c1 = solve("cmil", 3)
     assert c1.dim == 16
     lib = sourcefree_library()
     require_source_free(lib, D3)
@@ -115,7 +109,7 @@ def test_all_milne_generators_are_symmetries():
 def test_projective_z2_generators_are_symmetries():
     lib = sourcefree_library()
     require_source_free(lib, D3)
-    for X in solve_sch(3).generators:
+    for X in solve("sch", 3).generators:
         assert failing_fields(X, lib, D3) == []
 
 
@@ -135,7 +129,7 @@ def test_time_dependent_rotation_fails_exactly():
 def test_lightlike_family_members_beyond_milne_fail():
     # maximality: some generator of the wider lightlike family breaks the
     # field equations on a suitable solution
-    cnc, _ = solve_cnc_flat(3, 2)
+    cnc = solve("cnc", 3, deg_t=2)
     lib = sourcefree_library()
     require_source_free(lib, D3)
     outside = [
@@ -149,7 +143,7 @@ def test_lightlike_family_members_beyond_milne_fail():
 
 def test_symmetry_outcome_invariant_under_rescaling():
     rot_t = rotation(3, 1, 2, k=1)
-    cga = solve_cga(3)
+    cga = solve("cga", 3)
     fields = sourcefree_library()[:3]
     scaled = [
         EMField(F=TwoForm(3, [[v * Fraction(7, 3) for v in row] for row in f.F.comp]), J=f.J)

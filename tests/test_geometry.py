@@ -414,11 +414,11 @@ def test_variation_formula_matches_lie_transport_timelike():
     # dual route: the four-term variation at a generator's (f, g) must
     # equal the Lie derivative of the flat connection along it
     from ncsym.lie import lie_derive_connection
-    from ncsym.solver import solve_sch_expanded
+    from ncsym.solver import solve
 
     d = 3
     base = flat_galilei(d)
-    basis = solve_sch_expanded(d)
+    basis = solve("sch-expanded", d)
     for X, (f, g) in zip(basis.generators, basis.factors):
         via_variation = vary_connection(base, rest_observer(d), TwoForm.zero(d), f, g)
         via_transport = lie_derive_connection(X, Connection.zero(d))
@@ -429,11 +429,12 @@ def test_variation_formula_matches_lie_transport_lightlike():
     # same check on the lightlike family, using each generator's own
     # exact gauge witness where one exists
     from ncsym.lie import conformal_factors, lie_derive_connection
-    from ncsym.solver import solve_cnc_flat
+    from ncsym.solver import lightlike_gauge_witness, solve
 
     d = 3
     base = flat_galilei(d)
-    basis, witnesses = solve_cnc_flat(d, 2)
+    basis = solve("cnc", d, deg_t=2)
+    witnesses = [lightlike_gauge_witness(X) for X in basis.generators]
     checked = 0
     for X, w in zip(basis.generators, witnesses):
         if w is None:

@@ -22,16 +22,14 @@ EXPORTS = {
     ],
     solver: [
         "INF", "AlgebraBasis", "ClosureReport", "NotClosedError", "StructureConstants",
-        "alt_subalgebra", "closure_check", "parse_z", "restrict_cmil_z", "restrict_sch_z",
-        "solve_cga", "solve_cgal", "solve_cgal_z", "solve_cmil_flat", "solve_cnc_flat",
-        "solve_gal", "solve_sch", "solve_sch_expanded", "structure_constants",
+        "closure_check", "parse_z", "solve", "structure_constants",
     ],
 }
 NAMES = sorted(name for names in EXPORTS.values() for name in names)
 
 
 def test_all_is_the_pinned_public_api():
-    assert len(NAMES) == 47
+    assert len(NAMES) == 37
     assert sorted(ncsym.__all__) == NAMES
 
 
@@ -65,7 +63,7 @@ def test_root_import_is_lazy():
         "print(loaded())\n"
         "ncsym.Poly\n"
         "print(loaded())\n"
-        "print(ncsym.solver.solve_gal is ncsym.solve_gal)\n"
+        "print(ncsym.solver.solve is ncsym.solve)\n"
     )
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

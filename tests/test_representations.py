@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from ncsym import representations as reps, solver
 from ncsym.cli import main
-from ncsym.solver import StructureConstants, solve_cga, solve_sch, structure_constants
+from ncsym.solver import StructureConstants, solve, structure_constants
 
 
 def sparse(Z) -> dict:
@@ -134,7 +134,7 @@ def test_bracket_leaving_the_span_is_reported(monkeypatch, tmp_path):
 
 
 def test_levi_sch():
-    sch = solve_sch(3)
+    sch = solve("sch", 3)
     sc = structure_constants(sch)
     rot = {i for i, l in enumerate(sch.labels) if l.startswith("omega")}
     radical = {i for i, l in enumerate(sch.labels) if l.startswith(("beta", "gamma"))}
@@ -146,7 +146,7 @@ def test_levi_sch():
 
 
 def test_levi_cga():
-    cga = solve_cga(3)
+    cga = solve("cga", 3)
     sc = structure_constants(cga)
     rot = {i for i, l in enumerate(cga.labels) if l.startswith("omega")}
     radical = {i for i, l in enumerate(cga.labels) if l.startswith(("alpha", "beta", "gamma"))}
@@ -158,7 +158,7 @@ def test_levi_cga():
 
 
 def test_levi_rejects_rotation_in_radical():
-    sch = solve_sch(3)
+    sch = solve("sch", 3)
     sc = structure_constants(sch)
     rot = {1, 2}
     radical = {i for i, l in enumerate(sch.labels) if l.startswith(("beta", "gamma"))}

@@ -15,24 +15,14 @@ from ncsym.solver import (
     StructureConstants,
     alt_closure_scan,
     alt_obstruction_coefficient,
-    alt_subalgebra,
     cga_expansion,
     closure_check,
     cmil_generator_ether,
     bracket_closure_grow,
+    lightlike_gauge_witness,
     parse_z,
-    restrict_cmil_z,
-    restrict_cnc_z,
-    restrict_sch_z,
     sch_expansion,
-    solve_cga,
-    solve_cgal,
-    solve_cgal_z,
-    solve_cmil_flat,
-    solve_cnc_flat,
-    solve_gal,
-    solve_sch,
-    solve_sch_expanded,
+    solve,
     space_dilation,
     span_contains,
     span_equal,
@@ -50,13 +40,13 @@ from conftest import cnc_system_residuals, vanishes
 
 
 def test_cgal_dimensions():
-    assert solve_cgal(3, 0).dim == 11  # 3 + 3 + 3 + 1 + 1
-    assert solve_cgal(2, 0).dim == 7  # 1 + 2 + 2 + 1 + 1
+    assert solve("cgal", 3, deg_t=0).dim == 11  # 3 + 3 + 3 + 1 + 1
+    assert solve("cgal", 2, deg_t=0).dim == 7  # 1 + 2 + 2 + 1 + 1
 
 
 def test_cgal_time_projection_is_homomorphism():
     # the time components bracket like vector fields on the line
-    basis = solve_cgal(2, 2)
+    basis = solve("cgal", 2, deg_t=2)
     pool = basis.generators[::5]
     for X in pool:
         for Y in pool:
@@ -67,7 +57,7 @@ def test_cgal_time_projection_is_homomorphism():
 
 
 def test_cgal_generators_solve_their_system(rng):
-    basis = solve_cgal(3, 1)
+    basis = solve("cgal", 3, deg_t=1)
     for X in basis.generators:
         assert all(p.is_zero() for p in solver.res_conformal(X))
 
@@ -92,9 +82,9 @@ def test_graded_templates_solve_their_system_above_the_truncation(d):
 
 
 def test_cgal_z_dimensions_and_factors():
-    b = solve_cgal_z(3, Fraction(2), 2)
+    b = solve("cgal-z", 3, z=Fraction(2), deg_t=2)
     assert b.dim == 21
-    binf = solve_cgal_z(3, INF, 2)
+    binf = solve("cgal-z", 3, z=INF, deg_t=2)
     assert binf.dim == 21
     for f, g in binf.factors:
         assert f.is_zero()
@@ -102,7 +92,7 @@ def test_cgal_z_dimensions_and_factors():
 
 def test_cgal_z_exponent_constraint_holds():
     for z in (Fraction(2), Fraction(1), Fraction(2, 3)):
-        b = solve_cgal_z(3, z, 2)
+        b = solve("cgal-z", 3, z=z, deg_t=2)
         for f, g in b.factors:
             assert (f + g * (Fraction(2) / z)).is_zero()
 
@@ -113,7 +103,7 @@ def test_cgal_z_tensor_power_transport():
 
     base = flat_galilei(3)
     for n in (1, 2):
-        b = solve_cgal_z(3, Fraction(2, n), 1)
+        b = solve("cgal-z", 3, z=Fraction(2, n), deg_t=1)
         for X in b.generators:
             assert lie_derive_gamma_theta_power(X, base.gamma, base.theta, n) == {}
 
@@ -131,36 +121,56 @@ def test_parse_z():
             parse_z(text)
 
 
-@pytest.mark.parametrize("z", [Fraction(0), Fraction(-2)])
-def test_every_z_entry_point_rejects_a_nonpositive_exponent(z):
-    expanded = solve_sch_expanded(2)
-    c1, c2 = solve_cmil_flat(2)
-    cnc = solver._solve("cnc", 2, deg_t=1)
-    calls = [
-        lambda: solve_cgal_z(2, z, 1),
-        lambda: restrict_sch_z(expanded, z),
-        lambda: restrict_sch_z(c2, z),
-        lambda: restrict_cmil_z(c1, z),
-        lambda: restrict_cnc_z(cnc, z),
+def _z_entry_points(z):
+    """A call of every entry point that reads a dynamical exponent, at z."""
+    expanded = solve("sch-expanded", 2)
+    c1, c2 = (solve("cmil", 2, branch=branch) for branch in ("c1", "c2"))
+    cnc = solve("cnc", 2, deg_t=1)
+    return [
+        lambda: solve("cgal-z", 2, z=z, deg_t=1),
+        lambda: solve("sch", expanded.d, expanded, z=z),
+        lambda: solve("sch", c2.d, c2, z=z),
+        lambda: solve("cga", c1.d, c1, z=z),
+        lambda: solve("cnc-z", cnc.d, cnc, z=z),
         lambda: solver.alt_candidate(2, 1, z),
         lambda: alt_obstruction_coefficient(2, 1, z),
         lambda: alt_closure_scan(2, 1, [z]),
     ]
-    for call in calls:
+
+
+@pytest.mark.parametrize("z", [Fraction(0), Fraction(-2)])
+def test_every_z_entry_point_rejects_a_nonpositive_exponent(z):
+    for call in _z_entry_points(z):
         with pytest.raises(ValueError, match="z must be positive or 'inf'"):
             call()
 
 
+@pytest.mark.parametrize("z, message", [
+    (0.1, "z must be an int, a Fraction, 'p/q' or 'inf', got 0.1"),
+    (2.0, "z must be an int, a Fraction, 'p/q' or 'inf', got 2.0"),
+    (True, "z must be an int, a Fraction, 'p/q' or 'inf', got True"),
+    ("2.0", "must be 'p/q' or 'inf', got '2.0'"),
+    (" 2 ", "must be 'p/q' or 'inf', got ' 2 '"),
+])
+def test_every_z_entry_point_reads_z_by_one_rule(z, message):
+    # an int, a Fraction, 'p/q' or 'inf': never a float, a bool or a
+    # string parse_z refuses
+    for call in _z_entry_points(z):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
+    assert solve("sch", 2, z=2).z == solve("sch", 2, z="2").z == Fraction(2)
+
+
 def test_sch_slice_of_the_second_milne_branch_equals_sch():
-    c1, c2 = solve_cmil_flat(3)
-    s = solve_sch(3)
-    from_c2 = restrict_sch_z(c2, Fraction(2))
+    c1, c2 = (solve("cmil", 3, branch=branch) for branch in ("c1", "c2"))
+    s = solve("sch", 3)
+    from_c2 = solve("sch", c2.d, c2, z=Fraction(2))
     assert (from_c2.family, from_c2.labels) == (s.family, s.labels)
     assert from_c2.to_report() == s.to_report()
     with pytest.raises(ValueError, match="restriction expects"):
-        restrict_sch_z(c1, Fraction(2))
+        solve("sch", c1.d, c1, z=Fraction(2))
     with pytest.raises(ValueError, match="restriction expects"):
-        restrict_cmil_z(c2, Fraction(1))
+        solve("cga", c2.d, c2, z=Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -169,8 +179,8 @@ def test_sch_slice_of_the_second_milne_branch_equals_sch():
 
 
 def test_sch_expanded_dimension_and_gal():
-    assert solve_sch_expanded(3).dim == 13
-    assert solve_gal(3).dim == 10
+    assert solve("sch-expanded", 3).dim == 13
+    assert solve("gal", 3).dim == 10
 
 
 def test_sch_expanded_connection_transport():
@@ -178,7 +188,7 @@ def test_sch_expanded_connection_transport():
     from ncsym.lie import Connection, lie_derive_connection
 
     d = 3
-    basis = solve_sch_expanded(d)
+    basis = solve("sch-expanded", d)
     base = flat_galilei(d)
     half = Fraction(1, 2)
     for X, (f, g) in zip(basis.generators, basis.factors):
@@ -197,25 +207,25 @@ def test_sch_expanded_connection_transport():
 
 
 def test_sch_restrictions():
-    e = solve_sch_expanded(3)
-    assert restrict_sch_z(e, Fraction(2)).dim == 12
-    assert restrict_sch_z(e, Fraction(3)).dim == 11
-    assert restrict_sch_z(e, INF).dim == 11
-    e2 = solve_sch_expanded(2)
-    assert restrict_sch_z(e2, Fraction(2)).dim == 8
+    e = solve("sch-expanded", 3)
+    assert solve("sch", e.d, e, z=Fraction(2)).dim == 12
+    assert solve("sch", e.d, e, z=Fraction(3)).dim == 11
+    assert solve("sch", e.d, e, z=INF).dim == 11
+    e2 = solve("sch-expanded", 2)
+    assert solve("sch", e2.d, e2, z=Fraction(2)).dim == 8
 
 
 def test_sch_inf_keeps_time_dilation():
-    b = restrict_sch_z(solve_sch_expanded(3), INF)
+    b = solve("sch", 3, solve("sch-expanded", 3), z=INF)
     assert "mu" in b.labels
     assert span_contains(b.generators, [time_translation(3, 1)])
     assert not span_contains(b.generators, [space_dilation(3)])
 
 
 def test_inclusion_chain():
-    gal = solve_gal(3)
-    sch = solve_sch(3)
-    expanded = solve_sch_expanded(3)
+    gal = solve("gal", 3)
+    sch = solve("sch", 3)
+    expanded = solve("sch-expanded", 3)
     assert span_contains(sch.generators, gal.generators)
     assert span_contains(expanded.generators, sch.generators)
     assert not span_contains(sch.generators, expanded.generators)
@@ -227,7 +237,7 @@ def test_inclusion_chain():
 
 
 def test_cnc_dimension_and_coriolis():
-    basis, _ = solve_cnc_flat(3, 2)
+    basis = solve("cnc", 3, deg_t=2)
     assert basis.dim == 24  # (3 + 1 + 3 + 1) * 3
     # upper-index transported connection vanishes: no spatial quadratics
     for X in basis.generators:
@@ -241,27 +251,28 @@ def test_sch2_inside_cnc_with_balanced_factors():
     # every z = 2 generator solves the lightlike system with the trivial
     # gauge pair and f + g = 0
     d = 3
-    sch = solve_sch(3)
+    sch = solve("sch", 3)
     U = rest_observer(d)
     F = TwoForm.zero(d)
     for X, (f, g) in zip(sch.generators, sch.factors):
         assert (f + g).is_zero()
         assert all(r.is_zero() for r in cnc_system_residuals(X, f, g, U, F))
-    cnc, _ = solve_cnc_flat(3, 2)
+    cnc = solve("cnc", 3, deg_t=2)
     assert span_contains(cnc.generators, sch.generators)
 
 
 def test_cnc_z_matches_cgal_z_basis_for_basis():
-    cnc, _ = solve_cnc_flat(3, 2)
+    cnc = solve("cnc", 3, deg_t=2)
     for z in (Fraction(2), Fraction(1), Fraction(1, 2), INF):
-        sliced = restrict_cnc_z(cnc, z)
-        ref = solve_cgal_z(3, z, 2)
+        sliced = solve("cnc-z", cnc.d, cnc, z=z)
+        ref = solve("cgal-z", 3, z=z, deg_t=2)
         assert span_equal(sliced, ref.generators)
         assert len(sliced) == ref.dim
 
 
 def test_cnc_witnesses_exist_for_constructible_classes():
-    basis, witnesses = solve_cnc_flat(3, 2)
+    basis = solve("cnc", 3, deg_t=2)
+    witnesses = [lightlike_gauge_witness(X) for X in basis.generators]
     base = flat_galilei(3)
     witnessed = {label for label, w in zip(basis.labels, witnesses) if w is not None}
     # every time reparametrization has a witness, as do the degree <= 1
@@ -280,7 +291,8 @@ def test_cnc_witnesses_exist_for_constructible_classes():
 def test_cnc_time_dependent_rotation_obstruction():
     # the mixed equation reads (f+g) F_AB = -2 omega'_AB; a pure rotation
     # has f + g = 0, so no gauge pair exists once omega depends on time
-    basis, witnesses = solve_cnc_flat(3, 2)
+    basis = solve("cnc", 3, deg_t=2)
+    witnesses = [lightlike_gauge_witness(X) for X in basis.generators]
     base = flat_galilei(3)
     for label, X, w in zip(basis.labels, basis.generators, witnesses):
         if not label.startswith("omega") or "t^" not in label:
@@ -311,23 +323,23 @@ def test_cnc_witness_for_mixed_generator():
 
 
 def test_cmil_branch_dimensions():
-    c1, c2 = solve_cmil_flat(3)
+    c1, c2 = (solve("cmil", 3, branch=branch) for branch in ("c1", "c2"))
     assert c1.dim == 16
     assert c2.dim == 13
-    c1_d2, _ = solve_cmil_flat(2)
+    c1_d2 = solve("cmil", 2)
     assert c1_d2.dim == 11  # 1 + 6 + 4
 
 
 def test_cmil_c2_is_expanded_timelike_algebra():
-    _, c2 = solve_cmil_flat(3)
-    sch = solve_sch_expanded(3)
+    c2 = solve("cmil", 3, branch="c2")
+    sch = solve("sch-expanded", 3)
     assert span_equal(c2.generators, sch.generators)
 
 
 def test_cmil_raw_space_strictly_contains_branches():
-    raw = solver._solve("cmil-raw", 3)
+    raw = solve("cmil-raw", 3)
     assert len(raw) == 17
-    c1, c2 = solve_cmil_flat(3)
+    c1, c2 = (solve("cmil", 3, branch=branch) for branch in ("c1", "c2"))
     assert span_contains(raw, c1.generators)
     assert span_contains(raw, c2.generators)
     union = c1.generators + c2.generators
@@ -341,14 +353,14 @@ def test_cmil_raw_space_strictly_contains_branches():
 
 
 def test_cmil_branches_closed_and_maximal():
-    c1, c2 = solve_cmil_flat(3)
+    c1, c2 = (solve("cmil", 3, branch=branch) for branch in ("c1", "c2"))
     assert closure_check(c1.generators).closed
     assert closure_check(c2.generators).closed
     # the raw space grows with its time bound (17, 21, 25 elements); the
     # branches stay maximal closed subalgebras above the bound they were
     # solved at
     for nt, size in ((2, 17), (3, 21), (4, 25)):
-        raw = solver._solve("cmil-raw", 3, deg_t=nt)
+        raw = solve("cmil-raw", 3, deg_t=nt)
         assert len(raw) == size
         grown = bracket_closure_grow(c1.generators, raw)
         assert span_equal(grown, c1.generators)
@@ -357,7 +369,7 @@ def test_cmil_branches_closed_and_maximal():
 
 
 def test_closure_grows_a_time_translation_to_a_maximal_closed_set():
-    sch = solve_sch(3)
+    sch = solve("sch", 3)
     grown = bracket_closure_grow([time_translation(3)], sch.generators)
     named = dict(zip(sch.labels, sch.generators))
     expected = ["omega[1,2]", "beta[3]", "gamma[3]", "kappa", "lambda", "epsilon"]
@@ -374,12 +386,12 @@ def test_wrong_presentation_fails_the_span_proof(monkeypatch):
     # gal's presentation with a space dilation in place of the time translation
     monkeypatch.setattr(solver, "time_translation", lambda d, k=0: space_dilation(d))
     with pytest.raises(AssertionError, match="gal: presentation does not match the solved span"):
-        solve_gal(2)
+        solve("gal", 2)
 
 
 def test_cmil_generator_ether_witnesses():
     ether = constant_observer(3, [Fraction(1, 2), 0, 0])
-    c1, _ = solve_cmil_flat(3, ether)
+    c1 = solve("cmil", 3, ether=ether)
     base = flat_galilei(3)
     for label, X in zip(c1.labels, c1.generators):
         w = cmil_generator_ether(X)
@@ -404,7 +416,7 @@ def test_cmil_generator_ether_witnesses():
 def test_cmil_kappa_generator_carries_the_given_ether():
     u = [Fraction(1, 2), Fraction(-1), Fraction(0)]
     ether = constant_observer(3, u)
-    c1, _ = solve_cmil_flat(3, ether)
+    c1 = solve("cmil", 3, ether=ether)
     kappa = next(X for lbl, X in zip(c1.labels, c1.generators) if lbl == "kappa")
     w = cmil_generator_ether(kappa)
     assert w is not None
@@ -418,7 +430,7 @@ def test_cmil_rejects_nonconstant_ether():
         VectorField(3, [Poly.const(3, 1), Poly.t(3), Poly.zero(3), Poly.zero(3)])
     )
     with pytest.raises(ValueError):
-        solve_cmil_flat(3, bad)
+        solve("cmil", 3, ether=bad)
 
 
 # Verdict and observer (U^1, U^2, U^3) of the two observer searches on
@@ -620,7 +632,8 @@ def _velocity(U) -> tuple | None:
 
 
 def test_cnc_witness_table():
-    basis, witnesses = solve_cnc_flat(3, 2)
+    basis = solve("cnc", 3, deg_t=2)
+    witnesses = [lightlike_gauge_witness(X) for X in basis.generators]
     assert set(_neighbour_keys(basis.labels)) <= set(CNC_WITNESSES)
     assert [_velocity(w and w.observer.U) for w in witnesses] == [
         CNC_WITNESSES[label] for label in basis.labels
@@ -639,7 +652,8 @@ def test_cnc_witness_table():
 def test_cmil_ether_table():
     ethers = {"rest": None, "u1=1/2": constant_observer(3, [Fraction(1, 2), 0, 0])}
     for name, ether in ethers.items():
-        for branch, basis in zip(("c1", "c2"), solve_cmil_flat(3, ether)):
+        for branch in ("c1", "c2"):
+            basis = solve("cmil", 3, ether=ether, branch=branch)
             table = CMIL_ETHERS[name, branch]
             assert set(_neighbour_keys(basis.labels)) == set(table)
             named = dict(zip(basis.labels, basis.generators))
@@ -649,16 +663,16 @@ def test_cmil_ether_table():
 
 
 def test_cga_restriction_dimensions():
-    c1, _ = solve_cmil_flat(3)
-    assert restrict_cmil_z(c1, Fraction(1)).dim == 15
-    assert restrict_cmil_z(c1, Fraction(3)).dim == 14
-    assert restrict_cmil_z(c1, INF).dim == 14
-    c1_d2, _ = solve_cmil_flat(2)
-    assert restrict_cmil_z(c1_d2, Fraction(1)).dim == 10
+    c1 = solve("cmil", 3)
+    assert solve("cga", c1.d, c1, z=Fraction(1)).dim == 15
+    assert solve("cga", c1.d, c1, z=Fraction(3)).dim == 14
+    assert solve("cga", c1.d, c1, z=INF).dim == 14
+    c1_d2 = solve("cmil", 2)
+    assert solve("cga", c1_d2.d, c1_d2, z=Fraction(1)).dim == 10
 
 
 def test_cga_generator_shapes():
-    cga = solve_cga(3)
+    cga = solve("cga", 3)
     d = 3
     # time component of the expansion is t^2/2, acceleration is -t^2/2 d_A
     kappa = next(X for lbl, X in zip(cga.labels, cga.generators) if lbl == "kappa")
@@ -668,7 +682,7 @@ def test_cga_generator_shapes():
     lam = next(X for lbl, X in zip(cga.labels, cga.generators) if lbl == "lambda")
     assert lam[0] == Poly.t(d)
     assert lam[1] == Poly.x(d, 1)
-    assert span_contains(solve_cmil_flat(3)[0].generators, cga.generators)
+    assert span_contains(solve("cmil", 3).generators, cga.generators)
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +691,7 @@ def test_cga_generator_shapes():
 
 
 def test_structure_constants_sl2_block():
-    sch = solve_sch(3)
+    sch = solve("sch", 3)
     sc = structure_constants(sch)
     labels = sch.labels
     iH = labels.index("epsilon")
@@ -696,7 +710,7 @@ def test_structure_constants_abelian_pair():
 
 
 def test_cga_acceleration_bracket():
-    cga = solve_cga(3)
+    cga = solve("cga", 3)
     sc = structure_constants(cga)
     labels = cga.labels
     ia = labels.index("alpha[1]")
@@ -707,7 +721,7 @@ def test_cga_acceleration_bracket():
 
 
 def test_antisymmetry_and_jacobi_flags():
-    sc = structure_constants(solve_sch(2))
+    sc = structure_constants(solve("sch", 2))
     assert sc.antisymmetry_ok()
     assert sc.jacobi_ok()
 
@@ -748,7 +762,7 @@ def test_mixed_dilation_conventions_span_check():
 
 def test_closure_check_counterexample_and_certificate():
     assert closure_check([sch_expansion(3)]).closed  # [X, X] = 0
-    assert closure_check(solve_sch(3).generators).closed
+    assert closure_check(solve("sch", 3).generators).closed
     report = closure_check([sch_expansion(3), cga_expansion(3)])
     assert not report.closed
     i, j, residual = report.witness
@@ -764,16 +778,18 @@ def test_alt_dimensions():
     for d in (2, 3):
         for N in (1, 2, 3):
             expect = d * (d - 1) // 2 + 3 + (N + 1) * d
-            assert alt_subalgebra(d, N).dim == expect
+            basis = solve("alt", d, N=N)
+            assert basis.dim == expect
+            structure_constants(basis)  # raises NotClosedError unless it closes
 
 
 def test_alt_recovers_projective_families():
-    a1 = alt_subalgebra(2, 1)
-    sch2 = restrict_sch_z(solve_sch_expanded(2), Fraction(2))
+    a1 = solve("alt", 2, N=1)
+    sch2 = solve("sch", 2, solve("sch-expanded", 2), z=Fraction(2))
     assert span_equal(a1.generators, sch2.generators)
-    a2 = alt_subalgebra(2, 2)
-    c1, _ = solve_cmil_flat(2)
-    cga = restrict_cmil_z(c1, Fraction(1))
+    a2 = solve("alt", 2, N=2)
+    c1 = solve("cmil", 2)
+    cga = solve("cga", c1.d, c1, z=Fraction(1))
     assert span_equal(a2.generators, cga.generators)
 
 
@@ -805,7 +821,7 @@ def test_alt_candidate_at_infinite_exponent():
 
 
 def test_alt_closure_certificate():
-    a = alt_subalgebra(3, 3)
+    a = solve("alt", 3, N=3)
     sc = structure_constants(a)
     assert sc.antisymmetry_ok() and sc.jacobi_ok()
 
@@ -821,8 +837,8 @@ def test_a_slice_presents_only_itself(monkeypatch):
         return real(family, *args, **kwargs)
 
     monkeypatch.setattr(solver, "_presented", spy)
-    assert solver._solve("cga", 3).dim == 15
-    assert solver._solve("sch", 3).dim == 12
+    assert solve("cga", 3).dim == 15
+    assert solve("sch", 3).dim == 12
     assert presented == ["cga", "sch"]
 
 
@@ -830,11 +846,11 @@ def test_alt_off_its_exponent_is_refused(monkeypatch, capsys):
     # at z = 1 the N = 1 candidate still presents its solved span, but its
     # brackets leave it: the library and the CLI both refuse the family
     monkeypatch.setattr(solver.FAMILIES["alt"], "exponent", lambda q: Fraction(1))
-    basis = solver._solve("alt", 3, N=1)
+    basis = solve("alt", 3, N=1)
     assert (basis.dim, basis.z) == (12, Fraction(1))
     assert not closure_check(basis.generators).closed
-    with pytest.raises(AssertionError, match="must close at z = 2/N"):
-        alt_subalgebra(3, 1)
+    with pytest.raises(NotClosedError, match="leaves the span"):
+        structure_constants(basis)
     for command in ("solve", "bracket-table"):
         assert main([command, "--family", "alt", "--d", "3", "--N", "1"]) == 2
         out, err = capsys.readouterr()
@@ -848,7 +864,7 @@ def test_alt_off_its_exponent_is_refused(monkeypatch, capsys):
 
 
 def test_report_roundtrip():
-    sch = solve_sch(3)
+    sch = solve("sch", 3)
     sc = structure_constants(sch)
     rep = sch.to_report(sc)
     assert rep["dim"] == 12
@@ -858,15 +874,18 @@ def test_report_roundtrip():
 
 def test_dimension_formulas_hold_at_d4():
     d = 4
-    expanded = solve_sch_expanded(d)
+    expanded = solve("sch-expanded", d)
     assert expanded.dim == d * (d - 1) // 2 + 2 * d + 4  # 18
-    assert restrict_sch_z(expanded, Fraction(2)).dim == d * (d - 1) // 2 + 2 * d + 3  # 17
-    assert solve_gal(d).dim == d * (d - 1) // 2 + 2 * d + 1  # 15
-    c1, c2 = solve_cmil_flat(d)
+    sch = solve("sch", expanded.d, expanded, z=Fraction(2))
+    assert sch.dim == d * (d - 1) // 2 + 2 * d + 3  # 17
+    assert solve("gal", d).dim == d * (d - 1) // 2 + 2 * d + 1  # 15
+    c1, c2 = (solve("cmil", d, branch=branch) for branch in ("c1", "c2"))
     assert c1.dim == d * (d - 1) // 2 + 3 * d + 4  # 22
     assert c2.dim == expanded.dim
-    assert restrict_cmil_z(c1, Fraction(1)).dim == d * (d - 1) // 2 + 3 * d + 3  # 21
-    assert alt_subalgebra(d, 2).dim == d * (d - 1) // 2 + 3 + 3 * d  # 21
+    assert solve("cga", c1.d, c1, z=Fraction(1)).dim == d * (d - 1) // 2 + 3 * d + 3  # 21
+    alt = solve("alt", d, N=2)
+    assert alt.dim == d * (d - 1) // 2 + 3 + 3 * d  # 21
+    structure_constants(alt)  # raises NotClosedError unless it closes
 
 
 # ---------------------------------------------------------------------------
@@ -875,11 +894,12 @@ def test_dimension_formulas_hold_at_d4():
 
 
 def test_factors_equal_conformal_factors():
-    c1, c2 = solve_cmil_flat(3)
+    c1, c2 = (solve("cmil", 3, branch=branch) for branch in ("c1", "c2"))
     families = [
-        solve_cgal(2, 2), solve_cgal_z(3, Fraction(3, 2), 1), solve_cgal_z(3, INF, 1),
-        solve_gal(3), solve_sch_expanded(3), solve_sch(3), solve_cnc_flat(3, 1)[0],
-        c1, c2, solve_cga(3), alt_subalgebra(3, 2),
+        solve("cgal", 2, deg_t=2), solve("cgal-z", 3, z=Fraction(3, 2), deg_t=1),
+        solve("cgal-z", 3, z=INF, deg_t=1),
+        solve("gal", 3), solve("sch-expanded", 3), solve("sch", 3), solve("cnc", 3, deg_t=1),
+        c1, c2, solve("cga", 3), solve("alt", 3, N=2),
     ]
     for basis in families:
         base = flat_galilei(basis.d)
@@ -906,14 +926,47 @@ def test_the_spatial_bound_truncates_cgal_at_d2_only(monkeypatch):
     # at d = 2 a larger spatial bound admits holomorphic fields of degree 3,
     # which the presentation lacks; at d = 3, and for cgal-z, it adds none
     monkeypatch.setattr(solver, "SPATIAL_DEGREE", 3)
-    assert solver._solve("cgal", 3, deg_t=1).dim == 22
-    assert solver._solve("cgal-z", 2, z=Fraction(3, 2), deg_t=1).dim == 8
+    assert solve("cgal", 3, deg_t=1).dim == 22
+    assert solve("cgal-z", 2, z=Fraction(3, 2), deg_t=1).dim == 8
     with pytest.raises(AssertionError, match="cgal: presentation does not match"):
-        solver._solve("cgal", 2, deg_t=1)
+        solve("cgal", 2, deg_t=1)
 
 
 def test_a_request_rejects_an_option_the_family_does_not_read():
     with pytest.raises(TypeError, match="gal does not read z"):
-        solver._solve("gal", 2, z=Fraction(2))
+        solve("gal", 2, z=Fraction(2))
     with pytest.raises(TypeError, match="cmil does not read deg_t"):
-        solver._solve("cmil", 2, deg_t=3)
+        solve("cmil", 2, deg_t=3)
+    # only the cmil c1 presentation reads an ether
+    ether = constant_observer(2, [Fraction(1, 2), 0])
+    for family in ("gal", "sch", "alt", "cga", "cmil-raw"):
+        with pytest.raises(TypeError, match=f"^{family} does not read ether$"):
+            solve(family, 2, ether=ether)
+
+
+@pytest.mark.parametrize("family, d, given, option", [
+    ("gal", 3.0, {}, "d"),
+    ("gal", True, {}, "d"),
+    ("cgal", 2, {"deg_t": 1.5}, "deg_t"),
+    ("cnc", 2, {"deg_t": False}, "deg_t"),
+    ("alt", 2, {"N": True}, "N"),
+    ("alt", 2, {"N": "1"}, "N"),
+])
+def test_a_request_rejects_a_count_that_is_not_an_int(family, d, given, option):
+    with pytest.raises(TypeError, match=f"^{option} must be an int, got "):
+        solve(family, d, **given)
+
+
+def test_an_ether_of_another_dimension_is_refused():
+    for ether_d, d in ((2, 3), (3, 2)):
+        ether = constant_observer(ether_d, [Fraction(1, 2)] + [0] * (ether_d - 1))
+        with pytest.raises(ValueError, match=f"ether has dimension {ether_d}, need d = {d}"):
+            solve("cmil", d, ether=ether)
+
+
+def test_a_parent_of_another_dimension_is_refused():
+    # refused before the restriction is solved, never blamed on a presentation
+    expanded = solve("sch-expanded", 2)
+    for parent in (expanded, expanded.generators):
+        with pytest.raises(ValueError, match="parent fields have dimension 2, need d = 3"):
+            solve("sch", 3, parent)
